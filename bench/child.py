@@ -5,14 +5,16 @@ Usage: child.py WORKLOAD SEED MODE [SPANS_PATH]
 MODE is one of
   setup   import matchext and build the inputs, then stop;
   run     also run the workload's commands, untraced;
-  coarse  (a pooled census) run them with spans only on the sweep, then
-          time the same sweep on one process;
-  fine    run them with spans at every layer boundary.
+  sweep   (a census) run them with spans only on the census sweep and corpus
+          construction, which cost nothing measurable, then, where the
+          census is pooled, time the same sweep again on one process;
+  fine    run them with spans at every layer boundary, then, where the
+          census is pooled, the same sweep on one process for per-item spans.
 
 Prints one JSON object: the monotonic time at which the first command was
 dispatched, the wall time of the commands, the peak resident set of this
-process and its pool workers, every command's exit code and output, and in
-the traced modes the per-layer figures.
+process and its pool workers, every command's exit code and output, and
+the per-layer figures of its mode.
 """
 
 from __future__ import annotations
@@ -30,9 +32,19 @@ SRC = ROOT / "src"
 
 
 def _peak_rss_mb() -> float:
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(own, workers) / 1024.0
+    """Peak resident set of this process and of its reaped pool workers.
+
+    This process's own peak is VmHWM, which belongs to the address space
+    made at exec; RUSAGE_SELF would carry over the peak of the process that
+    started this one. A forked worker's peak starts from this process's
+    resident set at the fork, which is never above VmHWM.
+    """
+    own_kb = 0
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            own_kb = int(line.split()[1])
+    workers_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return max(own_kb, workers_kb) / 1024.0
 
 
 def _run_commands(cli, argvs: list[list[str]], rec=None) -> tuple[list[dict], float]:
@@ -80,12 +92,14 @@ def main(argv: list[str]) -> int:
     import workloads
 
     rec = None
-    if mode in ("coarse", "fine"):
+    if mode in ("sweep", "fine"):
         import spans
 
         rec = spans.Recorder()
-        (spans.install_fine if mode == "fine" else spans.install_coarse)(rec)
+        (spans.install_fine if mode == "fine" else spans.install_sweep)(rec)
     argvs = workloads.command_lines(workload, seed)
+    census_argv = argvs[0] if argvs[0][0] == "census" else None
+    pooled = census_argv is not None and workloads.WORKLOADS[workload].jobs > 1
     dispatched = time.monotonic()
     result: dict = {"dispatched": dispatched, "argvs": argvs}
     if mode == "setup":
@@ -94,29 +108,24 @@ def main(argv: list[str]) -> int:
 
     outputs, wall = _run_commands(cli, argvs, rec)
     result.update(wall_s=wall, peak_rss_mb=_peak_rss_mb(), outputs=outputs)
-    if rec is not None:
-        census_argv = argvs[0] if argvs[0][0] == "census" else None
-        pooled = census_argv is not None and workloads.WORKLOADS[workload].jobs > 1
-        layers: dict[str, float] = {}
-        if mode == "coarse":
-            layers["census.sweep.s"] = _sweep_seconds(rec, 0)
+    layers: dict[str, float] = {}
+    if mode == "sweep":
+        layers["census.sweep.s"] = layers["census.sweep_jobs1.s"] = _sweep_seconds(rec, 0)
+        if pooled:
             since = len(rec.spans)
             _jobs1_sweep(cli, census, theorems, census_argv)
             layers["census.sweep_jobs1.s"] = _sweep_seconds(rec, since)
-        if mode == "fine":
-            commands_end = len(rec.spans)
-            if census_argv is not None and not pooled:
-                # The workload's own sweep already ran on one process.
-                layers["census.sweep.s"] = layers["census.sweep_jobs1.s"] = _sweep_seconds(rec, 0)
-            if pooled:
-                rec.item = "jobs1_sweep"
-                _jobs1_sweep(cli, census, theorems, census_argv)
-            layers.update(spans.fine_metrics(rec, commands_end))
-            layers["cli.commands"] = len(argvs)
-            result["self_times"] = rec.self_times()
-            if len(argv) > 3:
-                rec.write(argv[3])
-        result["layers"] = layers
+    if mode == "fine":
+        commands_end = len(rec.spans)
+        if pooled:
+            rec.item = "jobs1_sweep"
+            _jobs1_sweep(cli, census, theorems, census_argv)
+        layers.update(spans.fine_metrics(rec, commands_end))
+        layers["cli.commands"] = len(argvs)
+        result["self_times"] = rec.self_times()
+        if len(argv) > 3:
+            rec.write(argv[3])
+    result["layers"] = layers
     print(json.dumps(result))
     return 0
 

@@ -35,7 +35,8 @@ BENCH = Path(__file__).resolve().parent
 OUT = ROOT / ".bench_out"
 
 RUN_SECONDS = 25
-SETUP_PROBES = 10
+# Set-up-only starts per run, half before the repetitions and half after.
+SETUP_PROBES = 30
 # A run must end within 180 s: no repetition starts that would likely end
 # after this many seconds, and none may run past it.
 RUN_LIMIT_S = 170.0
@@ -109,7 +110,9 @@ def spawn(workload: str, seed: int, mode: str, deadline: float, spans_path: Path
     # has them; the first, unmeasured set-up of a run compiles them.
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     env["PYTHONHASHSEED"] = "0"
-    cmd = [sys.executable, str(BENCH / "child.py"), workload, str(seed), mode]
+    # -S: no site-packages, whose .pth files differ between hosts and are no
+    # part of matchext's set-up (it needs only the standard library).
+    cmd = [sys.executable, "-S", str(BENCH / "child.py"), workload, str(seed), mode]
     if spans_path is not None:
         cmd.append(str(spans_path))
     started = time.monotonic()
@@ -168,7 +171,7 @@ def _repeat(seconds: float, deadline: float, step) -> None:
 
 def untraced(workload: str, seed: int, seconds: float, deadline: float, tally: Tally) -> dict[str, float]:
     spawn(workload, seed, "setup", deadline)  # byte-compiles matchext; not measured
-    setups = [spawn(workload, seed, "setup", deadline)["setup_s"] for _ in range(SETUP_PROBES)]
+    setups = [spawn(workload, seed, "setup", deadline)["setup_s"] for _ in range(SETUP_PROBES // 2)]
     reps: list[dict] = []
 
     def step():
@@ -177,6 +180,7 @@ def untraced(workload: str, seed: int, seconds: float, deadline: float, tally: T
         reps.append(rep)
 
     _repeat(seconds, deadline, step)
+    setups += [spawn(workload, seed, "setup", deadline)["setup_s"] for _ in range(SETUP_PROBES - SETUP_PROBES // 2)]
     setups += [rep["setup_s"] for rep in reps]
     walls = [rep["wall_s"] for rep in reps]
     rss = [rep["peak_rss_mb"] for rep in reps]
@@ -197,24 +201,18 @@ def traced(workload: str, seed: int, seconds: float, deadline: float, tally: Tal
     OUT.mkdir(exist_ok=True)
     spans_path = OUT / f"spans-{workload}-seed{seed}.tsv.gz"
     is_census = workload != "family_check"
-    pooled = workloads.WORKLOADS[workload].jobs > 1
     plain_walls, fine_walls, cycles = [], [], []
     self_times: dict = {}
     spawn(workload, seed, "setup", deadline)
 
     def step():
-        plain = spawn(workload, seed, "run", deadline)
+        plain = spawn(workload, seed, "sweep" if is_census else "run", deadline)
         tally.add(plain)
         plain_walls.append(plain["wall_s"])
-        layers = {}
-        if pooled:
-            coarse = spawn(workload, seed, "coarse", deadline)
-            tally.add(coarse)
-            layers.update(coarse["layers"])
         fine = spawn(workload, seed, "fine", deadline, spans_path)
         tally.add(fine)
         fine_walls.append(fine["wall_s"])
-        layers.update(fine["layers"])
+        layers = {**plain["layers"], **fine["layers"]}
         if is_census:
             layers.update(checks.census_ratios(plain["outputs"]))
             layers["census.pool.speedup"] = layers["census.sweep_jobs1.s"] / layers["census.sweep.s"]

@@ -10,7 +10,7 @@ share it. Self time is the span's duration minus the time its child spans
 cover. Spans stay in memory and are written out once, at the end.
 
 Two levels:
-  coarse  only the census sweep and corpus construction, so the sweep is
+  sweep   only the census sweep and corpus construction, so the sweep is
           timed with nothing else slowing it down;
   fine    every layer boundary patched in install_fine below.
 Pool workers forked from a traced process inherit the wrappers; there they
@@ -116,7 +116,7 @@ class Recorder:
                 out.write(f"{sid}\t{parent}\t{item}\t{name}\t{start:.9f}\t{end:.9f}\t{self_s:.9f}\n")
 
 
-def install_coarse(rec: Recorder) -> None:
+def install_sweep(rec: Recorder) -> None:
     from matchext import census, cli
 
     rec.patch([census, cli], "run_census", "census.run_census")
@@ -126,7 +126,7 @@ def install_coarse(rec: Recorder) -> None:
 def install_fine(rec: Recorder) -> None:
     from matchext import census, cli, extendability, families, generate, matching, theorems
 
-    install_coarse(rec)
+    install_sweep(rec)
     counts = rec.counts
 
     rec.patch([generate], "canonical_form", "generate.canonical_form")
