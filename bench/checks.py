@@ -147,7 +147,7 @@ def check_census(workload: str, outputs: list[dict], seed: int) -> tuple[int, li
     if workload == "census_dense":
         if doc["reports"]:
             failures.append(f"{len(doc['reports'])} report rows in failures-only output")
-        pinned = workloads.DENSE_SUMMARY if seed == workloads.DEFAULT_SEED else None
+        pinned = workloads.DENSE_SUMMARY
     else:
         if len(doc["reports"]) != ops or ops != workloads.EXHAUSTIVE_ROWS:
             failures.append(f"{len(doc['reports'])} report rows, {ops} admissible, expected {workloads.EXHAUSTIVE_ROWS}")
@@ -155,10 +155,9 @@ def check_census(workload: str, outputs: list[dict], seed: int) -> tuple[int, li
         if digest != workloads.EXHAUSTIVE_DIGEST:
             failures.append(f"census document digest {digest} differs from the pinned one")
         pinned = workloads.EXHAUSTIVE_SUMMARY
-    if pinned is not None:
-        for tid in sorted(set(pinned) | set(summary)):
-            if pinned.get(tid) != summary.get(tid):
-                failures.append(f"{tid}: summary {summary.get(tid)}, pinned {pinned.get(tid)}")
+    for tid in sorted(set(pinned) | set(summary)):
+        if pinned.get(tid) != summary.get(tid):
+            failures.append(f"{tid}: summary {summary.get(tid)}, pinned {pinned.get(tid)}")
     return ops, failures
 
 

@@ -5,10 +5,13 @@
 
 Each repetition runs in a fresh interpreter (bench/child.py), so every one
 pays for importing matchext and, on census_exhaustive, for generating the
-corpus. Repetitions are started until --seconds have passed; the metrics are
-medians over them. The last line of standard output is one JSON object with
-the keys correct, attempted, failed and metrics: the end-to-end metrics with
---trace 0, the per-layer metrics with --trace 1.
+corpus. Repetitions are started while they are expected to end within
+--seconds; the metrics are medians over them. setup_s and wall_s are scaled
+to a fixed host speed by a reference loop timed during the run (see
+child.Speedometer); the raw times are printed as comments. The last line of
+standard output is one JSON object with the keys correct, attempted, failed
+and metrics: the end-to-end metrics with --trace 0, the per-layer metrics
+with --trace 1.
 
 --all runs every workload at the given seed, untraced and traced, prints
 the metrics, and rewrites BENCHMARK.json and bench/RECORD.json.
@@ -28,13 +31,14 @@ import time
 from pathlib import Path
 
 import checks
+import child
 import workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = Path(__file__).resolve().parent
 OUT = ROOT / ".bench_out"
 
-RUN_SECONDS = 25
+RUN_SECONDS = 40
 # Set-up-only starts per run, half before the repetitions and half after.
 SETUP_PROBES = 30
 # A run must end within 180 s: no repetition starts that would likely end
@@ -136,7 +140,8 @@ def spawn(workload: str, seed: int, mode: str, deadline: float, spans_path: Path
     if proc.returncode != 0:
         raise BenchError(f"{workload} {mode}: exit {proc.returncode}\n{err.strip()}")
     result = json.loads(out)
-    result["setup_s"] = result["dispatched"] - started
+    result["setup_raw_s"] = result["dispatched"] - started
+    result["setup_s"] = result["setup_raw_s"] * child.REFERENCE_NOMINAL_S / result["setup_reference_s"]
     return result
 
 
@@ -156,22 +161,23 @@ class Tally:
         self.failures += failures
 
 
-def _repeat(seconds: float, deadline: float, step) -> None:
-    """Call step() at least once, and again while at least half of one more fits in ``seconds``."""
+def _repeat(until: float, step) -> None:
+    """Call step() at least once, and again while one more is expected to end before ``until``."""
     start = time.monotonic()
     count = 0
     while True:
         step()
         count += 1
         now = time.monotonic()
-        mean = (now - start) / count
-        if now - start + mean / 2 > seconds or now + 1.5 * mean > deadline:
+        if now + (now - start) / count > until:
             return
 
 
 def untraced(workload: str, seed: int, seconds: float, deadline: float, tally: Tally) -> dict[str, float]:
+    start = time.monotonic()
     spawn(workload, seed, "setup", deadline)  # byte-compiles matchext; not measured
-    setups = [spawn(workload, seed, "setup", deadline)["setup_s"] for _ in range(SETUP_PROBES // 2)]
+    probes = [spawn(workload, seed, "setup", deadline) for _ in range(SETUP_PROBES // 2)]
+    probes_s = time.monotonic() - start
     reps: list[dict] = []
 
     def step():
@@ -179,21 +185,26 @@ def untraced(workload: str, seed: int, seconds: float, deadline: float, tally: T
         tally.add(rep)
         reps.append(rep)
 
-    _repeat(seconds, deadline, step)
-    setups += [spawn(workload, seed, "setup", deadline)["setup_s"] for _ in range(SETUP_PROBES - SETUP_PROBES // 2)]
-    setups += [rep["setup_s"] for rep in reps]
+    _repeat(min(start + seconds - probes_s, deadline), step)
+    probes += [spawn(workload, seed, "setup", deadline) for _ in range(SETUP_PROBES - SETUP_PROBES // 2)]
+    probes += reps
     walls = [rep["wall_s"] for rep in reps]
-    rss = [rep["peak_rss_mb"] for rep in reps]
-    print(f"# {workload} seed {seed}: {len(reps)} repetitions, {len(setups)} set-ups")
-    print(f"#   wall_s per repetition: {' '.join(f'{w:.3f}' for w in walls)}")
-    print(f"#   setup_s per set-up: {' '.join(f'{s:.3f}' for s in setups)}")
+    scaled = [rep["scaled_s"] for rep in reps]
+    print(f"# {workload} seed {seed}: {len(reps)} repetitions, {len(probes)} set-ups")
+    print(f"#   raw wall_s per repetition: {' '.join(f'{w:.3f}' for w in walls)}")
+    print(f"#   scaled wall_s per repetition: {' '.join(f'{w:.3f}' for w in scaled)}")
+    raw_setups = [probe["setup_raw_s"] for probe in probes]
+    references_ms = [1000 * rep["reference_s"] for rep in reps]
+    print(f"#   mean reference loop ms per repetition: {' '.join(f'{r:.2f}' for r in references_ms)}")
+    print(f"#   raw setup_s per set-up: {' '.join(f'{s:.3f}' for s in raw_setups)}")
+    print(f"#   raw medians: wall_s {statistics.median(walls):.4f} s, setup_s {statistics.median(raw_setups):.4f} s")
     for index, argv in enumerate(reps[0]["argvs"]):
         median_s = statistics.median(rep["outputs"][index]["seconds"] for rep in reps)
-        print(f"#   command {index} median {median_s:.4f} s: matchext {' '.join(argv)}")
+        print(f"#   command {index} raw median {median_s:.4f} s: matchext {' '.join(argv)}")
     return {
-        "setup_s": statistics.median(setups),
-        "wall_s": statistics.median(walls),
-        "peak_rss_mb": statistics.median(rss),
+        "setup_s": statistics.median(p["setup_s"] for p in probes),
+        "wall_s": statistics.median(scaled),
+        "peak_rss_mb": statistics.median(rep["peak_rss_mb"] for rep in reps),
     }
 
 
@@ -203,10 +214,11 @@ def traced(workload: str, seed: int, seconds: float, deadline: float, tally: Tal
     is_census = workload != "family_check"
     plain_walls, fine_walls, cycles = [], [], []
     self_times: dict = {}
+    start = time.monotonic()
     spawn(workload, seed, "setup", deadline)
 
     def step():
-        plain = spawn(workload, seed, "sweep" if is_census else "run", deadline)
+        plain = spawn(workload, seed, "sweep", deadline)
         tally.add(plain)
         plain_walls.append(plain["wall_s"])
         fine = spawn(workload, seed, "fine", deadline, spans_path)
@@ -219,7 +231,7 @@ def traced(workload: str, seed: int, seconds: float, deadline: float, tally: Tal
         self_times.update(fine["self_times"])
         cycles.append(layers)
 
-    _repeat(seconds, deadline, step)
+    _repeat(min(start + seconds, deadline), step)
     metrics = {}
     for name, _unit in PER_LAYER:
         values = [c[name] for c in cycles if name in c]
