@@ -11,6 +11,7 @@ identical for any job count.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
@@ -230,6 +231,11 @@ def _census_item(
     return reports, inadmissible
 
 
+def clamp_jobs(requested: int, corpus_size: int) -> int:
+    """Worker processes to start: min(requested, CPU count, corpus size), at least 1."""
+    return max(1, min(requested, os.cpu_count() or 1, corpus_size))
+
+
 def run_census(
     spec: CorpusSpec,
     theorems: Sequence[str] = th.THEOREM_IDS,
@@ -255,7 +261,8 @@ def run_census(
     worker = partial(
         _census_item, theorems=chosen, ranges=ranges, limits=(timeout, pair_cap)
     )
-    if jobs > 1 and len(items) > 1:
+    jobs = clamp_jobs(jobs, len(items))
+    if jobs > 1:
         with Pool(processes=jobs) as pool:
             results = pool.imap(worker, items, chunksize=max(1, len(items) // (jobs * 8)))
             merged = _merge(results, summary, reports, keep, len(items))

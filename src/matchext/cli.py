@@ -147,7 +147,7 @@ class RunConfig:
             connected=None if args.connected is None else args.connected == "yes",
             n_max=args.n_max,
             k_max=args.k_max,
-            jobs=max(1, args.jobs),
+            jobs=args.jobs,
             full=args.full,
             timeout=args.timeout,
             pair_cap=args.pair_cap,
@@ -201,7 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_limit_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--timeout", type=float, help="per-instance wall clock budget in seconds")
-        p.add_argument("--pair-cap", type=int, help="per-instance cap on (S, M) pairs examined")
+        p.add_argument(
+            "--pair-cap",
+            type=int,
+            help="per-instance cap on work: vertex sets looked up plus (S, M) pairs tried for a witness",
+        )
 
     def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write JSON here instead of stdout")
@@ -241,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorems", default=",".join(th.THEOREM_IDS))
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--k-max", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most the CPU count and corpus size"
+    )
     p.add_argument("--full", action="store_true", help="keep all report rows, not just abnormal ones")
     add_limit_args(p)
     add_out(p)

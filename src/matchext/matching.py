@@ -272,7 +272,8 @@ class SubsetMatchingOracle:
     graphs fall back to a memoized blossom run per queried subset.
 
     Also carries the (mask, n, k)-extendability cache shared by the theorem
-    validators; see extendability._holds_on_mask.
+    validators and the twin classes of each decided mask; see
+    extendability._holds_on_mask.
     """
 
     DENSE_LIMIT = 18
@@ -283,6 +284,7 @@ class SubsetMatchingOracle:
         self.n = graph.vertex_count
         self.full_mask = (1 << self.n) - 1
         self.nk_cache: dict[tuple[int, int, int], bool] = {}
+        self.twin_cache: dict[int, list[list[int]]] = {}
         if self.n <= self.DENSE_LIMIT:
             self._table: bytearray | None = self._build_table()
             self._lazy: dict[int, int] | None = None

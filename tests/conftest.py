@@ -3,7 +3,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from matchext import Graph
+from matchext import Graph, complete_graph, disjoint_union, join
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -33,3 +33,15 @@ def graphs(draw, min_vertices: int = 0, max_vertices: int = 8):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [p for p, keep in zip(pairs, flags) if keep])
+
+
+@st.composite
+def twin_heavy_graphs(draw, max_vertices: int = 9):
+    """A small graph joined with, or placed beside, a clique or an
+    independent set, so that twin classes with several members occur."""
+    base = draw(graphs(max_vertices=max_vertices - 2))
+    size = draw(st.integers(2, max_vertices - base.vertex_count))
+    part = complete_graph(size) if draw(st.booleans()) else Graph(size)
+    if draw(st.booleans()):
+        return join(base, part)
+    return disjoint_union([base, part])

@@ -5,6 +5,10 @@ matching oracle enumerates instead of augmenting, deficiency is maximized
 over all vertex subsets with its own component walk, and the extendability
 oracle is the definition's double loop using only vertex deletion and
 has_one_factor. Expected values frozen into tests were computed with these.
+
+reference_search_failure is the exception: it walks every (S, M) pair in
+lexicographic order over the package's subset oracle, and the set-form
+engine must report exactly its first failure.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from matchext import Graph, VertexSet, delete_vertices, has_one_factor
+from matchext.extendability import FailureKind
+from matchext.graph import _bits
+from matchext.matching import SubsetMatchingOracle, _matchings_in_mask
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -101,6 +108,27 @@ def naive_is_nk_extendable(g: Graph, n: int, k: int) -> bool:
             if not has_one_factor(rest):
                 return False
     return True
+
+
+def reference_search_failure(
+    oracle: SubsetMatchingOracle, mask: int, n: int, k: int
+) -> tuple[FailureKind, tuple[int, ...], tuple[tuple[int, int], ...] | None] | None:
+    """First failing (S, M) pair over G[mask], or None when (n, k) holds.
+
+    S runs over size-n subsets of mask in lexicographic order; M over the
+    k-matchings of G[mask] - S in lexicographic canonical order.
+    """
+    for s_tuple in combinations(list(_bits(mask)), n):
+        smask = 0
+        for v in s_tuple:
+            smask |= 1 << v
+        rem = mask ^ smask
+        if oracle.size(rem) < k:
+            return (FailureKind.NO_K_MATCHING, s_tuple, None)
+        for chosen, used in _matchings_in_mask(oracle.masks, rem, k):
+            if not oracle.is_perfectable(rem ^ used):
+                return (FailureKind.STUCK_MATCHING, s_tuple, chosen)
+    return None
 
 
 def decode_graph6_reference(text: str) -> tuple[int, set[tuple[int, int]]]:

@@ -19,10 +19,12 @@ from matchext import (
     is_nk_extendable,
     verify_failure_witness,
 )
-from matchext.families import build_h1
+from matchext import SubsetMatchingOracle, exhaustive_graphs
+from matchext.extendability import _holds_on_mask, _verdict_on_mask, admissible
+from matchext.families import build_h1, resolve_family_ref
 
-from conftest import cycle_graph, graphs, star_graph
-from oracles import naive_is_nk_extendable
+from conftest import cycle_graph, graphs, star_graph, twin_heavy_graphs
+from oracles import naive_is_nk_extendable, reference_search_failure
 
 
 class TestParameterCheck:
@@ -52,7 +54,7 @@ class TestVerdicts:
     def test_k4_is_2_critical(self):
         verdict = is_nk_extendable(complete_graph(4), 2, 0)
         assert verdict.holds and verdict.failure is None
-        assert verdict.stats.subsets_examined == 6
+        assert verdict.stats.subsets_examined == 1
 
     def test_c6_is_1_extendable(self):
         assert naive_is_nk_extendable(cycle_graph(6), 0, 1)
@@ -117,7 +119,7 @@ class TestLargeGraphFallback:
         g = cycle_graph(20)
         verdict = is_nk_extendable(g, 0, 1)
         assert verdict.holds
-        assert verdict.stats.pairs_examined == 20
+        assert verdict.stats.pairs_examined == 190
 
     def test_cycle_20_plus_isolated_vertices_fails(self):
         # 22 vertices: any 1-matching strands the two isolated vertices.
@@ -143,6 +145,71 @@ class TestOracleEquivalence:
             assert is_k_extendable(g, p).holds == is_nk_extendable(g, 0, p).holds
         if check_parameters(g, p, 0).ok:
             assert is_n_factor_critical(g, p).holds == is_nk_extendable(g, p, 0).holds
+
+
+def _reported_failure(oracle, mask, n, k):
+    """(kind, S, M) of the engine's verdict on G[mask], or None when it holds."""
+    verdict = _verdict_on_mask(oracle, mask, n, k, None)
+    if verdict.holds:
+        return None
+    f = verdict.failure
+    return (f.kind, f.s.members, None if f.m is None else f.m.edges)
+
+
+class TestReferenceSearch:
+    """The set-form engine reports exactly the (S, M) walk's first failure."""
+
+    def test_exhaustive_up_to_7_vertices(self):
+        compared = 0
+        for g in exhaustive_graphs(7):
+            oracle = SubsetMatchingOracle(g)
+            full = oracle.full_mask
+            for n in range(4):
+                for k in range(3):
+                    if not admissible(g.vertex_count, n, k):
+                        continue
+                    expected = reference_search_failure(oracle, full, n, k)
+                    assert _reported_failure(oracle, full, n, k) == expected
+                    compared += 1
+        assert compared == 6141
+
+    @pytest.mark.parametrize(
+        "ref,n,k",
+        [
+            ("h1:2:0", 2, 2),
+            ("h1:2:0", 2, 1),
+            ("h2:2:0", 4, 0),
+            ("h2:2:1", 4, 1),
+            ("h2:1:0", 1, 1),
+            ("h2:0:0", 0, 1),
+            ("h1:1:2", 1, 3),
+        ],
+    )
+    def test_family_edge_deletion_masks(self, ref, n, k):
+        g = resolve_family_ref(ref).graph
+        oracle = SubsetMatchingOracle(g)
+        full = oracle.full_mask
+        masks = [full] + [full ^ (1 << u) ^ (1 << v) for u, v in g.edges()]
+        for mask in masks:
+            if admissible(mask.bit_count(), n, k):
+                expected = reference_search_failure(oracle, mask, n, k)
+                assert _reported_failure(oracle, mask, n, k) == expected
+
+
+class TestRelabelling:
+    @settings(max_examples=80, deadline=None)
+    @given(twin_heavy_graphs(), st.integers(0, 3), st.integers(0, 2), st.data())
+    def test_verdict_invariant_under_vertex_permutation(self, g, n, k, data):
+        if not check_parameters(g, n, k).ok:
+            return
+        perm = data.draw(st.permutations(range(g.vertex_count)))
+        h = Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()])
+        holds = is_nk_extendable(g, n, k).holds
+        assert is_nk_extendable(h, n, k).holds == holds
+        for graph in (g, h):
+            oracle = SubsetMatchingOracle(graph)
+            assert _holds_on_mask(oracle, oracle.full_mask, n, k) == holds
+        assert naive_is_nk_extendable(g, n, k) == holds
 
 
 class TestWitnessValidity:
@@ -183,10 +250,17 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             is_nk_extendable(complete_graph(6), 2, 1, budget=budget)
 
+    def test_zero_timeout_aborts_a_decision(self):
+        # K6 is one twin class: a single set per condition, far below the
+        # 256 charges between clock checks, so only the entry check can fire.
+        oracle = SubsetMatchingOracle(complete_graph(6))
+        with pytest.raises(BudgetExceededError):
+            _holds_on_mask(oracle, oracle.full_mask, 2, 1, Budget.from_limits(0.0, None))
+
     def test_no_limits_is_none(self):
         assert Budget.from_limits(None, None) is None
 
     def test_stats_are_counted(self):
         verdict = is_nk_extendable(complete_graph(6), 0, 1)
         assert verdict.stats.subsets_examined == 1
-        assert verdict.stats.pairs_examined == 15
+        assert verdict.stats.pairs_examined == 1

@@ -146,5 +146,31 @@ class TestSharpness:
         sub, _ = delete_vertices(fam.graph, VertexSet.of(core_edge))
         assert not is_nk_extendable(sub, n, k).holds
 
+    def test_h1_3_0_exact_witness(self):
+        fam = build_h1(3, 0)
+        verdict = is_nk_extendable(fam.graph, 3, 2)
+        assert not verdict.holds
+        f = verdict.failure
+        assert f.kind is FailureKind.STUCK_MATCHING
+        assert f.s == fam.core
+        assert f.m == fam.pendant_matching
+        assert f.tutte.s_prime.members == ()
+        assert {c.members for c in f.tutte.odd_components} == {
+            tuple(range(7)),
+            tuple(range(7, 14)),
+        }
+        assert verify_failure_witness(fam.graph, 3, 2, f)
+
+    def test_h1_3_0_is_3_1_extendable(self):
+        assert is_nk_extendable(build_h1(3, 0).graph, 3, 1).holds
+
+    def test_h2_3_0_fails_5_0_at_core(self):
+        fam = build_h2(3, 0)
+        verdict = is_nk_extendable(fam.graph, 5, 0)
+        assert not verdict.holds
+        assert verdict.failure.kind is FailureKind.STUCK_MATCHING
+        assert verdict.failure.s == fam.core
+        assert verify_failure_witness(fam.graph, 5, 0, verdict.failure)
+
     def test_h2_1_1_is_1_1_extendable(self):
         assert is_nk_extendable(build_h2(1, 1).graph, 1, 1).holds

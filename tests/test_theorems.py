@@ -26,7 +26,8 @@ from matchext import (
     verify_theoremB,
     verify_theoremC,
 )
-from matchext.census import normalize_theorems
+from matchext import census
+from matchext.census import clamp_jobs, normalize_theorems
 from matchext.families import build_h2
 from matchext.reporting import census_document, to_json
 
@@ -253,6 +254,17 @@ class TestCensus:
         doc2 = to_json(census_document(run_census(spec, **kwargs)))
         doc_jobs = to_json(census_document(run_census(spec, jobs=2, **kwargs)))
         assert doc1 == doc2 == doc_jobs
+
+    def test_clamp_jobs(self, monkeypatch):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+        assert clamp_jobs(3, 50) == 3
+        assert clamp_jobs(10**6, 50) == 4
+        assert clamp_jobs(10**6, 2) == 2
+        assert clamp_jobs(0, 50) == 1
+        assert clamp_jobs(-5, 50) == 1
+        assert clamp_jobs(8, 0) == 1
+        monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+        assert clamp_jobs(8, 50) == 1
 
     def test_normalize_theorems(self):
         assert normalize_theorems(["L2", "T1", "L1"]) == ("T1", "L1", "L2")
