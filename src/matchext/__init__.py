@@ -82,7 +82,6 @@ from .matching import (
     has_one_factor,
     maximum_matching,
 )
-from .cli import RunConfig
 from .theorems import (
     THEOREM_IDS,
     InstanceRef,

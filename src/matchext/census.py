@@ -17,12 +17,10 @@ from functools import partial
 from multiprocessing import Pool
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError
-from .extendability import Budget
 from .families import resolve_family_ref
 from .generate import exhaustive_graphs, random_graphs
 from .graph import Graph, components_of_mask
-from .graph_io import GraphFormat, load_graph_file, serialize_graph6
+from .graph_io import GraphFormat, load_graph_file
 from .matching import SubsetMatchingOracle
 from . import theorems as th
 
@@ -130,77 +128,15 @@ def corpus_graphs(spec: CorpusSpec) -> list[tuple[str, Graph]]:
     return [(name, g) for name, g in items if _passes_filters(g, spec.filters)]
 
 
-def _sweep(theorem_id: str, nv: int, has_factor: bool, ranges: ParamRanges) -> Iterable[tuple[dict, bool]]:
-    """(validator kwargs, admissible?) pairs for one theorem on one graph."""
-    n_max, k_max = ranges.n_max, ranges.k_max
-    if theorem_id == "T1":
-        for k in range(k_max + 1):
-            yield {"k": k}, th.theorem1_admissible(nv, has_factor, k)
-    elif theorem_id == "T2":
-        for n in range(n_max + 1):
-            for k in range(k_max + 1):
-                yield {"n": n, "k": k}, th.theorem2_admissible(nv, n, k)
-    elif theorem_id == "T3":
-        for n in range(2, n_max + 1):
-            for k in range(k_max + 1):
-                yield {"n": n, "k": k}, th.theorem3_admissible(nv, n, k)
-    elif theorem_id == "T4":
-        for n in range(n_max + 1):
-            for k in range(k_max + 1):
-                yield {"n": n, "k": k}, th.theorem4_admissible(nv, has_factor, n, k)
-    elif theorem_id == "TA":
-        for k in range(k_max + 1):
-            yield {"k": k}, th.theoremA_admissible(nv, k)
-    elif theorem_id == "TB":
-        for k in range(1, k_max + 1):
-            for i in range(1, k + 1):
-                yield {"k": k, "i": i}, th.theoremB_admissible(nv, k, i)
-    elif theorem_id == "TC":
-        for k in range(k_max + 1):
-            yield {"k": k}, th.theoremC_admissible(nv, has_factor, k=k)
-        for n in range(1, n_max + 1):
-            yield {"n": n}, th.theoremC_admissible(nv, has_factor, n=n)
-    elif theorem_id == "L1":
-        for n in range(2, n_max + 1):
-            for k in range(k_max + 1):
-                yield {"n": n, "k": k}, th.lemma1_admissible(nv, n, k)
-    elif theorem_id == "L2":
-        for n in range(n_max + 1):
-            for k in range(k_max + 1):
-                yield {"n": n, "k": k}, th.lemma2_admissible(nv, n, k)
-    else:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
-
-
-_VALIDATORS = {
-    "T1": th.verify_theorem1,
-    "T2": th.verify_theorem2,
-    "T3": th.verify_theorem3,
-    "T4": th.verify_theorem4,
-    "TA": th.verify_theoremA,
-    "TB": th.verify_theoremB,
-    "TC": th.verify_theoremC,
-    "L1": th.verify_lemma1,
-    "L2": th.verify_lemma2,
-}
+_VALIDATORS = {tid: spec.validator for tid, spec in th.THEOREMS.items()}
 
 
 def normalize_theorems(theorems: Sequence[str]) -> tuple[str, ...]:
-    chosen = []
-    for tid in th.THEOREM_IDS:
-        if tid in theorems:
-            chosen.append(tid)
-    unknown = set(theorems) - set(th.THEOREM_IDS)
+    """The chosen ids in table order."""
+    unknown = set(theorems) - set(th.THEOREMS)
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
-    return tuple(chosen)
-
-
-def _aborted_report(tid: str, g: Graph, source: str, params: dict) -> th.TheoremReport:
-    instance = th.InstanceRef(graph6=serialize_graph6(g), source=source, params=params)
-    return th.TheoremReport(
-        tid, instance, th.TheoremStatus.ABORTED, {"reason": "budget exceeded"}
-    )
+    return tuple(tid for tid in th.THEOREMS if tid in theorems)
 
 
 def _census_item(
@@ -216,18 +152,14 @@ def _census_item(
     reports: list[th.TheoremReport] = []
     inadmissible: dict[str, int] = {tid: 0 for tid in theorems}
     for tid in theorems:
-        validator = _VALIDATORS[tid]
-        for params, ok in _sweep(tid, g.vertex_count, has_factor, ranges):
-            if not ok:
+        spec = th.THEOREMS[tid]
+        for kwargs in spec.grid(ranges.n_max, ranges.k_max):
+            if not spec.admissible(g.vertex_count, has_factor, spec.params(**kwargs)):
                 inadmissible[tid] += 1
                 continue
-            budget = Budget.from_limits(*limits)
-            try:
-                reports.append(
-                    validator(g, **params, oracle=oracle, budget=budget, source=source)
-                )
-            except BudgetExceededError:
-                reports.append(_aborted_report(tid, g, source, params))
+            reports.append(th.report_or_abort(
+                _VALIDATORS[tid], tid, g, kwargs, oracle=oracle, limits=limits, source=source
+            ))
     return reports, inadmissible
 
 

@@ -22,16 +22,9 @@ from .census import (
     FileSource,
     ParamRanges,
     RandomSource,
-    _aborted_report,
     run_census,
 )
-from .errors import (
-    BudgetExceededError,
-    InadmissibleParametersError,
-    InvalidParametersError,
-    MatchextError,
-    NoOneFactorError,
-)
+from .errors import BudgetExceededError, MatchextError
 from .extendability import Budget, is_nk_extendable, verify_failure_witness
 from .families import resolve_family_ref
 from .graph import Graph
@@ -204,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--pair-cap",
             type=int,
-            help="per-instance cap on work: vertex sets looked up plus (S, M) pairs tried for a witness",
+            help="per-instance cap on work: vertex sets looked up, (S, M) pairs tried for a witness, "
+            "and i-matchings (TB) or 1-factors (T4, TC) tried",
         )
 
     def add_out(p: argparse.ArgumentParser) -> None:
@@ -338,64 +332,28 @@ def _run_family(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_reports(config: RunConfig, g: Graph, source: str) -> list[th.TheoremReport]:
-    oracle = SubsetMatchingOracle(g)
-    reports: list[th.TheoremReport] = []
-
-    def need(flag: str, value):
-        if value is None:
-            raise MatchextError(f"--{flag} is required for {tid}")
-        return value
-
-    def run(validator, params: dict) -> None:
-        budget = Budget.from_limits(config.timeout, config.pair_cap)
-        try:
-            reports.append(
-                validator(g, oracle=oracle, budget=budget, source=source, **params)
-            )
-        except BudgetExceededError:
-            reports.append(_aborted_report(tid, g, source, params))
-
-    for tid in config.theorems:
-        if tid == "T1":
-            run(th.verify_theorem1, {"k": need("k", config.k)})
-        elif tid == "T2":
-            run(th.verify_theorem2, {"n": need("n", config.n), "k": need("k", config.k)})
-        elif tid == "T3":
-            run(th.verify_theorem3, {"n": need("n", config.n), "k": need("k", config.k)})
-        elif tid == "T4":
-            run(th.verify_theorem4, {"n": need("n", config.n), "k": need("k", config.k)})
-        elif tid == "TA":
-            run(th.verify_theoremA, {"k": need("k", config.k)})
-        elif tid == "TB":
-            k = need("k", config.k)
-            splits = [config.i] if config.i is not None else list(range(1, k + 1))
-            for i in splits:
-                run(th.verify_theoremB, {"k": k, "i": i})
-        elif tid == "TC":
-            if config.k is None and config.n is None:
-                raise MatchextError("TC needs --k (K_EXT mode) or --n (CRITICAL mode)")
-            if config.k is not None:
-                run(th.verify_theoremC, {"k": config.k})
-            if config.n is not None:
-                run(th.verify_theoremC, {"n": config.n})
-        elif tid == "L1":
-            run(th.verify_lemma1, {"n": need("n", config.n), "k": need("k", config.k)})
-        elif tid == "L2":
-            run(th.verify_lemma2, {"n": need("n", config.n), "k": need("k", config.k)})
-    return reports
+def _exit_code(counterexample: bool, aborted: bool) -> int:
+    """1 if some row is a counterexample, else 3 if some row was aborted, else 0."""
+    return EXIT_NEGATIVE if counterexample else EXIT_ABORTED if aborted else EXIT_OK
 
 
 def _run_verify(config: RunConfig) -> int:
     source, g = _load_single_graph(config)
-    reports = _verify_reports(config, g, source)
+    oracle = SubsetMatchingOracle(g)
+    limits = (config.timeout, config.pair_cap)
+    reports: list[th.TheoremReport] = []
+    for tid in config.theorems:
+        spec = th.THEOREMS[tid]
+        for kwargs in spec.flags(config.n, config.k, config.i):
+            missing = [name for name, value in kwargs.items() if value is None]
+            if missing:
+                raise MatchextError(f"--{missing[0]} is required for {tid}")
+            reports.append(th.report_or_abort(
+                spec.validator, tid, g, kwargs, oracle=oracle, limits=limits, source=source
+            ))
     _emit(to_json(reports_document(reports)), config.out)
     statuses = {r.status for r in reports}
-    if th.TheoremStatus.COUNTEREXAMPLE in statuses:
-        return EXIT_NEGATIVE
-    if th.TheoremStatus.ABORTED in statuses:
-        return EXIT_ABORTED
-    return EXIT_OK
+    return _exit_code(th.TheoremStatus.COUNTEREXAMPLE in statuses, th.TheoremStatus.ABORTED in statuses)
 
 
 def _run_census(config: RunConfig) -> int:
@@ -410,11 +368,9 @@ def _run_census(config: RunConfig) -> int:
         keep_statuses=keep,
     )
     _emit(to_json(census_document(result)), config.out)
-    if result.count(th.TheoremStatus.COUNTEREXAMPLE):
-        return EXIT_NEGATIVE
-    if result.count(th.TheoremStatus.ABORTED):
-        return EXIT_ABORTED
-    return EXIT_OK
+    return _exit_code(
+        result.count(th.TheoremStatus.COUNTEREXAMPLE) > 0, result.count(th.TheoremStatus.ABORTED) > 0
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -441,10 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"matchext: {exc}", file=sys.stderr)
         return EXIT_ABORTED
-    except (InvalidParametersError, InadmissibleParametersError, NoOneFactorError, MatchextError) as exc:
-        print(f"matchext: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (MatchextError, ValueError, OSError) as exc:
         print(f"matchext: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -111,8 +111,9 @@ class ExtendabilityVerdict:
 class Budget:
     """Work limits for one search instance.
 
-    pair_cap bounds the work charged: one unit per vertex set looked up and
-    one per (S, M) pair tried while extracting a witness. deadline is an
+    pair_cap bounds the work charged: one unit per vertex set looked up,
+    one per (S, M) pair tried while extracting a witness, and in the theorem
+    validators one per i-matching (TB) or 1-factor (T4, TC) tried. deadline is an
     absolute time.monotonic() cutoff, checked on entry to every search and
     then every 256 charges.
     """

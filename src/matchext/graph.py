@@ -38,10 +38,7 @@ class VertexSet:
         return v in self.members
 
     def mask(self) -> int:
-        m = 0
-        for v in self.members:
-            m |= 1 << v
-        return m
+        return _mask_of(self.members)
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,7 @@ class Matching:
         return v in self.vertices
 
     def mask(self) -> int:
-        m = 0
-        for u, v in self.edges:
-            m |= (1 << u) | (1 << v)
-        return m
+        return _mask_of(v for edge in self.edges for v in edge)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.edges)

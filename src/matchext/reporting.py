@@ -147,7 +147,7 @@ def _corpus_dict(spec: CorpusSpec) -> dict[str, Any]:
     }
 
 
-def census_document(result: CensusResult, *, include_reports: bool = True) -> dict[str, Any]:
+def census_document(result: CensusResult) -> dict[str, Any]:
     return {
         "schema": SCHEMA,
         "command": "census",
@@ -155,7 +155,7 @@ def census_document(result: CensusResult, *, include_reports: bool = True) -> di
         "theorems": list(result.theorems),
         "params": {"n_max": result.ranges.n_max, "k_max": result.ranges.k_max},
         "summary": {tid: dict(per) for tid, per in result.summary.items()},
-        "reports": [report_to_dict(r) for r in result.reports] if include_reports else [],
+        "reports": [report_to_dict(r) for r in result.reports],
     }
 
 

@@ -18,15 +18,19 @@ the conclusion failed with a re-verifiable witness; since the statements
 are proved, any counterexample exposes an implementation bug. VACUOUS means
 some hypothesis clause failed, and is never folded into CONFIRMED so census
 statistics stay honest about coverage.
+
+The table THEOREMS holds one TheoremSpec per statement: its census grid,
+its admissibility rule, the verify flags it reads and its body. The
+validators, the census sweep and the verify command all run from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
-from .errors import InadmissibleParametersError, NoOneFactorError
+from .errors import BudgetExceededError, InadmissibleParametersError, MatchextError, NoOneFactorError
 from .extendability import (
     Budget,
     _holds_on_mask,
@@ -41,8 +45,6 @@ from .matching import (
     _matchings_in_mask,
     _one_factors_in_mask,
 )
-
-THEOREM_IDS = ("T1", "T2", "T3", "T4", "TA", "TB", "TC", "L1", "L2")
 
 
 class TheoremStatus(Enum):
@@ -71,33 +73,83 @@ class TheoremReport:
     counterexample: Mapping[str, object] | None = None
 
 
-def _instance(g: Graph, source: str | None, params: dict) -> InstanceRef:
-    return InstanceRef(graph6=serialize_graph6(g), source=source, params=params)
+# What a body returns: the status, the hypothesis detail, the counterexample payload.
+Outcome = tuple[TheoremStatus, dict, "dict | None"]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InadmissibleParametersError(message)
+@dataclass(frozen=True)
+class TheoremSpec:
+    """One statement: where the census sweeps it, when it applies, how to check it.
+
+    ``params`` turns the validator's keyword arguments (kwargs) into the
+    instance params that ``admissible`` and ``body`` see.
+    """
+
+    theorem_id: str
+    validator: Callable[..., TheoremReport]  # the public verify_* wrapper
+    grid: Callable[[int, int], list[dict]]  # census kwargs for (n_max, k_max), in sweep order
+    admissible: Callable[[int, bool, dict], bool]  # (|V|, has a 1-factor, params)
+    needs: str  # the admissibility rule, for the error message
+    needs_factor: bool  # a missing 1-factor raises NoOneFactorError
+    flags: Callable[[int | None, int | None, int | None], list[dict]]  # verify kwargs from --n, --k, --i
+    body: Callable[[Graph, SubsetMatchingOracle, Budget | None, dict], Outcome]
+    params: Callable[..., dict] = dict
+
+
+def run_theorem(
+    theorem_id: str,
+    g: Graph,
+    kwargs: Mapping[str, int | None],
+    *,
+    oracle: SubsetMatchingOracle | None = None,
+    budget: Budget | None = None,
+    source: str | None = None,
+) -> TheoremReport:
+    """Check one statement on one graph; what every ``verify_*`` does.
+
+    Raises NoOneFactorError (for entries that need a 1-factor) or
+    InadmissibleParametersError when the entry's admissibility fails.
+    """
+    spec = THEOREMS[theorem_id]
+    params = spec.params(**kwargs)
+    oracle = oracle or SubsetMatchingOracle(g)
+    has_factor = oracle.is_perfectable(oracle.full_mask)
+    if not spec.admissible(g.vertex_count, has_factor, params):
+        if spec.needs_factor and not has_factor:
+            raise NoOneFactorError(f"theorem {theorem_id} requires a graph with a 1-factor")
+        shown = ", ".join(f"{key}={value}" for key, value in params.items())
+        raise InadmissibleParametersError(
+            f"theorem {theorem_id} needs {spec.needs}; got {shown}, |V|={g.vertex_count}"
+        )
+    instance = InstanceRef(serialize_graph6(g), source, params)
+    return TheoremReport(theorem_id, instance, *spec.body(g, oracle, budget, params))
+
+
+def report_or_abort(
+    validator: Callable[..., TheoremReport],
+    theorem_id: str,
+    g: Graph,
+    kwargs: Mapping[str, int | None],
+    *,
+    oracle: SubsetMatchingOracle,
+    limits: tuple[float | None, int | None],
+    source: str | None,
+) -> TheoremReport:
+    """``validator``'s report under a fresh Budget of ``limits`` (timeout, pair cap),
+    or an ABORTED row with the same params once that budget runs out."""
+    try:
+        return validator(g, **kwargs, oracle=oracle, budget=Budget.from_limits(*limits), source=source)
+    except BudgetExceededError:
+        instance = InstanceRef(serialize_graph6(g), source, THEOREMS[theorem_id].params(**kwargs))
+        return TheoremReport(theorem_id, instance, TheoremStatus.ABORTED, {"reason": "budget exceeded"})
+
+
+# --- Shared checks ----------------------------------------------------------
 
 
 def _edge_bits(edge: tuple[int, int]) -> int:
     u, v = edge
     return (1 << u) | (1 << v)
-
-
-def _all_edge_deletions_hold(
-    g: Graph,
-    oracle: SubsetMatchingOracle,
-    n: int,
-    k: int,
-    budget: Budget | None,
-) -> tuple[bool, tuple[int, int] | None]:
-    """Is G - V(e) (n, k)-extendable for every edge? Returns first failure."""
-    full = oracle.full_mask
-    for edge in g.edges():
-        if not _holds_on_mask(oracle, full ^ _edge_bits(edge), n, k, budget):
-            return False, edge
-    return True, None
 
 
 def _conclusion_payload(
@@ -107,363 +159,117 @@ def _conclusion_payload(
     return {"params": {"n": n, "k": k}, "conclusion_failure": verdict.failure}
 
 
-# --- Lemmas ---------------------------------------------------------------
+def _conclude(oracle: SubsetMatchingOracle, budget: Budget | None, detail: dict, clauses: dict) -> Outcome:
+    """COUNTEREXAMPLE for the first of ``clauses`` that fails on G, else CONFIRMED.
 
-
-def lemma1_admissible(nv: int, n: int, k: int) -> bool:
-    return n >= 2 and admissible(nv, n, k)
-
-
-def verify_lemma1(
-    g: Graph,
-    n: int,
-    k: int,
-    *,
-    oracle: SubsetMatchingOracle | None = None,
-    budget: Budget | None = None,
-    source: str | None = None,
-) -> TheoremReport:
-    """(n, k)-extendable implies (n-2, k+1)-extendable."""
-    nv = g.vertex_count
-    _require(lemma1_admissible(nv, n, k), f"lemma 1 needs n >= 2 and admissible (n, k); got n={n}, k={k}, |V|={nv}")
-    oracle = oracle or SubsetMatchingOracle(g)
-    instance = _instance(g, source, {"n": n, "k": k})
-    hyp = _holds_on_mask(oracle, oracle.full_mask, n, k, budget)
-    detail = {"extendable_n_k": hyp}
-    if not hyp:
-        return TheoremReport("L1", instance, TheoremStatus.VACUOUS, detail)
-    if _holds_on_mask(oracle, oracle.full_mask, n - 2, k + 1, budget):
-        return TheoremReport("L1", instance, TheoremStatus.CONFIRMED, detail)
-    payload = _conclusion_payload(oracle, oracle.full_mask, n - 2, k + 1)
-    return TheoremReport("L1", instance, TheoremStatus.COUNTEREXAMPLE, detail, payload)
-
-
-def lemma2_admissible(nv: int, n: int, k: int) -> bool:
-    return (n >= 2 or k >= 1) and admissible(nv, n, k)
-
-
-def verify_lemma2(
-    g: Graph,
-    n: int,
-    k: int,
-    *,
-    oracle: SubsetMatchingOracle | None = None,
-    budget: Budget | None = None,
-    source: str | None = None,
-) -> TheoremReport:
-    """(n, k)-extendable implies (n-2, k)- and (n, k-1)-extendable.
-
-    Each clause applies only where its parameter guard (n >= 2, k >= 1)
-    holds; the conclusion is the conjunction of the applicable clauses.
+    ``clauses`` maps a detail key to an (n, k) to decide, or to None where
+    the clause does not apply; a None key is decided but not recorded.
     """
-    nv = g.vertex_count
-    _require(lemma2_admissible(nv, n, k), f"lemma 2 needs n >= 2 or k >= 1 and admissible (n, k); got n={n}, k={k}, |V|={nv}")
-    oracle = oracle or SubsetMatchingOracle(g)
-    full = oracle.full_mask
-    instance = _instance(g, source, {"n": n, "k": k})
-    hyp = _holds_on_mask(oracle, full, n, k, budget)
-    detail: dict[str, object] = {"extendable_n_k": hyp}
-    if not hyp:
-        return TheoremReport("L2", instance, TheoremStatus.VACUOUS, detail)
-    clause1 = _holds_on_mask(oracle, full, n - 2, k, budget) if n >= 2 else None
-    clause2 = _holds_on_mask(oracle, full, n, k - 1, budget) if k >= 1 else None
-    detail["clause_fewer_vertices"] = clause1
-    detail["clause_smaller_matching"] = clause2
-    if clause1 is False:
-        payload = _conclusion_payload(oracle, full, n - 2, k)
-        return TheoremReport("L2", instance, TheoremStatus.COUNTEREXAMPLE, detail, payload)
-    if clause2 is False:
-        payload = _conclusion_payload(oracle, full, n, k - 1)
-        return TheoremReport("L2", instance, TheoremStatus.COUNTEREXAMPLE, detail, payload)
-    return TheoremReport("L2", instance, TheoremStatus.CONFIRMED, detail)
+    failed = []
+    for key, nk in clauses.items():
+        holds = None if nk is None else _holds_on_mask(oracle, oracle.full_mask, *nk, budget)
+        if key is not None:
+            detail[key] = holds
+        if holds is False:
+            failed.append(nk)
+    if failed:
+        return TheoremStatus.COUNTEREXAMPLE, detail, _conclusion_payload(oracle, oracle.full_mask, *failed[0])
+    return TheoremStatus.CONFIRMED, detail, None
 
 
-# --- Edge-deletion theorems ------------------------------------------------
-
-
-def theorem1_admissible(nv: int, has_factor: bool, k: int) -> bool:
-    return has_factor and nv >= 2 * k + 4
-
-
-def verify_theorem1(
-    g: Graph,
-    k: int,
-    *,
-    oracle: SubsetMatchingOracle | None = None,
-    budget: Budget | None = None,
-    source: str | None = None,
-) -> TheoremReport:
-    """Every G - V(e) k-extendable (with |V| >= 2k+4) makes G (k+1)-extendable."""
-    oracle = oracle or SubsetMatchingOracle(g)
-    if not oracle.is_perfectable(oracle.full_mask):
-        raise NoOneFactorError("theorem 1 requires a graph with a 1-factor")
-    _require(g.vertex_count >= 2 * k + 4, f"theorem 1 needs |V| >= 2k + 4; got k={k}, |V|={g.vertex_count}")
-    instance = _instance(g, source, {"k": k})
-    holds, failing = _all_edge_deletions_hold(g, oracle, 0, k, budget)
-    detail: dict[str, object] = {
-        "has_one_factor": True,
-        "all_edge_deletions_k_extendable": holds,
-    }
-    if not holds:
-        detail["failing_edge"] = failing
-        return TheoremReport("T1", instance, TheoremStatus.VACUOUS, detail)
-    if _holds_on_mask(oracle, oracle.full_mask, 0, k + 1, budget):
-        return TheoremReport("T1", instance, TheoremStatus.CONFIRMED, detail)
-    payload = _conclusion_payload(oracle, oracle.full_mask, 0, k + 1)
-    return TheoremReport("T1", instance, TheoremStatus.COUNTEREXAMPLE, detail, payload)
-
-
-def theorem2_admissible(nv: int, n: int, k: int) -> bool:
-    # (n, k) must be admissible on every G - V(e); the conclusion (n, k+1)
-    # on G reduces to the same inequality.
+def _edge_admissible(nv: int, n: int, k: int) -> bool:
+    """(n, k) admissible on every G - V(e): n + 2k <= |V| - 4 and |V| - n even."""
     return n + 2 * k <= nv - 4 and (nv - n) % 2 == 0
 
 
-def _edge_deletion_report(
-    theorem_id: str,
-    g: Graph,
-    oracle: SubsetMatchingOracle,
-    hyp_n: int,
-    hyp_k: int,
-    concl_n: int,
-    concl_k: int,
-    budget: Budget | None,
-    instance: InstanceRef,
-    extra_detail: dict | None = None,
-) -> TheoremReport:
-    """Shared body of T2/TA/T3: all-edge-deletions hypothesis, one conclusion."""
-    detail: dict[str, object] = dict(extra_detail or {})
-    has_edges = g.edge_count > 0
-    detail["has_edges"] = has_edges
-    if not has_edges:
-        detail["all_edge_deletions_extendable"] = None
-        return TheoremReport(theorem_id, instance, TheoremStatus.VACUOUS, detail)
-    holds, failing = _all_edge_deletions_hold(g, oracle, hyp_n, hyp_k, budget)
-    detail["all_edge_deletions_extendable"] = holds
-    if not holds:
-        detail["failing_edge"] = failing
-        return TheoremReport(theorem_id, instance, TheoremStatus.VACUOUS, detail)
-    if _holds_on_mask(oracle, oracle.full_mask, concl_n, concl_k, budget):
-        return TheoremReport(theorem_id, instance, TheoremStatus.CONFIRMED, detail)
-    payload = _conclusion_payload(oracle, oracle.full_mask, concl_n, concl_k)
-    return TheoremReport(theorem_id, instance, TheoremStatus.COUNTEREXAMPLE, detail, payload)
+# --- Bodies -----------------------------------------------------------------
 
 
-def verify_theorem2(
-    g: Graph,
-    n: int,
-    k: int,
-    *,
-    oracle: SubsetMatchingOracle | None = None,
-    budget: Budget | None = None,
-    source: str | None = None,
-) -> TheoremReport:
-    """Every G - V(e) (n, k)-extendable makes G (n, k+1)-extendable."""
-    _require(theorem2_admissible(g.vertex_count, n, k), f"theorem 2 needs n + 2k <= |V| - 4 and |V| - n even; got n={n}, k={k}, |V|={g.vertex_count}")
-    oracle = oracle or SubsetMatchingOracle(g)
-    instance = _instance(g, source, {"n": n, "k": k})
-    return _edge_deletion_report("T2", g, oracle, n, k, n, k + 1, budget, instance)
+def _edge_deletion(
+    shift: tuple[int, int],
+    lead: Callable[[Graph, dict], dict] = lambda g, p: {"has_edges": g.edge_count > 0},
+    key: str = "all_edge_deletions_extendable",
+) -> Callable[..., Outcome]:
+    """Body of T1/T2/TA/T3: every G - V(e) (n, k)-extendable => G (n, k) + shift.
+
+    ``lead`` gives the detail entries recorded first; unless all are true
+    the row is VACUOUS without deleting any edge.
+    """
+
+    def body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | None, p: dict) -> Outcome:
+        n, k = p.get("n", 0), p["k"]
+        detail = lead(g, p)
+        if not all(detail.values()):
+            detail[key] = None
+            return TheoremStatus.VACUOUS, detail, None
+        full = oracle.full_mask
+        edges = (e for e in g.edges() if not _holds_on_mask(oracle, full ^ _edge_bits(e), n, k, budget))
+        failing = next(edges, None)  # the first edge whose deletion breaks the hypothesis
+        detail[key] = failing is None
+        if failing is not None:
+            detail["failing_edge"] = failing
+            return TheoremStatus.VACUOUS, detail, None
+        return _conclude(oracle, budget, detail, {None: (n + shift[0], k + shift[1])})
+
+    return body
 
 
-def theoremA_admissible(nv: int, k: int) -> bool:
-    return theorem2_admissible(nv, 0, k)
+def _one_factor_body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | None, p: dict) -> Outcome:
+    """Body of T4/TC: quantify the edge-deletion hypothesis over 1-factors.
 
-
-def verify_theoremA(
-    g: Graph,
-    k: int,
-    *,
-    oracle: SubsetMatchingOracle | None = None,
-    budget: Budget | None = None,
-    source: str | None = None,
-) -> TheoremReport:
-    """T2 at n=0 with the conclusion weakened to (0, k)-extendability."""
-    _require(theoremA_admissible(g.vertex_count, k), f"theorem A needs 2k <= |V| - 4 and |V| even; got k={k}, |V|={g.vertex_count}")
-    oracle = oracle or SubsetMatchingOracle(g)
-    instance = _instance(g, source, {"k": k})
-    return _edge_deletion_report("TA", g, oracle, 0, k, 0, k, budget, instance)
-
-
-def theorem3_admissible(nv: int, n: int, k: int) -> bool:
-    return n >= 2 and theorem2_admissible(nv, n, k)
-
-
-def verify_theorem3(
-    g: Graph,
-    n: int,
-    k: int,
-    *,
-    oracle: SubsetMatchingOracle | None = None,
-    budget: Budget | None = None,
-    source: str | None = None,
-) -> TheoremReport:
-    """T2 hypothesis plus |V| <= 2k + 3n + 4 gives (n+2, k)-extendability."""
-    nv = g.vertex_count
-    _require(theorem3_admissible(nv, n, k), f"theorem 3 needs n > 1, n + 2k <= |V| - 4, |V| - n even; got n={n}, k={k}, |V|={nv}")
-    oracle = oracle or SubsetMatchingOracle(g)
-    instance = _instance(g, source, {"n": n, "k": k})
-    size_ok = nv <= 2 * k + 3 * n + 4
-    if not size_ok:
-        detail = {
-            "size_bound_ok": False,
-            "has_edges": g.edge_count > 0,
-            "all_edge_deletions_extendable": None,
-        }
-        return TheoremReport("T3", instance, TheoremStatus.VACUOUS, detail)
-    return _edge_deletion_report(
-        "T3", g, oracle, n, k, n + 2, k, budget, instance,
-        extra_detail={"size_bound_ok": True},
-    )
-
-
-# --- 1-factor restricted theorems ------------------------------------------
-
-
-def theorem4_admissible(nv: int, has_factor: bool, n: int, k: int) -> bool:
-    if not has_factor:
-        return False
-    if n == 0 and k == 0:
-        return admissible(nv, 0, 0)
-    return n + 2 * k <= nv - 4 and (nv - n) % 2 == 0
-
-
-def _factor_restricted_report(
-    theorem_id: str,
-    g: Graph,
-    oracle: SubsetMatchingOracle,
-    n: int,
-    k: int,
-    budget: Budget | None,
-    instance: InstanceRef,
-    extra_detail: dict | None = None,
-) -> TheoremReport:
-    """Core of T4/TC: quantify the edge-deletion hypothesis over 1-factors."""
-    if not oracle.is_perfectable(oracle.full_mask):
-        raise NoOneFactorError(f"theorem {theorem_id} requires a graph with a 1-factor")
-    detail: dict[str, object] = dict(extra_detail or {})
+    One unit of the pair cap is charged per 1-factor tried, because the
+    cached decisions inside the loop charge nothing on a warm oracle.
+    """
+    n, k = p.get("n", 0), p.get("k", 0)
+    detail: dict[str, object] = {"mode": p["mode"]} if "mode" in p else {}
     detail["has_one_factor"] = True
-    if n == 0 and k == 0:
+    detail["degenerate"] = n == 0 and k == 0
+    if detail["degenerate"]:
         # The conclusion would restate the 1-factor precondition.
-        _require(admissible(g.vertex_count, 0, 0), f"(0, 0) inadmissible on |V|={g.vertex_count}")
-        detail["degenerate"] = True
-        return TheoremReport(theorem_id, instance, TheoremStatus.CONFIRMED, detail)
-    _require(
-        n + 2 * k <= g.vertex_count - 4 and (g.vertex_count - n) % 2 == 0,
-        f"theorem {theorem_id} needs n + 2k <= |V| - 4 and |V| - n even; got n={n}, k={k}, |V|={g.vertex_count}",
-    )
-    detail["degenerate"] = False
+        return TheoremStatus.CONFIRMED, detail, None
     full = oracle.full_mask
     conclusion = _holds_on_mask(oracle, full, n, k, budget)
     for factor in _one_factors_in_mask(oracle.masks, full):
         if budget is not None:
+            budget.charge_pairs()
             budget.check_time()
-        factor_ok = all(
-            _holds_on_mask(oracle, full ^ _edge_bits(e), n, k, budget) for e in factor
-        )
-        if not factor_ok:
+        if not all(_holds_on_mask(oracle, full ^ _edge_bits(e), n, k, budget) for e in factor):
             continue
         detail["some_factor_hypothesis"] = True
         if conclusion:
-            return TheoremReport(theorem_id, instance, TheoremStatus.CONFIRMED, detail)
+            return TheoremStatus.CONFIRMED, detail, None
         payload = _conclusion_payload(oracle, full, n, k)
         payload["factor"] = Matching(factor)
-        return TheoremReport(theorem_id, instance, TheoremStatus.COUNTEREXAMPLE, detail, payload)
+        return TheoremStatus.COUNTEREXAMPLE, detail, payload
     detail["some_factor_hypothesis"] = False
-    return TheoremReport(theorem_id, instance, TheoremStatus.VACUOUS, detail)
+    return TheoremStatus.VACUOUS, detail, None
 
 
-def verify_theorem4(
-    g: Graph,
-    n: int,
-    k: int,
-    *,
-    oracle: SubsetMatchingOracle | None = None,
-    budget: Budget | None = None,
-    source: str | None = None,
-) -> TheoremReport:
-    """Some 1-factor whose edge deletions are all (n, k)-extendable forces G to be."""
-    oracle = oracle or SubsetMatchingOracle(g)
-    instance = _instance(g, source, {"n": n, "k": k})
-    return _factor_restricted_report("T4", g, oracle, n, k, budget, instance)
-
-
-def theoremC_admissible(nv: int, has_factor: bool, *, k: int | None = None, n: int | None = None) -> bool:
-    if k is not None:
-        return theorem4_admissible(nv, has_factor, 0, k)
-    return theorem4_admissible(nv, has_factor, n or 0, 0)
-
-
-def verify_theoremC(
-    g: Graph,
-    *,
-    k: int | None = None,
-    n: int | None = None,
-    oracle: SubsetMatchingOracle | None = None,
-    budget: Budget | None = None,
-    source: str | None = None,
-) -> TheoremReport:
-    """T4 specialized: mode K_EXT checks (0, k), mode CRITICAL checks (n, 0)."""
-    if (k is None) == (n is None):
-        raise InadmissibleParametersError("theorem C takes exactly one of k (K_EXT) or n (CRITICAL)")
-    oracle = oracle or SubsetMatchingOracle(g)
-    if k is not None:
-        instance = _instance(g, source, {"mode": "K_EXT", "k": k})
-        return _factor_restricted_report(
-            "TC", g, oracle, 0, k, budget, instance, extra_detail={"mode": "K_EXT"}
-        )
-    instance = _instance(g, source, {"mode": "CRITICAL", "n": n})
-    return _factor_restricted_report(
-        "TC", g, oracle, n, 0, budget, instance, extra_detail={"mode": "CRITICAL"}
-    )
-
-
-# --- Theorem B --------------------------------------------------------------
-
-
-def theoremB_admissible(nv: int, k: int, i: int) -> bool:
-    return 1 <= i <= k and admissible(nv, 0, k)
-
-
-def verify_theoremB(
-    g: Graph,
-    k: int,
-    i: int,
-    *,
-    oracle: SubsetMatchingOracle | None = None,
-    budget: Budget | None = None,
-    source: str | None = None,
-) -> TheoremReport:
+def _theoremB_body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | None, p: dict) -> Outcome:
     """k-extendable iff every i-matching deletion leaves a (k-i)-extendable graph.
 
     The right-hand side includes "an i-matching exists": the left side's own
     definition demands a k-matching, and without the existence clause an
     i-matching-free graph would fail the biconditional vacuously.
     """
-    nv = g.vertex_count
-    _require(theoremB_admissible(nv, k, i), f"theorem B needs 1 <= i <= k and admissible (0, k); got k={k}, i={i}, |V|={nv}")
-    oracle = oracle or SubsetMatchingOracle(g)
+    k, i = p["k"], p["i"]
     full = oracle.full_mask
-    instance = _instance(g, source, {"k": k, "i": i})
     lhs = _holds_on_mask(oracle, full, 0, k, budget)
     has_i_matching = oracle.size(full) >= i
-    detail: dict[str, object] = {
-        "lhs_k_extendable": lhs,
-        "has_i_matching": has_i_matching,
-    }
-    rhs = has_i_matching
+    detail: dict[str, object] = {"lhs_k_extendable": lhs, "has_i_matching": has_i_matching}
     witness_m: tuple[tuple[int, int], ...] | None = None
     if has_i_matching:
         for chosen, used in _matchings_in_mask(oracle.masks, full, i):
             if budget is not None:
                 budget.charge_pairs()
             if not _holds_on_mask(oracle, full ^ used, 0, k - i, budget):
-                rhs = False
                 witness_m = chosen
                 break
+    rhs = has_i_matching and witness_m is None
     detail["rhs_all_deletions"] = rhs if has_i_matching else None
     if lhs == rhs:
-        return TheoremReport("TB", instance, TheoremStatus.CONFIRMED, detail)
-    if lhs and not rhs:
+        return TheoremStatus.CONFIRMED, detail, None
+    if lhs:
         payload: dict[str, object] = {"direction": "lhs_true_rhs_false"}
         if witness_m is not None:
             payload["witness_matching"] = Matching(witness_m)
@@ -474,4 +280,168 @@ def verify_theoremB(
             "direction": "lhs_false_rhs_true",
             "lhs_failure": _verdict_on_mask(oracle, full, 0, k, None).failure,
         }
-    return TheoremReport("TB", instance, TheoremStatus.COUNTEREXAMPLE, detail, payload)
+    return TheoremStatus.COUNTEREXAMPLE, detail, payload
+
+
+def _lemma(clauses: Callable[[int, int], dict]) -> Callable[..., Outcome]:
+    """Body of L1/L2: G (n, k)-extendable => every applicable clause of ``clauses(n, k)``."""
+
+    def body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | None, p: dict) -> Outcome:
+        detail: dict = {"extendable_n_k": _holds_on_mask(oracle, oracle.full_mask, p["n"], p["k"], budget)}
+        if not detail["extendable_n_k"]:
+            return TheoremStatus.VACUOUS, detail, None
+        return _conclude(oracle, budget, detail, clauses(p["n"], p["k"]))
+
+    return body
+
+
+# --- Parameters ---------------------------------------------------------------
+
+
+def _k_grid(n_max: int, k_max: int) -> list[dict]:
+    return [{"k": k} for k in range(k_max + 1)]
+
+
+def _nk_grid(n_min: int) -> Callable[[int, int], list[dict]]:
+    return lambda n_max, k_max: [
+        {"n": n, "k": k} for n in range(n_min, n_max + 1) for k in range(k_max + 1)
+    ]
+
+
+def _flags(*names: str) -> Callable[..., list[dict]]:
+    """One row of the named flags; a None value is a flag the user left out."""
+    return lambda n, k, i: [{name: {"n": n, "k": k, "i": i}[name] for name in names}]
+
+
+def _tb_flags(n: int | None, k: int | None, i: int | None) -> list[dict]:
+    """--i alone, or every i in 1..k when it is absent."""
+    splits = [i] if i is not None or k is None else range(1, k + 1)
+    return [{"k": k, "i": j} for j in splits]
+
+
+def _tc_flags(n: int | None, k: int | None, i: int | None) -> list[dict]:
+    """One row per mode given: --k for K_EXT, then --n for CRITICAL."""
+    if k is None and n is None:
+        raise MatchextError("TC needs --k (K_EXT mode) or --n (CRITICAL mode)")
+    return [{"k": k}] * (k is not None) + [{"n": n}] * (n is not None)
+
+
+def _tc_params(k: int | None = None, n: int | None = None) -> dict:
+    if (k is None) == (n is None):
+        raise InadmissibleParametersError("theorem C takes exactly one of k (K_EXT) or n (CRITICAL)")
+    return {"mode": "K_EXT", "k": k} if k is not None else {"mode": "CRITICAL", "n": n}
+
+
+def _t4_admissible(nv: int, has_factor: bool, p: dict) -> bool:
+    n, k = p.get("n", 0), p.get("k", 0)
+    return has_factor and (admissible(nv, 0, 0) if n == k == 0 else _edge_admissible(nv, n, k))
+
+
+_T4_NEEDS = "a 1-factor, and n + 2k <= |V| - 4 with |V| - n even unless n = k = 0"
+
+
+# --- Public validators --------------------------------------------------------
+# Each passes its ``oracle``, ``budget`` and ``source`` keywords to run_theorem.
+
+
+def verify_theorem1(g: Graph, k: int, **context: Any) -> TheoremReport:
+    """Every G - V(e) k-extendable (with |V| >= 2k+4) makes G (k+1)-extendable."""
+    return run_theorem("T1", g, {"k": k}, **context)
+
+
+def verify_theorem2(g: Graph, n: int, k: int, **context: Any) -> TheoremReport:
+    """Every G - V(e) (n, k)-extendable makes G (n, k+1)-extendable."""
+    return run_theorem("T2", g, {"n": n, "k": k}, **context)
+
+
+def verify_theorem3(g: Graph, n: int, k: int, **context: Any) -> TheoremReport:
+    """T2 hypothesis plus |V| <= 2k + 3n + 4 gives (n+2, k)-extendability."""
+    return run_theorem("T3", g, {"n": n, "k": k}, **context)
+
+
+def verify_theorem4(g: Graph, n: int, k: int, **context: Any) -> TheoremReport:
+    """Some 1-factor whose edge deletions are all (n, k)-extendable forces G to be."""
+    return run_theorem("T4", g, {"n": n, "k": k}, **context)
+
+
+def verify_theoremA(g: Graph, k: int, **context: Any) -> TheoremReport:
+    """T2 at n=0 with the conclusion weakened to (0, k)-extendability."""
+    return run_theorem("TA", g, {"k": k}, **context)
+
+
+def verify_theoremB(g: Graph, k: int, i: int, **context: Any) -> TheoremReport:
+    """k-extendable iff every i-matching deletion leaves a (k-i)-extendable graph."""
+    return run_theorem("TB", g, {"k": k, "i": i}, **context)
+
+
+def verify_theoremC(g: Graph, *, k: int | None = None, n: int | None = None, **context: Any) -> TheoremReport:
+    """T4 specialized: mode K_EXT checks (0, k), mode CRITICAL checks (n, 0)."""
+    return run_theorem("TC", g, {"k": k, "n": n}, **context)
+
+
+def verify_lemma1(g: Graph, n: int, k: int, **context: Any) -> TheoremReport:
+    """(n, k)-extendable implies (n-2, k+1)-extendable."""
+    return run_theorem("L1", g, {"n": n, "k": k}, **context)
+
+
+def verify_lemma2(g: Graph, n: int, k: int, **context: Any) -> TheoremReport:
+    """(n, k)-extendable implies (n-2, k)- and (n, k-1)-extendable."""
+    return run_theorem("L2", g, {"n": n, "k": k}, **context)
+
+
+# id, validator, census grid, admissible(|V|, has 1-factor, params), the rule
+# in words, needs a 1-factor, verify flags, body[, params from kwargs]
+THEOREMS: dict[str, TheoremSpec] = {spec.theorem_id: spec for spec in (
+    TheoremSpec(
+        "T1", verify_theorem1, _k_grid, lambda nv, hf, p: hf and nv >= 2 * p["k"] + 4,
+        "a 1-factor and |V| >= 2k + 4", True, _flags("k"),
+        _edge_deletion((0, 1), lambda g, p: {"has_one_factor": True}, "all_edge_deletions_k_extendable"),
+    ),
+    TheoremSpec(
+        "T2", verify_theorem2, _nk_grid(0), lambda nv, hf, p: _edge_admissible(nv, p["n"], p["k"]),
+        "n + 2k <= |V| - 4 and |V| - n even", False, _flags("n", "k"), _edge_deletion((0, 1)),
+    ),
+    TheoremSpec(
+        "T3", verify_theorem3, _nk_grid(2),
+        lambda nv, hf, p: p["n"] >= 2 and _edge_admissible(nv, p["n"], p["k"]),
+        "n > 1, n + 2k <= |V| - 4 and |V| - n even", False, _flags("n", "k"),
+        _edge_deletion((2, 0), lambda g, p: {
+            "size_bound_ok": g.vertex_count <= 2 * p["k"] + 3 * p["n"] + 4,
+            "has_edges": g.edge_count > 0,
+        }),
+    ),
+    TheoremSpec(
+        "T4", verify_theorem4, _nk_grid(0), _t4_admissible, _T4_NEEDS, True, _flags("n", "k"),
+        _one_factor_body,
+    ),
+    TheoremSpec(
+        "TA", verify_theoremA, _k_grid, lambda nv, hf, p: _edge_admissible(nv, 0, p["k"]),
+        "2k <= |V| - 4 and |V| even", False, _flags("k"), _edge_deletion((0, 0)),
+    ),
+    TheoremSpec(
+        "TB", verify_theoremB,
+        lambda n_max, k_max: [{"k": k, "i": i} for k in range(1, k_max + 1) for i in range(1, k + 1)],
+        lambda nv, hf, p: 1 <= p["i"] <= p["k"] and admissible(nv, 0, p["k"]),
+        "1 <= i <= k and admissible (0, k)", False, _tb_flags, _theoremB_body,
+    ),
+    TheoremSpec(
+        "TC", verify_theoremC,
+        lambda n_max, k_max: _k_grid(n_max, k_max) + [{"n": n} for n in range(1, n_max + 1)],
+        _t4_admissible, _T4_NEEDS, True, _tc_flags, _one_factor_body, params=_tc_params,
+    ),
+    TheoremSpec(
+        "L1", verify_lemma1, _nk_grid(2), lambda nv, hf, p: p["n"] >= 2 and admissible(nv, p["n"], p["k"]),
+        "n >= 2 and admissible (n, k)", False, _flags("n", "k"), _lemma(lambda n, k: {None: (n - 2, k + 1)}),
+    ),
+    TheoremSpec(
+        "L2", verify_lemma2, _nk_grid(0),
+        lambda nv, hf, p: (p["n"] >= 2 or p["k"] >= 1) and admissible(nv, p["n"], p["k"]),
+        "n >= 2 or k >= 1, and admissible (n, k)", False, _flags("n", "k"),
+        _lemma(lambda n, k: {
+            "clause_fewer_vertices": (n - 2, k) if n >= 2 else None,
+            "clause_smaller_matching": (n, k - 1) if k >= 1 else None,
+        }),
+    ),
+)}
+
+THEOREM_IDS = tuple(THEOREMS)

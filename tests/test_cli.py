@@ -180,6 +180,17 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["reports"][0]["status"] == "ABORTED"
 
+    def test_aborted_tc_row_keeps_mode(self, capsys):
+        argv = ["verify", "--theorems", "TC", "--k", "1", "--graph", "h1:2:0"]
+        code, out, _ = run_cli(capsys, *argv, "--pair-cap", "1")
+        assert code == 3
+        aborted = json.loads(out)["reports"][0]
+        assert aborted["status"] == "ABORTED"
+        assert aborted["params"] == {"mode": "K_EXT", "k": 1}
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["reports"][0]["params"] == aborted["params"]
+
 
 class TestCensus:
     def test_small_exhaustive_summary(self, capsys):

@@ -1,6 +1,8 @@
 import pytest
 
 from matchext import (
+    Budget,
+    BudgetExceededError,
     CorpusFilters,
     CorpusSpec,
     ExhaustiveSource,
@@ -28,6 +30,8 @@ from matchext import (
 )
 from matchext import census
 from matchext.census import clamp_jobs, normalize_theorems
+from matchext.matching import SubsetMatchingOracle
+from matchext.theorems import THEOREM_IDS, THEOREMS
 from matchext.families import build_h2
 from matchext.reporting import census_document, to_json
 
@@ -153,6 +157,16 @@ class TestTheorem4:
     def test_requires_one_factor(self):
         with pytest.raises(NoOneFactorError):
             verify_theorem4(no_factor_graph_with_edges(), 0, 1)
+
+
+    def test_pair_cap_bounds_one_factor_loop(self):
+        # A warm oracle answers every decision from its cache and charges
+        # nothing, so only the 1-factor loop itself can spend the budget.
+        g = complete_graph(8)
+        oracle = SubsetMatchingOracle(g)
+        assert verify_theorem4(g, 0, 1, oracle=oracle).status is CONFIRMED
+        with pytest.raises(BudgetExceededError):
+            verify_theorem4(g, 0, 1, oracle=oracle, budget=Budget(pair_cap=0))
 
 
 class TestTheoremB:
@@ -301,6 +315,41 @@ class TestCensus:
                 assert naive_is_nk_extendable(g, n, k + 1)
             sampled += 1
         assert sampled == 25
+
+
+class TestRegistry:
+    def test_ids_in_table_order(self):
+        assert THEOREM_IDS == ("T1", "T2", "T3", "T4", "TA", "TB", "TC", "L1", "L2")
+        assert census._VALIDATORS == {tid: spec.validator for tid, spec in THEOREMS.items()}
+
+    def test_census_admissibility_matches_validators(self):
+        # The census skips a row exactly when the validator would refuse it,
+        # and the refusal is NoOneFactorError only for a missing 1-factor.
+        refused = 0
+        for source, g in corpus_graphs(CorpusSpec(ExhaustiveSource(6))):
+            oracle = SubsetMatchingOracle(g)
+            has_factor = oracle.is_perfectable(oracle.full_mask)
+            for tid, spec in THEOREMS.items():
+                for kwargs in spec.grid(3, 2):
+                    if spec.admissible(g.vertex_count, has_factor, spec.params(**kwargs)):
+                        spec.validator(g, **kwargs, oracle=oracle, source=source)
+                        continue
+                    error = NoOneFactorError if spec.needs_factor and not has_factor else InadmissibleParametersError
+                    with pytest.raises(error):
+                        spec.validator(g, **kwargs, oracle=oracle, source=source)
+                    refused += 1
+        assert refused > 0
+
+    def test_tc_grid_order(self):
+        assert THEOREMS["TC"].grid(2, 1) == [{"k": 0}, {"k": 1}, {"n": 1}, {"n": 2}]
+
+    def test_aborted_census_rows_keep_params(self):
+        spec = CorpusSpec(FileSource(("h1:2:0",)))
+        kwargs = dict(theorems=("TC", "TB"), ranges=ParamRanges(2, 1))
+        capped = run_census(spec, pair_cap=1, **kwargs)
+        full = run_census(spec, **kwargs)
+        assert capped.summary["TC"]["ABORTED"] > 0
+        assert [r.instance.params for r in capped.reports] == [r.instance.params for r in full.reports]
 
 
 class TestReportShape:
