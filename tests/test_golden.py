@@ -3,10 +3,13 @@
 The files under golden/ and the digests below were frozen from a build
 whose output is trusted; any refactor must reproduce them exactly. The two
 larger census documents (1.1 MB and more) are pinned by SHA-256 instead of
-being checked in.
+being checked in. The certify goldens pin the verdict, the witness and its
+Tutte set byte for byte but leave out "stats": those are work counters,
+which count what the decision engine looked up, not what it concluded.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -39,10 +42,27 @@ DIGEST_GOLDENS = [
 ]
 
 
-def _output(argv, tmp_path) -> bytes:
+# (graph, n, k, exit code): failures of each kind, one positive verdict, and
+# a lazy-oracle instance (h1:3:0 has 21 vertices).
+CERTIFY_GOLDENS = [
+    ("h1:2:0", 2, 2, 1),
+    ("h2:2:1", 4, 1, 1),
+    ("h1:3:0", 3, 1, 0),
+    ("h2:0:0", 0, 1, 1),
+    ("h1:1:2", 1, 3, 1),
+]
+
+
+def _output(argv, tmp_path, exit_code=0) -> bytes:
     out = tmp_path / "out.json"
-    assert main([*argv, "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(out)]) == exit_code
     return out.read_bytes()
+
+
+def _without_stats(text: bytes) -> str:
+    doc = json.loads(text)
+    doc.pop("stats")
+    return json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("argv, name", FILE_GOLDENS, ids=[name for _, name in FILE_GOLDENS])
@@ -53,3 +73,11 @@ def test_matches_golden_file(argv, name, tmp_path):
 @pytest.mark.parametrize("argv, digest", DIGEST_GOLDENS, ids=["census_max6_full", "census_dense60_full"])
 def test_matches_golden_digest(argv, digest, tmp_path):
     assert hashlib.sha256(_output(argv, tmp_path)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("ref, n, k, exit_code", CERTIFY_GOLDENS, ids=[f"{r}_{n}_{k}" for r, n, k, _ in CERTIFY_GOLDENS])
+def test_certify_matches_golden_apart_from_stats(ref, n, k, exit_code, tmp_path):
+    argv = ["certify", "--graph", ref, "--n", str(n), "--k", str(k)]
+    name = f"certify_{ref.replace(':', '_')}_n{n}_k{k}.json"
+    got = _output(argv, tmp_path, exit_code)
+    assert _without_stats(got) == _without_stats((GOLDEN / name).read_bytes())
