@@ -53,8 +53,8 @@ class RunConfig:
     """One validated invocation; built from parsed flags before any work.
 
     Invalid combinations (two corpus sources, missing graph input, unknown
-    theorem ids, a malformed vertex range) are rejected here with a usage
-    error rather than surfacing mid-run.
+    theorem ids, a malformed vertex range, a negative --n, --k or --i) are
+    rejected here with a usage error rather than surfacing mid-run.
     """
 
     command: str
@@ -98,6 +98,10 @@ class RunConfig:
         if command in ("check", "certify", "verify"):
             if (args.graph is None) == (args.graph_file is None):
                 raise MatchextError("provide exactly one of --graph / --graph-file")
+            for flag in ("n", "k", "i"):
+                value = getattr(args, flag, None)
+                if value is not None and value < 0:
+                    raise MatchextError(f"--{flag} must be non-negative; got {value}")
             return RunConfig(
                 command=command,
                 n=args.n,
@@ -198,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--pair-cap",
             type=int,
             help="per-instance cap on work: vertex sets looked up, (S, M) pairs tried for a witness, "
-            "and i-matchings (TB) or 1-factors (T4, TC) tried",
+            "and i-matchings (TB) or edges (T4, TC) tried",
         )
 
     def add_out(p: argparse.ArgumentParser) -> None:

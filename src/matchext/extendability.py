@@ -24,9 +24,10 @@ only pruning argument used.
 
 On failure the verdict reports the lexicographically least witness of the
 definition's double loop: the least failing n-set S (always in twin-prefix
-form, because the map to prefix form never increases a vertex), and the
-first k-matching of G - S, in lexicographic canonical order, that does not
-extend. Only that last step enumerates k-matchings, on that one S.
+form, because the map to prefix form never increases a vertex; S fails
+exactly when G - S is not (0, k)-extendable, which is decided as above),
+and the first k-matching of G - S, in lexicographic canonical order, that
+does not extend. Only that last step enumerates k-matchings, on that one S.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, combinations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InvalidParametersError
 from .graph import Graph, VertexSet, _bits, _mask_of, components, delete_vertices
@@ -75,9 +76,12 @@ class ParameterCheck:
 class SearchStats:
     """Work done by one verdict.
 
-    subsets_examined counts the n-sets S looked up; pairs_examined counts
-    the (n+2k)-sets looked up (for k >= 1) plus the (S, M) pairs tried
-    while extracting a witness.
+    Both counters cover the decisions the verdict makes that the oracle's
+    nk_cache does not answer: (n, k) on G and, while extracting a witness,
+    (0, k) on G - S for each S walked. subsets_examined counts the n-sets
+    looked up (the empty set alone, for a (0, k) decision); pairs_examined
+    counts the (n+2k)-sets looked up (for k >= 1) plus the (S, M) pairs
+    tried on the failing S.
     """
 
     subsets_examined: int = 0
@@ -113,7 +117,7 @@ class Budget:
 
     pair_cap bounds the work charged: one unit per vertex set looked up,
     one per (S, M) pair tried while extracting a witness, and in the theorem
-    validators one per i-matching (TB) or 1-factor (T4, TC) tried. deadline is an
+    validators one per i-matching (TB) or edge (T4, TC) tried. deadline is an
     absolute time.monotonic() cutoff, checked on entry to every search and
     then every 256 charges.
     """
@@ -214,11 +218,6 @@ def _prefix_sets(classes: Sequence[Sequence[int]], size: int) -> Iterator[int]:
             yield base + sum(combo)
 
 
-def _size_lookup(oracle: SubsetMatchingOracle) -> Callable[[int], int]:
-    """oracle.size, bound straight to the dense table when there is one."""
-    return oracle.size if oracle._table is None else oracle._table.__getitem__
-
-
 def _decide(
     oracle: SubsetMatchingOracle,
     mask: int,
@@ -230,7 +229,8 @@ def _decide(
     """Conditions (i) and (ii) over twin-prefix sets; see the module docstring."""
     if budget is not None:
         budget.check_time()
-    size = _size_lookup(oracle)
+    # oracle.size, bound straight to the dense table when there is one
+    size = oracle.size if oracle._table is None else oracle._table.__getitem__
     classes = _twin_classes(oracle, mask)
     half = (mask.bit_count() - n) // 2 - k
     for smask in _prefix_sets(classes, n):
@@ -251,46 +251,6 @@ def _decide(
         if size(tmask) >= k and size(mask ^ tmask) != half:
             return False
     return True
-
-
-def _first_failing_set(
-    oracle: SubsetMatchingOracle,
-    mask: int,
-    n: int,
-    k: int,
-    budget: Budget | None,
-    stats: SearchStats,
-) -> tuple[int, ...]:
-    """The lexicographically least n-set S at which (n, k) fails.
-
-    Only twin-prefix S are walked. Each S is tested in set form: nu(G - S)
-    < k, or some twin-prefix 2k-set U of G - S (prefix within what S leaves
-    of each class) spans a k-matching while G - S - U has no 1-factor.
-    Must only be called when the decision failed.
-    """
-    if budget is not None:
-        budget.check_time()
-    size = _size_lookup(oracle)
-    classes = _twin_classes(oracle, mask)
-    half = (mask.bit_count() - n) // 2 - k
-    for s_tuple in sorted(tuple(_bits(m)) for m in _prefix_sets(classes, n)):
-        if budget is not None:
-            budget.charge_pairs()
-        stats.subsets_examined += 1
-        rem = mask ^ _mask_of(s_tuple)
-        nu = size(rem)
-        if nu < k or (k == 0 and nu != half):
-            return s_tuple
-        if k == 0:
-            continue
-        left = [kept for c in classes if (kept := [v for v in c if rem >> v & 1])]
-        for umask in _prefix_sets(left, 2 * k):
-            if budget is not None:
-                budget.charge_pairs()
-            stats.pairs_examined += 1
-            if size(umask) == k and size(rem ^ umask) != half:
-                return s_tuple
-    raise AssertionError("no failing set although the decision failed")
 
 
 def _holds_on_mask(
@@ -325,13 +285,19 @@ def _verdict_on_mask(
 ) -> ExtendabilityVerdict:
     """Full verdict for G[mask], witness indices in the host graph numbering.
 
-    Decides first; only on failure walks to the least failing S and runs
-    the lexicographic k-matching loop on that S alone.
+    Decides first. Only on failure does it walk the twin-prefix n-sets S in
+    lex order to the first whose G[mask] - S fails (0, k), and runs the
+    lexicographic k-matching loop on that S alone.
     """
     stats = SearchStats()
     if _holds_on_mask(oracle, mask, n, k, budget, stats):
         return ExtendabilityVerdict(holds=True, failure=None, stats=stats)
-    s_tuple = _first_failing_set(oracle, mask, n, k, budget, stats)
+    # S fails exactly when G[mask] - S is not (0, k)-extendable, and (0, k)
+    # is admissible there because (n, k) is admissible on G[mask].
+    walk = sorted(tuple(_bits(m)) for m in _prefix_sets(_twin_classes(oracle, mask), n))
+    s_tuple = next(
+        s for s in walk if not _holds_on_mask(oracle, mask ^ _mask_of(s), 0, k, budget, stats)
+    )
     rem = mask ^ _mask_of(s_tuple)
     if oracle.size(rem) < k:
         failure = Failure(kind=FailureKind.NO_K_MATCHING, s=VertexSet(s_tuple))
@@ -348,7 +314,7 @@ def _verdict_on_mask(
         kind=FailureKind.STUCK_MATCHING,
         s=VertexSet(s_tuple),
         m=Matching(chosen),
-        tutte=_gallai_edmonds_tutte(oracle, rem ^ used),
+        tutte=_gallai_edmonds_tutte(oracle.size, oracle.masks, rem ^ used),
     )
     return ExtendabilityVerdict(holds=False, failure=failure, stats=stats)
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     NotAMatchingError,
@@ -169,6 +169,15 @@ def _blossom_mates(n: int, neighbors: Sequence[Sequence[int]]) -> list[int]:
     return mate
 
 
+def _blossom_size(masks: Sequence[int], mask: int) -> int:
+    """Maximum matching size of the induced subgraph on ``mask``, uncached."""
+    verts = list(_bits(mask))
+    index = {v: i for i, v in enumerate(verts)}
+    neighbors = [[index[u] for u in _bits(masks[v] & mask)] for v in verts]
+    mate = _blossom_mates(len(verts), neighbors)
+    return sum(1 for m in mate if m != -1) // 2
+
+
 def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching, deterministic for a fixed graph."""
     neighbors = [g.neighbors(v) for v in g.vertices()]
@@ -312,17 +321,9 @@ class SubsetMatchingOracle:
         if self._table is not None:
             return self._table[mask]
         cached = self._lazy.get(mask)
-        if cached is not None:
-            return cached
-        verts = list(_bits(mask))
-        index = {v: i for i, v in enumerate(verts)}
-        neighbors = [
-            [index[u] for u in _bits(self.masks[v] & mask)] for v in verts
-        ]
-        mate = _blossom_mates(len(verts), neighbors)
-        value = sum(1 for m in mate if m != -1) // 2
-        self._lazy[mask] = value
-        return value
+        if cached is None:
+            cached = self._lazy[mask] = _blossom_size(self.masks, mask)
+        return cached
 
     def is_perfectable(self, mask: int) -> bool:
         """True iff G[mask] has a 1-factor."""
@@ -331,10 +332,12 @@ class SubsetMatchingOracle:
 
 
 def _gallai_edmonds_tutte(
-    oracle: SubsetMatchingOracle, mask: int
+    size: Callable[[int], int], masks: Sequence[int], mask: int
 ) -> TutteCertificate | None:
     """Tutte certificate for G[mask] via the Gallai-Edmonds A-set, or None.
 
+    ``size`` gives the maximum matching size of an induced subgraph by its
+    vertex mask, and ``masks`` are the adjacency masks of the host graph.
     D = vertices missed by some maximum matching (nu(G - v) == nu(G)),
     A = N(D) \\ D; A attains the maximum deficiency, so the excess of the
     returned set equals |mask| - 2*nu and is >= 2 exactly when an even-order
@@ -343,18 +346,18 @@ def _gallai_edmonds_tutte(
     count = mask.bit_count()
     if count % 2 == 1:
         return None
-    nu = oracle.size(mask)
+    nu = size(mask)
     if 2 * nu == count:
         return None
     d_mask = 0
     for v in _bits(mask):
-        if oracle.size(mask & ~(1 << v)) == nu:
+        if size(mask & ~(1 << v)) == nu:
             d_mask |= 1 << v
     a_mask = 0
     for v in _bits(d_mask):
-        a_mask |= oracle.masks[v] & mask
+        a_mask |= masks[v] & mask
     a_mask &= ~d_mask
-    comps = components_of_mask(oracle.masks, mask & ~a_mask)
+    comps = components_of_mask(masks, mask & ~a_mask)
     odd = [c for c in comps if c.bit_count() % 2 == 1]
     excess = len(odd) - a_mask.bit_count()
     return TutteCertificate(
@@ -368,29 +371,10 @@ def find_tutte_certificate(g: Graph) -> TutteCertificate | None:
     """Certificate that g has no 1-factor, or None when one exists.
 
     Only even-order graphs without a 1-factor yield a certificate; parity
-    makes the excess even, hence >= 2.
+    makes the excess even, hence >= 2. Each size query is one blossom run.
     """
-    n = g.vertex_count
-    if n % 2 == 1:
-        return None
-    base = maximum_matching(g).size
-    if 2 * base == n:
-        return None
-    d_verts = []
-    for v in range(n):
-        reduced, _ = delete_vertices(g, VertexSet((v,)))
-        if maximum_matching(reduced).size == base:
-            d_verts.append(v)
-    d_set = set(d_verts)
-    a_set = sorted({u for v in d_verts for u in g.neighbors(v)} - d_set)
-    a_mask = _mask_of(a_set)
-    comps = components_of_mask(g.adjacency_masks, ((1 << n) - 1) & ~a_mask)
-    odd = [c for c in comps if c.bit_count() % 2 == 1]
-    return TutteCertificate(
-        s_prime=VertexSet(tuple(a_set)),
-        odd_components=tuple(VertexSet(tuple(_bits(c))) for c in odd),
-        deficiency_excess=len(odd) - len(a_set),
-    )
+    masks = g.adjacency_masks
+    return _gallai_edmonds_tutte(partial(_blossom_size, masks), masks, (1 << g.vertex_count) - 1)
 
 
 def has_extension(g: Graph, s: Iterable[int] | VertexSet, m: Matching) -> bool:

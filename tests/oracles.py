@@ -6,19 +6,22 @@ over all vertex subsets with its own component walk, and the extendability
 oracle is the definition's double loop using only vertex deletion and
 has_one_factor. Expected values frozen into tests were computed with these.
 
-reference_search_failure is the exception: it walks every (S, M) pair in
-lexicographic order over the package's subset oracle, and the set-form
-engine must report exactly its first failure.
+Two references are exceptions. reference_search_failure walks every
+(S, M) pair in lexicographic order over the package's subset oracle, and
+the set-form engine must report exactly its first failure.
+reference_one_factor_body walks every 1-factor of G for T4/TC, and the
+theorem body must give exactly its report.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from matchext import Graph, VertexSet, delete_vertices, has_one_factor
+from matchext import Graph, VertexSet, delete_vertices, has_one_factor, theorems
 from matchext.extendability import FailureKind
 from matchext.graph import _bits
-from matchext.matching import SubsetMatchingOracle, _matchings_in_mask
+from matchext.matching import Matching, SubsetMatchingOracle, _matchings_in_mask, _one_factors_in_mask
+from matchext.theorems import TheoremStatus
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -129,6 +132,37 @@ def reference_search_failure(
             if not oracle.is_perfectable(rem ^ used):
                 return (FailureKind.STUCK_MATCHING, s_tuple, chosen)
     return None
+
+
+def reference_one_factor_body(g: Graph, oracle: SubsetMatchingOracle, p: dict) -> tuple:
+    """T4/TC report parts (status, hypothesis detail, counterexample) by
+    walking every 1-factor of G in lexicographic order until one has every
+    G - V(e), e in it, (n, k)-extendable.
+
+    theorems._holds_on_mask and theorems._conclusion_payload are looked up
+    at call time, so a test can patch them for this and the package's body
+    alike.
+    """
+    n, k = p.get("n", 0), p.get("k", 0)
+    detail: dict[str, object] = {"mode": p["mode"]} if "mode" in p else {}
+    detail["has_one_factor"] = True
+    detail["degenerate"] = n == 0 and k == 0
+    if detail["degenerate"]:
+        return TheoremStatus.CONFIRMED, detail, None
+    full = oracle.full_mask
+    holds = theorems._holds_on_mask
+    conclusion = holds(oracle, full, n, k)
+    for factor in _one_factors_in_mask(oracle.masks, full):
+        if not all(holds(oracle, full ^ (1 << u) ^ (1 << v), n, k) for u, v in factor):
+            continue
+        detail["some_factor_hypothesis"] = True
+        if conclusion:
+            return TheoremStatus.CONFIRMED, detail, None
+        payload = theorems._conclusion_payload(oracle, full, n, k)
+        payload["factor"] = Matching(factor)
+        return TheoremStatus.COUNTEREXAMPLE, detail, payload
+    detail["some_factor_hypothesis"] = False
+    return TheoremStatus.VACUOUS, detail, None
 
 
 def decode_graph6_reference(text: str) -> tuple[int, set[tuple[int, int]]]:

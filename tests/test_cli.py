@@ -33,6 +33,22 @@ class TestRunConfig:
         with pytest.raises(MatchextError):
             self.parse("verify", "--theorems", "T9", "--graph", "C~")
 
+    @pytest.mark.parametrize("command, flag", [
+        ("check", "--n"), ("check", "--k"), ("certify", "--n"), ("certify", "--k"),
+        ("verify", "--n"), ("verify", "--k"), ("verify", "--i"),
+    ])
+    def test_negative_parameter_exit_2(self, capsys, command, flag):
+        # Unchecked, verify --theorems T2 --n 0 --k -1 reaches
+        # itertools.combinations and fails there without naming the flag.
+        argv = [command, "--n", "0", "--k", "1", "--graph", "E~~w"]
+        if command == "verify":
+            argv += ["--theorems", "T2,TB", "--i", "1"]
+        argv[argv.index(flag) + 1] = "-1"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be non-negative" in err
+
     def test_vertex_range_parsed_eagerly(self):
         config = self.parse("census", "--random", "3", "--vertices", "4..7")
         assert (config.vertex_min, config.vertex_max) == (4, 7)
@@ -151,6 +167,13 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert [r["params"]["i"] for r in doc["reports"]] == [1, 2]
+
+    def test_tb_without_i_needs_positive_k(self, capsys):
+        # An empty sweep of i over 1..0 would check nothing and exit 0.
+        code, out, err = run_cli(capsys, "verify", "--theorems", "TB", "--k", "0", "--graph", "E~~w")
+        assert code == 2
+        assert out == ""
+        assert "TB needs --k >= 1" in err
 
     def test_tc_both_modes(self, capsys):
         code, out, _ = run_cli(

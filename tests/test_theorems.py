@@ -28,7 +28,7 @@ from matchext import (
     verify_theoremB,
     verify_theoremC,
 )
-from matchext import census
+from matchext import census, theorems
 from matchext.census import clamp_jobs, normalize_theorems
 from matchext.matching import SubsetMatchingOracle
 from matchext.theorems import THEOREM_IDS, THEOREMS
@@ -36,6 +36,7 @@ from matchext.families import build_h2
 from matchext.reporting import census_document, to_json
 
 from conftest import cycle_graph, star_graph
+from oracles import reference_one_factor_body
 
 CONFIRMED = TheoremStatus.CONFIRMED
 VACUOUS = TheoremStatus.VACUOUS
@@ -167,6 +168,49 @@ class TestTheorem4:
         assert verify_theorem4(g, 0, 1, oracle=oracle).status is CONFIRMED
         with pytest.raises(BudgetExceededError):
             verify_theorem4(g, 0, 1, oracle=oracle, budget=Budget(pair_cap=0))
+
+
+def _one_factor_rows():
+    """(g, oracle, params) for every admissible T4 and TC census row of the
+    <=6 exhaustive corpus at n_max = 3, k_max = 2."""
+    for _, g in corpus_graphs(CorpusSpec(ExhaustiveSource(6))):
+        oracle = SubsetMatchingOracle(g)
+        has_factor = oracle.is_perfectable(oracle.full_mask)
+        for spec in (THEOREMS["T4"], THEOREMS["TC"]):
+            for kwargs in spec.grid(3, 2):
+                params = spec.params(**kwargs)
+                if spec.admissible(g.vertex_count, has_factor, params):
+                    yield g, oracle, params
+
+
+class TestOneFactorReference:
+    """The T4/TC body against the 1-factor walk it replaced (tests/oracles.py)."""
+
+    def test_same_reports_on_small_corpus(self):
+        statuses = []
+        for g, oracle, p in _one_factor_rows():
+            expected = reference_one_factor_body(g, oracle, p)
+            assert theorems._one_factor_body(g, oracle, None, p) == expected
+            statuses.append(expected[0])
+        assert statuses.count(CONFIRMED) > 0 and statuses.count(VACUOUS) > 0
+
+    def test_same_factor_when_the_conclusion_is_forced_to_fail(self, monkeypatch):
+        # The statements are proved, so real counterexamples never occur.
+        # Make every conclusion fail instead, and check that both bodies
+        # name the same lexicographically first qualifying 1-factor.
+        decide = theorems._holds_on_mask
+
+        def conclusion_fails(oracle, mask, n, k, *rest):
+            return mask != oracle.full_mask and decide(oracle, mask, n, k, *rest)
+
+        monkeypatch.setattr(theorems, "_holds_on_mask", conclusion_fails)
+        monkeypatch.setattr(theorems, "_conclusion_payload", lambda *args: {})
+        counterexamples = 0
+        for g, oracle, p in _one_factor_rows():
+            expected = reference_one_factor_body(g, oracle, p)
+            assert theorems._one_factor_body(g, oracle, None, p) == expected
+            counterexamples += expected[0] is TheoremStatus.COUNTEREXAMPLE
+        assert counterexamples > 0
 
 
 class TestTheoremB:
