@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchext import Graph, canonical_form, exhaustive_graphs, random_graphs
 from matchext.generate import KNOWN_GRAPH_COUNTS
+from matchext.graph_io import serialize_graph6
 
 from conftest import graphs, path_graph, star_graph
 
@@ -48,6 +51,20 @@ class TestExhaustive:
         a = [g.edges() for g in exhaustive_graphs(5)]
         b = [g.edges() for g in exhaustive_graphs(5)]
         assert a == b
+
+    def test_up_to_eight_vertices_pinned(self):
+        # Representatives in discovery order and their canonical forms, frozen
+        # from the unpruned generator; the <= 8 corpus is process-cached.
+        corpus = exhaustive_graphs(8)
+        assert len(corpus) == sum(KNOWN_GRAPH_COUNTS[1:9])
+        graph6 = "\n".join(serialize_graph6(g) for g in corpus)
+        assert hashlib.sha256(graph6.encode()).hexdigest() == (
+            "3f34574152a06038e6936cdd2079ffa6b7be8e00f7f005c88c54cec4e3aa1a89"
+        )
+        forms = "\n".join(str(canonical_form(g)) for g in corpus)
+        assert hashlib.sha256(forms.encode()).hexdigest() == (
+            "ac174a8182e0693026bba6ca00a2aeeb6e46c1de070b56f826d8c82307ecb1a6"
+        )
 
     def test_limit_enforced(self):
         with pytest.raises(ValueError):
