@@ -98,10 +98,7 @@ class RunConfig:
         if command in ("check", "certify", "verify"):
             if (args.graph is None) == (args.graph_file is None):
                 raise MatchextError("provide exactly one of --graph / --graph-file")
-            for flag in ("n", "k", "i"):
-                value = getattr(args, flag, None)
-                if value is not None and value < 0:
-                    raise MatchextError(f"--{flag} must be non-negative; got {value}")
+            _reject_negative(args, ("n", "k", "i"))
             return RunConfig(
                 command=command,
                 n=args.n,
@@ -127,6 +124,7 @@ class RunConfig:
             raise MatchextError(
                 "choose exactly one corpus: --max-vertices, --random, or --graph/--graph-file"
             )
+        _reject_negative(args, ("max-vertices", "random"))
         vertex_min = vertex_max = None
         if args.random is not None:
             vertex_min, vertex_max = _parse_vertex_range(args.vertices)
@@ -161,6 +159,13 @@ class RunConfig:
         else:
             source = FileSource(self.corpus_items)
         return CorpusSpec(source, CorpusFilters(parity=self.parity, connected=self.connected))
+
+
+def _reject_negative(args: argparse.Namespace, flags: tuple[str, ...]) -> None:
+    for flag in flags:
+        value = getattr(args, flag.replace("-", "_"), None)
+        if value is not None and value < 0:
+            raise MatchextError(f"--{flag} must be non-negative; got {value}")
 
 
 def _parse_vertex_range(text: str | None) -> tuple[int, int]:

@@ -33,14 +33,21 @@ does not extend. Only that last step enumerates k-matchings, on that one S.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, combinations
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InvalidParametersError
-from .graph import Graph, VertexSet, _bits, _mask_of, components, delete_vertices
+from .graph import (
+    Graph,
+    VertexSet,
+    _bits,
+    _mask_of,
+    components,
+    delete_vertices,
+    twin_classes,
+)
 from .matching import (
     Matching,
     SubsetMatchingOracle,
@@ -167,30 +174,11 @@ def admissible(vertex_count: int, n: int, k: int) -> bool:
 
 
 def _twin_classes(oracle: SubsetMatchingOracle, mask: int) -> list[list[int]]:
-    """Twin classes of G[mask], each ascending, ordered by least member.
-
-    A vertex with a true twin has no false twin (a false twin w of v would
-    share N(v), which holds v's true twin u, so w ~ u, w in N[u] = N[v]),
-    so the two relations together partition the vertices. Cached per mask.
-    """
+    """``twin_classes`` of G[mask], cached per mask on the oracle."""
     cached = oracle.twin_cache.get(mask)
-    if cached is not None:
-        return cached
-    verts = list(_bits(mask))
-    nbrs = [oracle.masks[v] & mask for v in verts]
-    closed = Counter(nb | (1 << v) for v, nb in zip(verts, nbrs))
-    groups: dict[int, list[int]] = {}
-    for v, nb in zip(verts, nbrs):
-        key = nb | (1 << v)
-        if closed[key] == 1:
-            key = ~nb  # no true twin: group by N(v), kept apart from N[v] keys by sign
-        groups.setdefault(key, []).append(v)
-    # Lists, not tuples: CPython keeps up to 2000 freed tuples of each
-    # length on free lists, and tuples of many lengths, freed graph after
-    # graph, raised a census's peak RSS by 0.8 MB.
-    classes = list(groups.values())
-    oracle.twin_cache[mask] = classes
-    return classes
+    if cached is None:
+        cached = oracle.twin_cache[mask] = twin_classes(oracle.masks, mask)
+    return cached
 
 
 def _prefix_sets(classes: Sequence[Sequence[int]], size: int) -> Iterator[int]:

@@ -2,9 +2,10 @@
 
 Exhaustive generation works level by level: every canonical representative
 on t-1 vertices is extended by one new vertex attached to each possible
-neighborhood subset, and candidates are deduplicated by an exact canonical
-form. Every t-vertex graph arises this way from some (t-1)-vertex graph,
-so each level covers all isomorphism classes exactly once.
+neighborhood subset, in ascending mask order, and candidates are
+deduplicated by an exact canonical form. Every t-vertex graph arises this
+way from some (t-1)-vertex graph, so each level covers all isomorphism
+classes exactly once.
 
 The canonical form is computed by individualization-refinement: iterated
 degree refinement of an ordered partition, branching on the first
@@ -13,14 +14,30 @@ leaves. Cell selection depends only on colors, never on vertex labels, so
 isomorphic graphs share a certificate. Fine for the <= 8 vertices the
 census needs; beyond that the labeled space explodes and generation is
 refused.
+
+Both steps skip work that swapping two twins would repeat. Twins share
+their closed or their open neighborhood, so transposing them is an
+automorphism (B. D. McKay, "Practical graph isomorphism", 1981, restricted
+to these transpositions). The search branches on one vertex per twin class
+of the target cell: twins in a cell have not been individualized, so the
+transposition fixes the node and maps one subtree onto the other, and the
+minimum certificate is unchanged. The extension step skips a neighborhood
+that holds a vertex but not an earlier twin of it in the parent: the
+transposition turns it into a smaller neighborhood of the same parent that
+gives an isomorphic graph, so it never holds the first occurrence of a
+class. Representatives, their order and the certificates are therefore the
+same as without pruning.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import accumulate
+from operator import or_
+from typing import Iterator, Sequence
 
-from .graph import Graph, _bits
+from .graph import Graph, _bits, twin_classes
 
 EXHAUSTIVE_LIMIT = 8
 
@@ -28,15 +45,15 @@ EXHAUSTIVE_LIMIT = 8
 KNOWN_GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 
 
-def _refine(masks: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
+def _refine(nbrs: Sequence[tuple[int, ...]], colors: list[int]) -> list[int]:
     """Stable coloring: split classes by multiset of neighbor colors."""
     while True:
-        signatures = []
-        for v in range(n):
-            nb = sorted(colors[u] for u in _bits(masks[v]))
-            signatures.append((colors[v], tuple(nb)))
+        signatures = [
+            (colors[v], tuple(sorted([colors[u] for u in nb])))
+            for v, nb in enumerate(nbrs)
+        ]
         order = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [order[signatures[v]] for v in range(n)]
+        new_colors = [order[sig] for sig in signatures]
         if new_colors == colors:
             return colors
         colors = new_colors
@@ -58,11 +75,16 @@ def canonical_form(g: Graph) -> int:
     masks = g.adjacency_masks
     if n == 0:
         return 1
+    nbrs = [tuple(_bits(m)) for m in masks]
+    twin = [0] * n
+    for i, cls in enumerate(twin_classes(masks, (1 << n) - 1)):
+        for v in cls:
+            twin[v] = i
     best: int | None = None
 
     def search(colors: list[int]) -> None:
         nonlocal best
-        colors = _refine(masks, n, colors)
+        colors = _refine(nbrs, colors)
         count: dict[int, int] = {}
         for c in colors:
             count[c] = count.get(c, 0) + 1
@@ -77,8 +99,10 @@ def canonical_form(g: Graph) -> int:
             if best is None or cert < best:
                 best = cert
             return
+        branched: set[int] = set()
         for v in range(n):
-            if colors[v] == target:
+            if colors[v] == target and twin[v] not in branched:
+                branched.add(twin[v])
                 child = [2 * c + 1 for c in colors]
                 child[v] = 2 * target
                 search(child)
@@ -86,6 +110,20 @@ def canonical_form(g: Graph) -> int:
     search([0] * n)
     assert best is not None
     return best
+
+
+def _extension_masks(parent: Graph) -> Iterator[int]:
+    """Neighborhoods for a new vertex, ascending, that take a prefix of
+    every twin class of ``parent``."""
+    n = parent.vertex_count
+    prefixes = []
+    for cls in twin_classes(parent.adjacency_masks, (1 << n) - 1):
+        if len(cls) > 1:
+            steps = list(accumulate((1 << v for v in cls), or_, initial=0))
+            prefixes.append((steps[-1], steps))
+    for nbmask in range(1 << n):
+        if all(nbmask & cm == steps[(nbmask & cm).bit_count()] for cm, steps in prefixes):
+            yield nbmask
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +137,7 @@ def _exhaustive_level(t: int) -> tuple[Graph, ...]:
     seen: set[int] = set()
     for parent in _exhaustive_level(t - 1):
         base_edges = parent.edges()
-        for nbmask in range(1 << (t - 1)):
+        for nbmask in _extension_masks(parent):
             edges = base_edges + [(u, t - 1) for u in _bits(nbmask)]
             candidate = Graph(t, edges)
             cert = canonical_form(candidate)

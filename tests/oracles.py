@@ -10,7 +10,9 @@ Two references are exceptions. reference_search_failure walks every
 (S, M) pair in lexicographic order over the package's subset oracle, and
 the set-form engine must report exactly its first failure.
 reference_one_factor_body walks every 1-factor of G for T4/TC, and the
-theorem body must give exactly its report.
+theorem body must give exactly its report. reference_canonical_form is
+the canonical form without twin pruning: it branches on every vertex of
+the target cell, and the pruned search must return the same integer.
 """
 
 from __future__ import annotations
@@ -185,3 +187,62 @@ def decode_graph6_reference(text: str) -> tuple[int, set[tuple[int, int]]]:
                 edges.add((i, j))
             pos += 1
     return n, edges
+
+
+def _reference_refine(masks: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
+    """Stable coloring: split classes by multiset of neighbor colors."""
+    while True:
+        signatures = []
+        for v in range(n):
+            nb = sorted(colors[u] for u in _bits(masks[v]))
+            signatures.append((colors[v], tuple(nb)))
+        order = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        new_colors = [order[signatures[v]] for v in range(n)]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def _reference_certificate(masks: tuple[int, ...], n: int, perm: list[int]) -> int:
+    bits = 1
+    for i in range(n):
+        mi = masks[perm[i]]
+        for j in range(i + 1, n):
+            bits = (bits << 1) | (mi >> perm[j] & 1)
+    return bits
+
+
+def reference_canonical_form(g: Graph) -> int:
+    """Minimum leaf certificate over the full individualization-refinement tree."""
+    n = g.vertex_count
+    masks = g.adjacency_masks
+    if n == 0:
+        return 1
+    best: int | None = None
+
+    def search(colors: list[int]) -> None:
+        nonlocal best
+        colors = _reference_refine(masks, n, colors)
+        count: dict[int, int] = {}
+        for c in colors:
+            count[c] = count.get(c, 0) + 1
+        target = None
+        for c in sorted(count):
+            if count[c] > 1:
+                target = c
+                break
+        if target is None:
+            perm = sorted(range(n), key=colors.__getitem__)
+            cert = _reference_certificate(masks, n, perm)
+            if best is None or cert < best:
+                best = cert
+            return
+        for v in range(n):
+            if colors[v] == target:
+                child = [2 * c + 1 for c in colors]
+                child[v] = 2 * target
+                search(child)
+
+    search([0] * n)
+    assert best is not None
+    return best

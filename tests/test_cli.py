@@ -49,6 +49,17 @@ class TestRunConfig:
         assert out == ""
         assert f"{flag} must be non-negative" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--max-vertices", "-1"), "--max-vertices"),
+        (("--random", "-2", "--vertices", "4"), "--random"),
+    ])
+    def test_negative_corpus_size_exit_2(self, capsys, argv, flag):
+        # Unchecked, both print an empty census and exit 0.
+        code, out, err = run_cli(capsys, "census", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be non-negative" in err
+
     def test_vertex_range_parsed_eagerly(self):
         config = self.parse("census", "--random", "3", "--vertices", "4..7")
         assert (config.vertex_min, config.vertex_max) == (4, 7)

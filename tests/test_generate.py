@@ -4,11 +4,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchext import Graph, canonical_form, exhaustive_graphs, random_graphs
+from matchext import (
+    Graph,
+    canonical_form,
+    complete_graph,
+    disjoint_union,
+    exhaustive_graphs,
+    join,
+    random_graphs,
+)
 from matchext.generate import KNOWN_GRAPH_COUNTS
+from matchext.graph import _bits
 from matchext.graph_io import serialize_graph6
 
-from conftest import graphs, path_graph, star_graph
+from conftest import cycle_graph, graphs, path_graph, star_graph, twin_heavy_graphs
+from oracles import reference_canonical_form
+
+
+def complement(g: Graph) -> Graph:
+    n = g.vertex_count
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)])
+
+
+SYMMETRIC_8 = {
+    "K8": complete_graph(8),
+    "empty8": Graph(8),
+    "K4,4": join(Graph(4), Graph(4)),
+    "C8": cycle_graph(8),
+    "4K2": disjoint_union([complete_graph(2)] * 4),
+    "co-C8": complement(cycle_graph(8)),
+}
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    return Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def unpruned_level(previous: list[Graph], t: int) -> list[Graph]:
+    """One generation step that tries every neighborhood of every parent."""
+    reps, seen = [], set()
+    for parent in previous:
+        for nbmask in range(1 << (t - 1)):
+            candidate = Graph(t, parent.edges() + [(u, t - 1) for u in _bits(nbmask)])
+            cert = reference_canonical_form(candidate)
+            if cert not in seen:
+                seen.add(cert)
+                reps.append(candidate)
+    return reps
 
 
 class TestCanonicalForm:
@@ -21,17 +63,63 @@ class TestCanonicalForm:
         assert canonical_form(p4a) == canonical_form(p4b)
 
     @settings(max_examples=60, deadline=None)
-    @given(graphs(max_vertices=7), st.randoms(use_true_random=False))
+    @given(
+        st.one_of(graphs(max_vertices=8), twin_heavy_graphs(max_vertices=8)),
+        st.randoms(use_true_random=False),
+    )
     def test_invariant_under_relabeling(self, g, rng):
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)
-        relabeled = Graph(
-            g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()]
-        )
-        assert canonical_form(g) == canonical_form(relabeled)
+        assert canonical_form(g) == canonical_form(relabel(g, perm))
 
     def test_empty_graph(self):
         assert canonical_form(Graph(0)) == 1
+
+
+class TestAgainstUnprunedSearch:
+    """Twin pruning must leave every canonical integer as it was."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_vertices=8))
+    def test_random_graphs(self, g):
+        assert canonical_form(g) == reference_canonical_form(g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(twin_heavy_graphs(max_vertices=8))
+    def test_twin_heavy_graphs(self, g):
+        if g.vertex_count == 8 and g.edge_count in (0, 28):
+            return  # K8 and its complement are fixed cases below (5 s each unpruned)
+        assert canonical_form(g) == reference_canonical_form(g)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_8))
+    def test_symmetric_graphs(self, name):
+        g = SYMMETRIC_8[name]
+        assert canonical_form(g) == reference_canonical_form(g)
+
+    def test_levels_match_unpruned_generation(self):
+        # Same representatives in the same order, level by level to 6.
+        level = [Graph(1)]
+        for t in range(2, 7):
+            level = unpruned_level(level, t)
+            assert [g.edges() for g in exhaustive_graphs(t)[-len(level):]] == [
+                g.edges() for g in level
+            ]
+
+
+class TestAtlasCrossCheck:
+    def test_classes_match_graph_atlas(self):
+        nx = pytest.importorskip("networkx")
+        atlas: dict[int, set[int]] = {}
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            if n >= 1:
+                atlas.setdefault(n, set()).add(canonical_form(Graph(n, list(h.edges()))))
+        ours: dict[int, set[int]] = {}
+        for g in exhaustive_graphs(7):
+            ours.setdefault(g.vertex_count, set()).add(canonical_form(g))
+        assert sorted(atlas) == list(range(1, 8))
+        for n in range(1, 8):
+            assert atlas[n] == ours[n], n
 
 
 class TestExhaustive:
