@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .families import resolve_family_ref
 from .generate import exhaustive_graphs, random_graphs
 from .graph import Graph, components_of_mask
-from .graph_io import GraphFormat, load_graph_file
+from .graph_io import GraphFormat, load_graph_file, serialize_graph6
 from .matching import SubsetMatchingOracle
 from . import theorems as th
 
@@ -148,6 +148,7 @@ def _census_item(
     """All reports for one corpus graph, plus per-theorem inadmissible tallies."""
     source, g = item
     oracle = SubsetMatchingOracle(g)
+    graph6 = serialize_graph6(g)
     has_factor = oracle.is_perfectable(oracle.full_mask)
     reports: list[th.TheoremReport] = []
     inadmissible: dict[str, int] = {tid: 0 for tid in theorems}
@@ -158,7 +159,8 @@ def _census_item(
                 inadmissible[tid] += 1
                 continue
             reports.append(th.report_or_abort(
-                _VALIDATORS[tid], tid, g, kwargs, oracle=oracle, limits=limits, source=source
+                _VALIDATORS[tid], tid, g, kwargs,
+                oracle=oracle, limits=limits, source=source, graph6=graph6,
             ))
     return reports, inadmissible
 

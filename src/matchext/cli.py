@@ -281,8 +281,9 @@ def _run_check(config: RunConfig, with_certificate: bool) -> int:
     source, g = _load_single_graph(config)
     budget = Budget.from_limits(config.timeout, config.pair_cap)
     command = "certify" if with_certificate else "check"
+    oracle = SubsetMatchingOracle(g)
     try:
-        verdict = is_nk_extendable(g, config.n, config.k, budget=budget)
+        verdict = is_nk_extendable(g, config.n, config.k, budget=budget, oracle=oracle)
     except BudgetExceededError as exc:
         doc = {
             "schema": SCHEMA,
@@ -294,6 +295,11 @@ def _run_check(config: RunConfig, with_certificate: bool) -> int:
         }
         _emit(to_json(doc), config.out)
         return EXIT_ABORTED
+    finally:
+        log.info(
+            "subset oracle: %d vertices, %d blossom misses, table %s",
+            g.vertex_count, oracle.misses, "built" if oracle.table_built else "not built",
+        )
     verification = None
     if with_certificate:
         if verdict.failure is not None:
@@ -349,6 +355,7 @@ def _exit_code(counterexample: bool, aborted: bool) -> int:
 def _run_verify(config: RunConfig) -> int:
     source, g = _load_single_graph(config)
     oracle = SubsetMatchingOracle(g)
+    graph6 = serialize_graph6(g)
     limits = (config.timeout, config.pair_cap)
     reports: list[th.TheoremReport] = []
     for tid in config.theorems:
@@ -358,7 +365,7 @@ def _run_verify(config: RunConfig) -> int:
             if missing:
                 raise MatchextError(f"--{missing[0]} is required for {tid}")
             reports.append(th.report_or_abort(
-                spec.validator, tid, g, kwargs, oracle=oracle, limits=limits, source=source
+                spec.validator, tid, g, kwargs, oracle=oracle, limits=limits, source=source, graph6=graph6
             ))
     _emit(to_json(reports_document(reports)), config.out)
     statuses = {r.status for r in reports}
@@ -376,6 +383,11 @@ def _run_census(config: RunConfig) -> int:
         jobs=config.jobs,
         keep_statuses=keep,
     )
+    if all(result.count(s) == 0 for s in th.TheoremStatus if s is not th.TheoremStatus.INADMISSIBLE):
+        raise MatchextError(
+            "the census checked no admissible row: the corpus is empty, "
+            "or no parameters in range are admissible on any of its graphs"
+        )
     _emit(to_json(census_document(result)), config.out)
     return _exit_code(
         result.count(th.TheoremStatus.COUNTEREXAMPLE) > 0, result.count(th.TheoremStatus.ABORTED) > 0

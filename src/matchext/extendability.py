@@ -217,8 +217,7 @@ def _decide(
     """Conditions (i) and (ii) over twin-prefix sets; see the module docstring."""
     if budget is not None:
         budget.check_time()
-    # oracle.size, bound straight to the dense table when there is one
-    size = oracle.size if oracle._table is None else oracle._table.__getitem__
+    size = oracle.size
     classes = _twin_classes(oracle, mask)
     half = (mask.bit_count() - n) // 2 - k
     for smask in _prefix_sets(classes, n):

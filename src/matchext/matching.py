@@ -4,7 +4,12 @@ The public engine is a deterministic blossom implementation: vertices are
 scanned in ascending order and every tie breaks toward the smaller index,
 so a fixed graph always yields the same matching. The extendability search
 layers a per-graph subset oracle on top (see SubsetMatchingOracle), which
-answers maximum-matching sizes for arbitrary induced subgraphs.
+answers maximum-matching sizes for arbitrary induced subgraphs. It starts
+with one memoized blossom run per queried subset and switches to a table
+over all 2^n subsets once the runs have cost about as much as the table:
+a table entry is about 18 to 35 times cheaper than a blossom run, so the
+switch comes after 2^n / 32 runs, and graphs of at most 12 vertices, whose
+table takes a few milliseconds, get it at once.
 """
 
 from __future__ import annotations
@@ -89,9 +94,16 @@ def validate_matching_in(g: Graph, m: Matching) -> None:
             raise NotAMatchingError(f"edge ({u}, {v}) not present in the graph")
 
 
-def _blossom_mates(n: int, neighbors: Sequence[Sequence[int]]) -> list[int]:
-    """Deterministic blossom search; returns the mate array (-1 = exposed)."""
-    mate = [-1] * n
+def _blossom_mates(
+    n: int, neighbors: Sequence[Sequence[int]], mate: list[int] | None = None
+) -> list[int]:
+    """Deterministic blossom search; returns the mate array (-1 = exposed).
+
+    Starts from the matching ``mate`` (updated in place) or, by default, from
+    the empty one.
+    """
+    if mate is None:
+        mate = [-1] * n
     if n == 0:
         return mate
     parent = [-1] * n
@@ -169,12 +181,24 @@ def _blossom_mates(n: int, neighbors: Sequence[Sequence[int]]) -> list[int]:
     return mate
 
 
-def _blossom_size(masks: Sequence[int], mask: int) -> int:
-    """Maximum matching size of the induced subgraph on ``mask``, uncached."""
+def _blossom_size(neighbors: Sequence[Sequence[int]], mask: int) -> int:
+    """Maximum matching size of the induced subgraph on ``mask``, uncached.
+
+    ``neighbors`` lists the neighbors of every host vertex. Only the size is
+    returned, so the search may start from a greedy matching, which leaves
+    few exposed vertices to search from.
+    """
     verts = list(_bits(mask))
     index = {v: i for i, v in enumerate(verts)}
-    neighbors = [[index[u] for u in _bits(masks[v] & mask)] for v in verts]
-    mate = _blossom_mates(len(verts), neighbors)
+    local = [[index[u] for u in neighbors[v] if u in index] for v in verts]
+    mate = [-1] * len(verts)
+    for v, near in enumerate(local):
+        if mate[v] == -1:
+            for u in near:
+                if mate[u] == -1:
+                    mate[v], mate[u] = u, v
+                    break
+    mate = _blossom_mates(len(verts), local, mate)
     return sum(1 for m in mate if m != -1) // 2
 
 
@@ -269,20 +293,37 @@ def enumerate_one_factors(g: Graph) -> Iterator[Matching]:
     )
 
 
+# Measured on a 2-core x86 box (Python 3.11) over the decisions of the H1/H2
+# family instances of 13 to 21 vertices: one table entry costs 0.8-1.7 us and
+# one blossom miss 13-46 us, a ratio of 18 to 35 on all but the smallest. So
+# the table has paid for itself after about 2^n / 18 to 2^n / 35 misses, and a
+# budget of 2^n / 32 misses sits in that range. Up to 12 vertices the table
+# costs at most about 4 ms; a census asks thousands of queries of each such
+# graph and a single decision loses at most those 4 ms, so it is built at once.
+_EAGER_VERTICES = 12
+_MISS_SHIFT = 5
+
+
 class SubsetMatchingOracle:
     """Maximum-matching sizes for every induced subgraph G[mask] of one graph.
 
-    Graphs of at most DENSE_LIMIT vertices get a full bottom-up table over
-    all vertex subsets (the recurrence branches on the lowest vertex of the
-    subset: either it stays exposed or it is matched to a neighbor). Larger
-    graphs fall back to a memoized blossom run per queried subset.
+    Two ways to answer, chosen by a ski-rental rule. Lazily, each queried
+    subset costs one memoized blossom run (a miss). Densely, a bottom-up
+    table over all 2^n subsets answers every query by one index; the
+    recurrence branches on the lowest vertex of the subset, which either
+    stays exposed or is matched to a neighbor. Graphs of at most 12 vertices
+    build the table at once. Larger ones start lazy and build the table once
+    the misses reach ``miss_budget`` = 2^n / 32, when their blossom runs have
+    cost about as much as the table would (see the constants above). From
+    then on ``size`` is the table's own ``__getitem__``, so callers that
+    read ``oracle.size`` afterwards do a bare index. The memo stays as it
+    was, so it never holds more than ``miss_budget`` entries and its length
+    is the number of misses.
 
     Also carries the (mask, n, k)-extendability cache shared by the theorem
     validators and the twin classes of each decided mask; see
     extendability._holds_on_mask.
     """
-
-    DENSE_LIMIT = 18
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -291,12 +332,34 @@ class SubsetMatchingOracle:
         self.full_mask = (1 << self.n) - 1
         self.nk_cache: dict[tuple[int, int, int], bool] = {}
         self.twin_cache: dict[int, list[list[int]]] = {}
-        if self.n <= self.DENSE_LIMIT:
-            self._table: bytearray | None = self._build_table()
-            self._lazy: dict[int, int] | None = None
-        else:
-            self._table = None
-            self._lazy = {}
+        self._lazy: dict[int, int] = {}
+        self._table: bytearray | None = None
+        if self.n <= _EAGER_VERTICES:
+            self._promote()
+
+    @property
+    def miss_budget(self) -> int:
+        """Blossom misses after which the table is built: 2^n / 32."""
+        return (1 << self.n) >> _MISS_SHIFT
+
+    @property
+    def misses(self) -> int:
+        """Subsets answered by a blossom run so far."""
+        return len(self._lazy)
+
+    @property
+    def table_built(self) -> bool:
+        """True once the table over all 2^n subsets is built."""
+        return self._table is not None
+
+    @cached_property
+    def _neighbors(self) -> list[tuple[int, ...]]:
+        return [self.graph.neighbors(v) for v in self.graph.vertices()]
+
+    def _promote(self) -> None:
+        if self._table is None:
+            self._table = self._build_table()
+            self.size = self._table.__getitem__
 
     def _build_table(self) -> bytearray:
         masks = self.masks
@@ -317,12 +380,14 @@ class SubsetMatchingOracle:
         return table
 
     def size(self, mask: int) -> int:
-        """Maximum matching size of G[mask]."""
-        if self._table is not None:
-            return self._table[mask]
+        """Maximum matching size of G[mask]; rebound to a table index once built."""
         cached = self._lazy.get(mask)
         if cached is None:
-            cached = self._lazy[mask] = _blossom_size(self.masks, mask)
+            if self._table is not None:  # bound by a caller before the table was built
+                return self._table[mask]
+            cached = self._lazy[mask] = _blossom_size(self._neighbors, mask)
+            if len(self._lazy) >= self.miss_budget:
+                self._promote()
         return cached
 
     def is_perfectable(self, mask: int) -> bool:
@@ -373,8 +438,8 @@ def find_tutte_certificate(g: Graph) -> TutteCertificate | None:
     Only even-order graphs without a 1-factor yield a certificate; parity
     makes the excess even, hence >= 2. Each size query is one blossom run.
     """
-    masks = g.adjacency_masks
-    return _gallai_edmonds_tutte(partial(_blossom_size, masks), masks, (1 << g.vertex_count) - 1)
+    neighbors = [g.neighbors(v) for v in g.vertices()]
+    return _gallai_edmonds_tutte(partial(_blossom_size, neighbors), g.adjacency_masks, (1 << g.vertex_count) - 1)
 
 
 def has_extension(g: Graph, s: Iterable[int] | VertexSet, m: Matching) -> bool:

@@ -105,11 +105,14 @@ def run_theorem(
     oracle: SubsetMatchingOracle | None = None,
     budget: Budget | None = None,
     source: str | None = None,
+    graph6: str | None = None,
 ) -> TheoremReport:
     """Check one statement on one graph; what every ``verify_*`` does.
 
-    Raises NoOneFactorError (for entries that need a 1-factor) or
-    InadmissibleParametersError when the entry's admissibility fails.
+    ``graph6`` is g's graph6 string, for a caller that reports on g more
+    than once; it is computed here when absent. Raises NoOneFactorError (for
+    entries that need a 1-factor) or InadmissibleParametersError when the
+    entry's admissibility fails.
     """
     spec = THEOREMS[theorem_id]
     params = spec.params(**kwargs)
@@ -122,7 +125,7 @@ def run_theorem(
         raise InadmissibleParametersError(
             f"theorem {theorem_id} needs {spec.needs}; got {shown}, |V|={g.vertex_count}"
         )
-    instance = InstanceRef(serialize_graph6(g), source, params)
+    instance = InstanceRef(serialize_graph6(g) if graph6 is None else graph6, source, params)
     return TheoremReport(theorem_id, instance, *spec.body(g, oracle, budget, params))
 
 
@@ -135,13 +138,17 @@ def report_or_abort(
     oracle: SubsetMatchingOracle,
     limits: tuple[float | None, int | None],
     source: str | None,
+    graph6: str,
 ) -> TheoremReport:
     """``validator``'s report under a fresh Budget of ``limits`` (timeout, pair cap),
-    or an ABORTED row with the same params once that budget runs out."""
+    or an ABORTED row with the same params once that budget runs out.
+    ``graph6`` is g's graph6 string, shared by all reports on g."""
     try:
-        return validator(g, **kwargs, oracle=oracle, budget=Budget.from_limits(*limits), source=source)
+        return validator(
+            g, **kwargs, oracle=oracle, budget=Budget.from_limits(*limits), source=source, graph6=graph6
+        )
     except BudgetExceededError:
-        instance = InstanceRef(serialize_graph6(g), source, THEOREMS[theorem_id].params(**kwargs))
+        instance = InstanceRef(graph6, source, THEOREMS[theorem_id].params(**kwargs))
         return TheoremReport(theorem_id, instance, TheoremStatus.ABORTED, {"reason": "budget exceeded"})
 
 
@@ -349,7 +356,7 @@ _T4_NEEDS = "a 1-factor, and n + 2k <= |V| - 4 with |V| - n even unless n = k = 
 
 
 # --- Public validators --------------------------------------------------------
-# Each passes its ``oracle``, ``budget`` and ``source`` keywords to run_theorem.
+# Each passes its ``oracle``, ``budget``, ``source`` and ``graph6`` keywords to run_theorem.
 
 
 def verify_theorem1(g: Graph, k: int, **context: Any) -> TheoremReport:

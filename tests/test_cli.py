@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import matchext
 
 from matchext import MatchextError, complete_graph, serialize_graph6
 from matchext.cli import RunConfig, build_parser, main
@@ -279,6 +285,16 @@ class TestCensus:
         doc = json.loads(out)
         assert doc["summary"]["T2"]["ABORTED"] > 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--max-vertices", "0"), ("--max-vertices", "1"), ("--random", "0", "--vertices", "4")],
+    )
+    def test_census_that_checks_nothing_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "census", *argv)
+        assert code == 2
+        assert out == ""
+        assert "checked no admissible row" in err
+
     def test_needs_exactly_one_corpus(self, capsys):
         code, _, err = run_cli(capsys, "census", "--theorems", "L1")
         assert code == 2
@@ -306,3 +322,23 @@ class TestCensus:
         )
         assert code == 0
         assert json.loads(out)["summary"]["L2"]["COUNTEREXAMPLE"] == 0
+
+
+class TestOracleLog:
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("check", "--n", "2", "--k", "2", "--graph", "h1:2:1"), "18 vertices, 505 blossom misses, table not built"),
+            (("certify", "--n", "0", "--k", "1", "--graph", "E~~w"), "6 vertices, 0 blossom misses, table built"),
+        ],
+    )
+    def test_info_line_on_stderr(self, capsys, argv, line):
+        src = str(Path(matchext.__file__).resolve().parents[1])
+        env = dict(os.environ, MATCHEXT_LOG="info", PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "matchext", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0
+        assert run.stderr.splitlines() == [f"matchext.cli INFO subset oracle: {line}"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert run.stdout == out

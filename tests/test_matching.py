@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,6 +214,59 @@ class TestSubsetOracle:
         drop = [v for v in range(g.vertex_count) if v not in keep]
         sub, _ = delete_vertices(g, VertexSet.of(drop))
         assert oracle.size(mask) == maximum_matching(sub).size
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(13, 16), st.integers(0, 2**32))
+    def test_lazy_then_table_matches_blossom(self, n, seed):
+        # Above 12 vertices the oracle starts lazy; random masks run it past
+        # its miss budget, so answers are compared before, at and after the
+        # table is built, also through a ``size`` bound before the switch.
+        rng = random.Random(seed)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        oracle = SubsetMatchingOracle(g)
+        stale = oracle.size
+        assert not oracle.table_built
+        after = 0
+        while after < 40:
+            mask = rng.getrandbits(g.vertex_count)
+            drop = [v for v in range(g.vertex_count) if not mask >> v & 1]
+            expected = maximum_matching(delete_vertices(g, VertexSet.of(drop))[0]).size
+            built = oracle.table_built
+            assert oracle.size(mask) == expected
+            assert stale(mask) == expected
+            assert oracle.misses <= oracle.miss_budget
+            assert oracle.table_built == (oracle.misses == oracle.miss_budget)
+            after += built
+        assert oracle.misses == oracle.miss_budget
+
+    def test_lazy_memo_bounded_by_miss_budget(self):
+        g = Graph(14, [(u, v) for u in range(14) for v in range(u + 1, 14) if (u * v + u + v) % 3])
+        oracle = SubsetMatchingOracle(g)
+        for mask in range(1 << 14):
+            oracle.size(mask)
+            assert len(oracle._lazy) <= oracle.miss_budget
+        assert oracle.table_built
+        assert len(oracle._lazy) == oracle.miss_budget == (1 << 14) // 32
+
+    def test_repeated_promotion_harmless(self, monkeypatch):
+        builds = []
+        build = SubsetMatchingOracle._build_table
+        monkeypatch.setattr(SubsetMatchingOracle, "_build_table", lambda self: builds.append(1) or build(self))
+        g = cycle_graph(13)
+        oracle = SubsetMatchingOracle(g)
+        answers = [oracle.size(mask) for mask in range(1 << 13)]
+        assert oracle.table_built
+        oracle._promote()
+        oracle._promote()
+        assert builds == [1]
+        assert [oracle.size(mask) for mask in range(1 << 13)] == answers
+        assert oracle.misses == oracle.miss_budget
+
+    def test_small_graphs_get_the_table_at_once(self):
+        oracle = SubsetMatchingOracle(complete_graph(12))
+        assert oracle.table_built and oracle.misses == 0
+        assert oracle.size(oracle.full_mask) == 6
 
     def test_lazy_fallback_above_dense_limit(self):
         # 20 vertices forces the per-mask blossom path.
