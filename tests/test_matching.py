@@ -257,6 +257,7 @@ class TestSubsetOracle:
         oracle = SubsetMatchingOracle(g)
         answers = [oracle.size(mask) for mask in range(1 << 13)]
         assert oracle.table_built
+        assert oracle.size.__self__ is oracle._table  # later callers index the table directly
         oracle._promote()
         oracle._promote()
         assert builds == [1]
