@@ -27,9 +27,7 @@ from .errors import (
     MatchextError,
     NoOneFactorError,
     NotAMatchingError,
-    OddOrderError,
     OutOfRangeError,
-    OverlapError,
     ParseError,
     SelfLoopError,
 )
@@ -57,12 +55,9 @@ from .graph import (
     components,
     delete_vertices,
     disjoint_union,
-    edges_between,
     join,
-    with_labels,
 )
 from .graph_io import (
-    GraphDocument,
     GraphFormat,
     load_graph_file,
     parse_edge_list,
@@ -74,11 +69,7 @@ from .matching import (
     Matching,
     SubsetMatchingOracle,
     TutteCertificate,
-    enumerate_k_matchings,
-    enumerate_one_factors,
     find_tutte_certificate,
-    has_extension,
-    has_near_one_factor,
     has_one_factor,
     maximum_matching,
 )
@@ -97,6 +88,5 @@ from .theorems import (
     verify_theoremB,
     verify_theoremC,
 )
-from .reporting import emit_verdict_json
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .families import resolve_family_ref
 from .generate import exhaustive_graphs, random_graphs
@@ -33,6 +33,7 @@ STATUS_ORDER = tuple(s.value for s in th.TheoremStatus)
 class ExhaustiveSource:
     """All isomorphism classes on 1..max_vertices vertices."""
 
+    kind: ClassVar[str] = "exhaustive"
     max_vertices: int
 
 
@@ -40,6 +41,7 @@ class ExhaustiveSource:
 class RandomSource:
     """Seeded G(n, p) sample, n uniform in [min_vertices, max_vertices]."""
 
+    kind: ClassVar[str] = "random"
     count: int
     min_vertices: int
     max_vertices: int
@@ -51,6 +53,7 @@ class RandomSource:
 class FileSource:
     """graph6 files (one graph per line) and/or family refs like h1:2:0."""
 
+    kind: ClassVar[str] = "files"
     items: tuple[str, ...]
 
 

@@ -53,8 +53,9 @@ class RunConfig:
     """One validated invocation; built from parsed flags before any work.
 
     Invalid combinations (two corpus sources, missing graph input, unknown
-    theorem ids, a malformed vertex range, a negative --n, --k or --i) are
-    rejected here with a usage error rather than surfacing mid-run.
+    theorem ids, a malformed vertex range, a negative count or limit, a NaN
+    --timeout) are rejected here with a usage error rather than surfacing
+    mid-run.
     """
 
     command: str
@@ -98,7 +99,7 @@ class RunConfig:
         if command in ("check", "certify", "verify"):
             if (args.graph is None) == (args.graph_file is None):
                 raise MatchextError("provide exactly one of --graph / --graph-file")
-            _reject_negative(args, ("n", "k", "i"))
+            _reject_negative(args, ("n", "k", "i", "timeout", "pair-cap"))
             return RunConfig(
                 command=command,
                 n=args.n,
@@ -124,7 +125,7 @@ class RunConfig:
             raise MatchextError(
                 "choose exactly one corpus: --max-vertices, --random, or --graph/--graph-file"
             )
-        _reject_negative(args, ("max-vertices", "random"))
+        _reject_negative(args, ("max-vertices", "random", "timeout", "pair-cap"))
         vertex_min = vertex_max = None
         if args.random is not None:
             vertex_min, vertex_max = _parse_vertex_range(args.vertices)
@@ -164,7 +165,7 @@ class RunConfig:
 def _reject_negative(args: argparse.Namespace, flags: tuple[str, ...]) -> None:
     for flag in flags:
         value = getattr(args, flag.replace("-", "_"), None)
-        if value is not None and value < 0:
+        if value is not None and not value >= 0:  # also catches a NaN --timeout
             raise MatchextError(f"--{flag} must be non-negative; got {value}")
 
 
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph-file", help="path to a graph file")
         p.add_argument(
             "--format",
-            choices=[f.value for f in (GraphFormat.GRAPH6, GraphFormat.EDGE_LIST)],
+            choices=[f.value for f in GraphFormat],
             default=GraphFormat.GRAPH6.value,
             help="file format for --graph-file (default graph6)",
         )
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="emit an H1/H2 instance as graph6")
     p.add_argument("--graph", required=True, help="family ref h1:<n>:<k> or h2:<n>:<k>")
-    p.add_argument("--parts", action="store_true", help="emit JSON with the labeled part map")
+    p.add_argument("--parts", action="store_true", help="emit JSON with the named parts")
     add_out(p)
 
     p = sub.add_parser("verify", help="run theorem validators on one graph")
@@ -267,8 +268,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_single_graph(config: RunConfig) -> tuple[str, Graph]:
     if config.graph is not None:
-        doc = resolve_graph_argument(config.graph)
-        return doc.payload, doc.resolved
+        return resolve_graph_argument(config.graph)
     graphs = load_graph_file(config.graph_file, config.format)
     if len(graphs) != 1:
         raise MatchextError(

@@ -9,14 +9,6 @@ class OutOfRangeError(MatchextError):
     """A vertex index is outside the host graph's range."""
 
 
-class OddOrderError(MatchextError):
-    """An operation requiring an even number of vertices got an odd one."""
-
-
-class OverlapError(MatchextError):
-    """A vertex set and a matching were required to be disjoint but meet."""
-
-
 class NotAMatchingError(MatchextError):
     """An edge set is not a valid matching (overlapping or missing edges)."""
 

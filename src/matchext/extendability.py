@@ -35,8 +35,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, combinations
-from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InvalidParametersError
 from .graph import (
@@ -47,6 +45,7 @@ from .graph import (
     components,
     delete_vertices,
     twin_classes,
+    twin_prefix_sets,
 )
 from .matching import (
     Matching,
@@ -140,8 +139,8 @@ class Budget:
         deadline = None if timeout_seconds is None else time.monotonic() + timeout_seconds
         return Budget(deadline=deadline, pair_cap=pair_cap)
 
-    def charge_pairs(self, count: int = 1) -> None:
-        self.pairs_charged += count
+    def charge_pairs(self) -> None:
+        self.pairs_charged += 1
         if self.pair_cap is not None and self.pairs_charged > self.pair_cap:
             raise BudgetExceededError(f"pair cap {self.pair_cap} exceeded")
         if self.deadline is not None and self.pairs_charged % 256 == 0:
@@ -181,31 +180,6 @@ def _twin_classes(oracle: SubsetMatchingOracle, mask: int) -> list[list[int]]:
     return cached
 
 
-def _prefix_sets(classes: Sequence[Sequence[int]], size: int) -> Iterator[int]:
-    """Masks of the twin-prefix sets of ``size`` vertices.
-
-    Such a set takes the first j_c members of every class c. Singleton
-    classes are chosen with itertools.combinations; the others by the count
-    they contribute.
-    """
-    singles = [1 << c[0] for c in classes if len(c) == 1]
-    if len(singles) == len(classes):
-        yield from map(sum, combinations(singles, size))
-        return
-    choices = [(0, 0)]
-    for c in classes:
-        if len(c) > 1:
-            prefixes = list(accumulate((1 << v for v in c), initial=0))
-            choices = [
-                (base | part, used + j)
-                for base, used in choices
-                for j, part in enumerate(prefixes[: size - used + 1])
-            ]
-    for base, used in choices:
-        for combo in combinations(singles, size - used):
-            yield base + sum(combo)
-
-
 def _decide(
     oracle: SubsetMatchingOracle,
     mask: int,
@@ -220,7 +194,7 @@ def _decide(
     size = oracle.size
     classes = _twin_classes(oracle, mask)
     half = (mask.bit_count() - n) // 2 - k
-    for smask in _prefix_sets(classes, n):
+    for smask in twin_prefix_sets(classes, n):
         if budget is not None:
             budget.charge_pairs()
         if stats is not None:
@@ -230,7 +204,7 @@ def _decide(
             return False
     if k == 0:
         return True
-    for tmask in _prefix_sets(classes, n + 2 * k):
+    for tmask in twin_prefix_sets(classes, n + 2 * k):
         if budget is not None:
             budget.charge_pairs()
         if stats is not None:
@@ -281,7 +255,7 @@ def _verdict_on_mask(
         return ExtendabilityVerdict(holds=True, failure=None, stats=stats)
     # S fails exactly when G[mask] - S is not (0, k)-extendable, and (0, k)
     # is admissible there because (n, k) is admissible on G[mask].
-    walk = sorted(tuple(_bits(m)) for m in _prefix_sets(_twin_classes(oracle, mask), n))
+    walk = sorted(tuple(_bits(m)) for m in twin_prefix_sets(_twin_classes(oracle, mask), n))
     s_tuple = next(
         s for s in walk if not _holds_on_mask(oracle, mask ^ _mask_of(s), 0, k, budget, stats)
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import Graph, VertexSet, complete_graph, disjoint_union, join, with_labels
+from .graph import Graph, VertexSet, complete_graph, disjoint_union, join
 from .matching import Matching
 
 _FAMILY_RE = re.compile(r"^(h1|h2):(\d+):(\d+)$")
@@ -40,14 +40,6 @@ class FamilyInstance:
     params: tuple[int, int]
     ref: str
 
-    @property
-    def part_map(self) -> dict[str, object]:
-        return {
-            "clique_blocks": self.clique_blocks,
-            "core": self.core,
-            "pendant_matching": self.pendant_matching,
-        }
-
 
 def _build(family: str, n: int, k: int, core_size: int, pendant_count: int) -> FamilyInstance:
     if n < 0 or k < 0:
@@ -68,19 +60,8 @@ def _build(family: str, n: int, k: int, core_size: int, pendant_count: int) -> F
         (pendant_start + 2 * i, pendant_start + 2 * i + 1) for i in range(pendant_count)
     )
 
-    labels: dict[int, str] = {}
-    for v in b0:
-        labels[v] = f"{family}:block0"
-    for v in b1:
-        labels[v] = f"{family}:block1"
-    for v in core:
-        labels[v] = f"{family}:core"
-    for i, (u, v) in enumerate(pendants):
-        labels[u] = f"{family}:pendant{i}"
-        labels[v] = f"{family}:pendant{i}"
-
     return FamilyInstance(
-        graph=with_labels(g, labels),
+        graph=g,
         clique_blocks=(VertexSet(b0), VertexSet(b1)),
         core=VertexSet(core),
         pendant_matching=Matching(pendants),

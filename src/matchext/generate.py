@@ -33,11 +33,9 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import accumulate
-from operator import or_
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .graph import Graph, _bits, twin_classes
+from .graph import Graph, _bits, twin_classes, twin_prefix_sets
 
 EXHAUSTIVE_LIMIT = 8
 
@@ -112,18 +110,12 @@ def canonical_form(g: Graph) -> int:
     return best
 
 
-def _extension_masks(parent: Graph) -> Iterator[int]:
+def _extension_masks(parent: Graph) -> list[int]:
     """Neighborhoods for a new vertex, ascending, that take a prefix of
     every twin class of ``parent``."""
     n = parent.vertex_count
-    prefixes = []
-    for cls in twin_classes(parent.adjacency_masks, (1 << n) - 1):
-        if len(cls) > 1:
-            steps = list(accumulate((1 << v for v in cls), or_, initial=0))
-            prefixes.append((steps[-1], steps))
-    for nbmask in range(1 << n):
-        if all(nbmask & cm == steps[(nbmask & cm).bit_count()] for cm, steps in prefixes):
-            yield nbmask
+    classes = twin_classes(parent.adjacency_masks, (1 << n) - 1)
+    return sorted(m for size in range(n + 1) for m in twin_prefix_sets(classes, size))
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate, combinations
+from typing import Iterable, Iterator, Sequence
 
 from .errors import OutOfRangeError
 
@@ -78,19 +78,12 @@ class IndexRemap:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Optional per-vertex labels are provenance metadata only: they are
-    preserved by the constructions below but never influence structure,
-    equality, or hashing.
+    Equality and hashing are by vertex count and edge set.
     """
 
-    __slots__ = ("_n", "_masks", "_labels")
+    __slots__ = ("_n", "_masks")
 
-    def __init__(
-        self,
-        vertex_count: int,
-        edges: Iterable[tuple[int, int]] = (),
-        labels: Mapping[int, str] | None = None,
-    ):
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         masks = [0] * vertex_count
@@ -103,11 +96,6 @@ class Graph:
             masks[v] |= 1 << u
         object.__setattr__(self, "_n", vertex_count)
         object.__setattr__(self, "_masks", tuple(masks))
-        label_map = dict(labels) if labels else {}
-        for v in label_map:
-            if not (0 <= v < vertex_count):
-                raise OutOfRangeError(f"label for vertex {v} outside 0..{vertex_count - 1}")
-        object.__setattr__(self, "_labels", label_map)
 
     # Graphs are value-immutable; block accidental attribute writes.
     def __setattr__(self, name, value):
@@ -124,10 +112,6 @@ class Graph:
     @property
     def adjacency_masks(self) -> tuple[int, ...]:
         return self._masks
-
-    @property
-    def labels(self) -> Mapping[int, str]:
-        return MappingProxyType(self._labels)
 
     def vertices(self) -> range:
         return range(self._n)
@@ -170,13 +154,12 @@ class Graph:
         return f"Graph(vertices={self._n}, edges={self.edge_count})"
 
     def __getstate__(self):
-        return (self._n, self._masks, self._labels)
+        return (self._n, self._masks)
 
     def __setstate__(self, state):
-        n, masks, labels = state
+        n, masks = state
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_labels", labels)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -219,29 +202,45 @@ def twin_classes(masks: Sequence[int], mask: int) -> list[list[int]]:
     return list(groups.values())
 
 
+def twin_prefix_sets(classes: Sequence[Sequence[int]], size: int) -> Iterator[int]:
+    """Masks of the twin-prefix sets of ``size`` vertices.
+
+    Such a set takes the first j_c members of every class c of
+    ``twin_classes``. Singleton classes are chosen with
+    itertools.combinations; the others by the count they contribute.
+    """
+    singles = [1 << c[0] for c in classes if len(c) == 1]
+    if len(singles) == len(classes):
+        yield from map(sum, combinations(singles, size))
+        return
+    choices = [(0, 0)]
+    for c in classes:
+        if len(c) > 1:
+            prefixes = list(accumulate((1 << v for v in c), initial=0))
+            choices = [
+                (base | part, used + j)
+                for base, used in choices
+                for j, part in enumerate(prefixes[: size - used + 1])
+            ]
+    for base, used in choices:
+        for combo in combinations(singles, size - used):
+            yield base + sum(combo)
+
+
 def complete_graph(m: int) -> Graph:
     """K_m: every pair of the m vertices adjacent."""
     return Graph(m, [(u, v) for u in range(m) for v in range(u + 1, m)])
-
-
-def with_labels(g: Graph, labels: Mapping[int, str]) -> Graph:
-    """Copy of ``g`` with ``labels`` merged over its existing labels."""
-    merged = dict(g.labels)
-    merged.update(labels)
-    return Graph(g.vertex_count, g.edges(), merged)
 
 
 def disjoint_union(parts: Sequence[Graph]) -> Graph:
     """Vertex-disjoint union; part i's indices are offset by the sizes before it."""
     total = sum(p.vertex_count for p in parts)
     edges: list[tuple[int, int]] = []
-    labels: dict[int, str] = {}
     offset = 0
     for p in parts:
         edges.extend((u + offset, v + offset) for u, v in p.edges())
-        labels.update({v + offset: s for v, s in p.labels.items()})
         offset += p.vertex_count
-    return Graph(total, edges, labels)
+    return Graph(total, edges)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -249,16 +248,7 @@ def join(g: Graph, h: Graph) -> Graph:
     base = disjoint_union([g, h])
     gn = g.vertex_count
     cross = [(u, gn + v) for u in range(gn) for v in range(h.vertex_count)]
-    return Graph(base.vertex_count, base.edges() + cross, dict(base.labels))
-
-
-def _coerce_vertexset(g: Graph, s: Iterable[int] | VertexSet) -> VertexSet:
-    vs = s if isinstance(s, VertexSet) else VertexSet.of(s)
-    if vs.members and vs.members[-1] >= g.vertex_count:
-        raise OutOfRangeError(
-            f"vertex {vs.members[-1]} outside 0..{g.vertex_count - 1}"
-        )
-    return vs
+    return Graph(base.vertex_count, base.edges() + cross)
 
 
 def delete_vertices(g: Graph, s: Iterable[int] | VertexSet) -> tuple[Graph, IndexRemap]:
@@ -267,7 +257,11 @@ def delete_vertices(g: Graph, s: Iterable[int] | VertexSet) -> tuple[Graph, Inde
     The remap lets callers translate certificates computed on the reduced
     graph back into the original numbering.
     """
-    vs = _coerce_vertexset(g, s)
+    vs = s if isinstance(s, VertexSet) else VertexSet.of(s)
+    if vs.members and vs.members[-1] >= g.vertex_count:
+        raise OutOfRangeError(
+            f"vertex {vs.members[-1]} outside 0..{g.vertex_count - 1}"
+        )
     dropped = set(vs.members)
     kept = [v for v in range(g.vertex_count) if v not in dropped]
     remap = IndexRemap(kept)
@@ -276,22 +270,7 @@ def delete_vertices(g: Graph, s: Iterable[int] | VertexSet) -> tuple[Graph, Inde
         for u, v in g.edges()
         if u not in dropped and v not in dropped
     ]
-    labels = {remap.new_of(v): s for v, s in g.labels.items() if v not in dropped}
-    return Graph(len(kept), edges, labels), remap
-
-
-def edges_between(
-    g: Graph, s: Iterable[int] | VertexSet, t: Iterable[int] | VertexSet
-) -> list[tuple[int, int]]:
-    """Edges with one end in s and the other in t, each reported once."""
-    smask = _coerce_vertexset(g, s).mask()
-    tmask = _coerce_vertexset(g, t).mask()
-    out = []
-    for u, v in g.edges():
-        ub, vb = 1 << u, 1 << v
-        if (ub & smask and vb & tmask) or (ub & tmask and vb & smask):
-            out.append((u, v))
-    return out
+    return Graph(len(kept), edges), remap
 
 
 def components_of_mask(masks: Sequence[int], mask: int) -> list[int]:

@@ -9,7 +9,6 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .errors import (
     ParseError,
     SelfLoopError,
 )
-from .families import FamilyInstance, resolve_family_ref
+from .families import resolve_family_ref
 from .graph import Graph
 
 _HEADER = ">>graph6<<"
@@ -30,17 +29,6 @@ _MAX_LONG_N = 258047
 class GraphFormat(Enum):
     GRAPH6 = "graph6"
     EDGE_LIST = "edges"
-    FAMILY_REF = "family"
-
-
-@dataclass(frozen=True)
-class GraphDocument:
-    """A parsed graph together with how it was spelled."""
-
-    format: GraphFormat
-    payload: str
-    resolved: Graph
-    family: FamilyInstance | None = None
 
 
 def _check_char(value: int, offset: int) -> int:
@@ -94,7 +82,7 @@ def parse_graph6(text: str) -> Graph:
 
 
 def serialize_graph6(g: Graph) -> str:
-    """Canonical graph6 line for g (labels are not encoded)."""
+    """Canonical graph6 line for g."""
     n = g.vertex_count
     if n > _MAX_LONG_N:
         raise ValueError(f"graph6 output supports at most {_MAX_LONG_N} vertices")
@@ -169,12 +157,14 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(count, edges)
 
 
-def resolve_graph_argument(text: str) -> GraphDocument:
-    """Interpret a --graph value: family ref (h1:<n>:<k> / h2:<n>:<k>) or graph6."""
+def resolve_graph_argument(text: str) -> tuple[str, Graph]:
+    """Interpret a --graph value: family ref (h1:<n>:<k> / h2:<n>:<k>) or graph6.
+
+    Returns (stripped text, graph), the pair ``load_graph_file`` yields per graph.
+    """
     family = resolve_family_ref(text)
-    if family is not None:
-        return GraphDocument(GraphFormat.FAMILY_REF, text.strip(), family.graph, family)
-    return GraphDocument(GraphFormat.GRAPH6, text.strip(), parse_graph6(text))
+    graph = parse_graph6(text) if family is None else family.graph
+    return text.strip(), graph
 
 
 def load_graph_file(path: str | Path, fmt: GraphFormat) -> list[tuple[str, Graph]]:

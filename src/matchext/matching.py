@@ -1,4 +1,4 @@
-"""Maximum matchings, matching enumeration, and Tutte certificates.
+"""Maximum matchings, Tutte certificates, and the subset oracle.
 
 The public engine is a deterministic blossom implementation: vertices are
 scanned in ascending order and every tie breaks toward the smaller index,
@@ -19,13 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import (
-    NotAMatchingError,
-    OddOrderError,
-    OutOfRangeError,
-    OverlapError,
-)
-from .graph import Graph, VertexSet, _bits, _mask_of, components_of_mask, delete_vertices
+from .errors import NotAMatchingError
+from .graph import Graph, VertexSet, _bits, _mask_of, components_of_mask
 
 
 @dataclass(frozen=True)
@@ -216,12 +211,6 @@ def has_one_factor(g: Graph) -> bool:
     return n % 2 == 0 and maximum_matching(g).size * 2 == n
 
 
-def has_near_one_factor(g: Graph) -> bool:
-    """True iff |V| is odd and a matching saturates all but one vertex."""
-    n = g.vertex_count
-    return n % 2 == 1 and maximum_matching(g).size * 2 == n - 1
-
-
 def _matchings_in_mask(
     masks: Sequence[int], mask: int, k: int
 ) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
@@ -251,20 +240,6 @@ def _matchings_in_mask(
     yield from rec(0, 0, ())
 
 
-def enumerate_k_matchings(g: Graph, k: int) -> Iterator[Matching]:
-    """Every matching of exactly k edges, in lexicographic canonical order.
-
-    k=0 yields exactly the empty matching. Validates eagerly; the returned
-    stream is single-consumer but independent streams are safe.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    full = (1 << g.vertex_count) - 1
-    return (
-        Matching(chosen) for chosen, _ in _matchings_in_mask(g.adjacency_masks, full, k)
-    )
-
-
 def _one_factors_in_mask(
     masks: Sequence[int], mask: int
 ) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -277,20 +252,6 @@ def _one_factors_in_mask(
     for u in _bits(masks[v] & mask & ~low):
         for rest in _one_factors_in_mask(masks, mask & ~low & ~(1 << u)):
             yield ((v, u),) + rest
-
-
-def enumerate_one_factors(g: Graph) -> Iterator[Matching]:
-    """All 1-factors in lexicographic canonical order; |V| must be even.
-
-    Raises OddOrderError at call time, not on first consumption.
-    """
-    n = g.vertex_count
-    if n % 2 == 1:
-        raise OddOrderError(f"graph has odd order {n}")
-    return (
-        Matching(edges)
-        for edges in _one_factors_in_mask(g.adjacency_masks, (1 << n) - 1)
-    )
 
 
 # Measured on a 2-core x86 box (Python 3.11) over the decisions of the H1/H2
@@ -440,20 +401,3 @@ def find_tutte_certificate(g: Graph) -> TutteCertificate | None:
     """
     neighbors = [g.neighbors(v) for v in g.vertices()]
     return _gallai_edmonds_tutte(partial(_blossom_size, neighbors), g.adjacency_masks, (1 << g.vertex_count) - 1)
-
-
-def has_extension(g: Graph, s: Iterable[int] | VertexSet, m: Matching) -> bool:
-    """True iff g - s - V(m) has a 1-factor.
-
-    s and V(m) must be disjoint and m must be a matching of g.
-    """
-    vs = s if isinstance(s, VertexSet) else VertexSet.of(s)
-    if vs.members and vs.members[-1] >= g.vertex_count:
-        raise OutOfRangeError(
-            f"vertex {vs.members[-1]} outside 0..{g.vertex_count - 1}"
-        )
-    validate_matching_in(g, m)
-    if vs.mask() & m.mask():
-        raise OverlapError("S intersects V(M)")
-    reduced, _ = delete_vertices(g, VertexSet.of(set(vs) | m.vertices))
-    return has_one_factor(reduced)

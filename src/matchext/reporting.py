@@ -8,15 +8,10 @@ seeds) produce byte-identical output.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Any
 
-from .census import (
-    CensusResult,
-    CorpusSpec,
-    ExhaustiveSource,
-    FileSource,
-    RandomSource,
-)
+from .census import CensusResult, CorpusSpec
 from .extendability import ExtendabilityVerdict, Failure
 from .graph import Graph, VertexSet
 from .matching import Matching, TutteCertificate
@@ -81,7 +76,7 @@ def verdict_document(
     n: int,
     k: int,
     graph: dict[str, Any],
-    command: str = "check",
+    command: str,
     verification: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     doc: dict[str, Any] = {
@@ -116,34 +111,18 @@ def report_to_dict(report: TheoremReport) -> dict[str, Any]:
     }
 
 
-def reports_document(reports, command: str = "verify") -> dict[str, Any]:
+def reports_document(reports) -> dict[str, Any]:
     return {
         "schema": SCHEMA,
-        "command": command,
+        "command": "verify",
         "reports": [report_to_dict(r) for r in reports],
     }
 
 
 def _corpus_dict(spec: CorpusSpec) -> dict[str, Any]:
-    source = spec.source
-    if isinstance(source, ExhaustiveSource):
-        src: dict[str, Any] = {"kind": "exhaustive", "max_vertices": source.max_vertices}
-    elif isinstance(source, RandomSource):
-        src = {
-            "kind": "random",
-            "count": source.count,
-            "min_vertices": source.min_vertices,
-            "max_vertices": source.max_vertices,
-            "edge_probability": source.edge_probability,
-            "seed": source.seed,
-        }
-    elif isinstance(source, FileSource):
-        src = {"kind": "files", "items": list(source.items)}
-    else:
-        raise TypeError(f"unknown corpus source {source!r}")
     return {
-        "source": src,
-        "filters": {"parity": spec.filters.parity, "connected": spec.filters.connected},
+        "source": {"kind": spec.source.kind, **asdict(spec.source)},
+        "filters": asdict(spec.filters),
     }
 
 
@@ -161,16 +140,3 @@ def census_document(result: CensusResult) -> dict[str, Any]:
 
 def to_json(document: dict[str, Any]) -> str:
     return json.dumps(document, indent=2) + "\n"
-
-
-def emit_verdict_json(value: ExtendabilityVerdict | TheoremReport, **context: Any) -> str:
-    """Stable JSON for a single verdict or theorem report.
-
-    Verdicts need n, k, and graph info passed as context; reports are
-    self-contained.
-    """
-    if isinstance(value, ExtendabilityVerdict):
-        return to_json(verdict_document(value, **context))
-    if isinstance(value, TheoremReport):
-        return to_json(reports_document([value]))
-    raise TypeError(f"cannot emit {type(value).__name__} as verdict JSON")

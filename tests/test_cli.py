@@ -66,6 +66,24 @@ class TestRunConfig:
         assert out == ""
         assert f"{flag} must be non-negative" in err
 
+    @pytest.mark.parametrize("command", ["check", "certify", "verify", "census"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--timeout", "-1"), ("--pair-cap", "-1"), ("--timeout", "nan"),
+    ])
+    def test_bad_limit_exit_2(self, capsys, command, flag, value):
+        # Unchecked, a negative limit aborts every instance (exit 3), and a
+        # NaN --timeout never fires, since every comparison with NaN is false.
+        if command == "census":
+            argv = ["census", "--max-vertices", "4", "--theorems", "L1"]
+        else:
+            argv = [command, "--n", "0", "--k", "1", "--graph", "E~~w"]
+            if command == "verify":
+                argv += ["--theorems", "T2"]
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be non-negative" in err
+
     def test_vertex_range_parsed_eagerly(self):
         config = self.parse("census", "--random", "3", "--vertices", "4..7")
         assert (config.vertex_min, config.vertex_max) == (4, 7)

@@ -64,10 +64,13 @@ class TestConstruction:
         b0, b1 = fam.clique_blocks
         assert not any(fam.graph.has_edge(u, v) for u in b0 for v in b1)
 
-    def test_labels_mark_parts(self):
-        fam = build_h1(1, 0)
-        assert fam.graph.labels[0] == "h1:block0"
-        assert fam.graph.labels[fam.core.members[0]] == "h1:core"
+    def test_parts_follow_vertex_numbering(self):
+        # Blocks first, then the core, then the pendant pairs.
+        fam = build_h1(1, 1)
+        assert fam.clique_blocks[0].members == (0, 1, 2)
+        assert fam.clique_blocks[1].members == (3, 4, 5)
+        assert fam.core.members == (6,)
+        assert fam.pendant_matching.edges == ((7, 8), (9, 10), (11, 12))
 
     def test_ref_resolution(self):
         fam = resolve_family_ref("h1:2:0")

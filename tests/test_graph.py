@@ -12,9 +12,7 @@ from matchext import (
     components,
     delete_vertices,
     disjoint_union,
-    edges_between,
     join,
-    with_labels,
 )
 
 from conftest import graphs, path_graph
@@ -43,18 +41,11 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             g.vertex_count = 5
 
-    def test_equality_ignores_labels(self):
-        g = complete_graph(3)
-        labeled = with_labels(g, {0: "a"})
-        assert g == labeled
-        assert hash(g) == hash(labeled)
-        assert labeled.labels[0] == "a"
-
     def test_pickle_round_trip(self):
-        g = with_labels(complete_graph(5), {2: "x"})
+        g = Graph(5, [(0, 1), (2, 4)])
         clone = pickle.loads(pickle.dumps(g))
         assert clone == g
-        assert clone.labels[2] == "x"
+        assert clone.edges() == [(0, 1), (2, 4)]
 
     def test_vertexset_sorts_and_dedups(self):
         assert VertexSet.of([3, 1, 1, 2]).members == (1, 2, 3)
@@ -74,12 +65,6 @@ class TestDisjointUnionAndJoin:
     def test_union_three_k2(self):
         g = disjoint_union([complete_graph(2)] * 3)
         assert g.edges() == [(0, 1), (2, 3), (4, 5)]
-
-    def test_union_offsets_labels(self):
-        a = with_labels(complete_graph(1), {0: "a"})
-        b = with_labels(complete_graph(1), {0: "b"})
-        g = disjoint_union([a, b])
-        assert dict(g.labels) == {0: "a", 1: "b"}
 
     def test_join_small(self):
         assert join(complete_graph(1), complete_graph(1)) == complete_graph(2)
@@ -119,12 +104,6 @@ class TestDeleteVertices:
         with pytest.raises(OutOfRangeError):
             delete_vertices(complete_graph(3), VertexSet.of([3]))
 
-    def test_labels_survive_deletion(self):
-        g = with_labels(complete_graph(3), {0: "x", 2: "z"})
-        sub, remap = delete_vertices(g, VertexSet.of([1]))
-        assert dict(sub.labels) == {0: "x", 1: "z"}
-        assert remap.old_of(1) == 2
-
     @given(graphs(max_vertices=7), st.data())
     def test_composition(self, g, data):
         verts = list(range(g.vertex_count))
@@ -135,32 +114,6 @@ class TestDeleteVertices:
         twice, _ = delete_vertices(once, VertexSet.of(remap1.new_of(v) for v in t))
         combined, _ = delete_vertices(g, VertexSet.of(s | t))
         assert twice == combined
-
-
-class TestEdgesBetween:
-    def test_k4_cross(self):
-        got = edges_between(complete_graph(4), VertexSet.of([0, 1]), VertexSet.of([2, 3]))
-        assert got == [(0, 2), (0, 3), (1, 2), (1, 3)]
-
-    def test_empty_side(self):
-        assert edges_between(complete_graph(4), VertexSet(), VertexSet.of([1])) == []
-
-    def test_path_ends(self):
-        assert edges_between(path_graph(3), VertexSet.of([0]), VertexSet.of([2])) == []
-
-    def test_overlap_reports_once(self):
-        all_of_k3 = VertexSet.of([0, 1, 2])
-        assert edges_between(complete_graph(3), all_of_k3, all_of_k3) == [(0, 1), (0, 2), (1, 2)]
-
-    @given(graphs(max_vertices=7), st.data())
-    def test_cut_plus_sides_partition_edges(self, g, data):
-        verts = list(range(g.vertex_count))
-        s = data.draw(st.sets(st.sampled_from(verts)) if verts else st.just(set()))
-        comp = [v for v in verts if v not in s]
-        cross = edges_between(g, VertexSet.of(s), VertexSet.of(comp))
-        inside_s = edges_between(g, VertexSet.of(s), VertexSet.of(s))
-        inside_c = edges_between(g, VertexSet.of(comp), VertexSet.of(comp))
-        assert sorted(cross + inside_s + inside_c) == g.edges()
 
 
 class TestComponents:

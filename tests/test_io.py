@@ -8,6 +8,7 @@ from matchext import (
     MalformedGraph6Error,
     ParseError,
     SelfLoopError,
+    build_h1,
     complete_graph,
     load_graph_file,
     parse_edge_list,
@@ -124,15 +125,12 @@ class TestEdgeList:
 
 class TestResolution:
     def test_family_ref(self):
-        doc = resolve_graph_argument("h1:1:0")
-        assert doc.format is GraphFormat.FAMILY_REF
-        assert doc.family is not None
-        assert doc.resolved.vertex_count == 11
+        payload, g = resolve_graph_argument(" h1:1:0\n")
+        assert payload == "h1:1:0"
+        assert g == build_h1(1, 0).graph
 
     def test_graph6_literal(self):
-        doc = resolve_graph_argument("C~")
-        assert doc.format is GraphFormat.GRAPH6
-        assert doc.resolved == complete_graph(4)
+        assert resolve_graph_argument("C~") == ("C~", complete_graph(4))
 
     def test_load_graph6_file(self, tmp_path):
         path = tmp_path / "two.g6"

@@ -1,16 +1,20 @@
 import json
 
-from matchext import complete_graph, emit_verdict_json, is_nk_extendable, verify_theorem2
+from matchext import complete_graph, is_nk_extendable, verify_theorem2
 from matchext.cli import main
 from matchext.families import build_h1
-from matchext.reporting import graph_info
+from matchext.reporting import graph_info, reports_document, to_json, verdict_document
+
+
+def verdict_json(verdict, **context):
+    return to_json(verdict_document(verdict, command="check", **context))
 
 
 class TestEmitVerdictJson:
     def test_positive_verdict(self):
         g = complete_graph(4)
         verdict = is_nk_extendable(g, 0, 1)
-        text = emit_verdict_json(verdict, n=0, k=1, graph=graph_info(g))
+        text = verdict_json(verdict, n=0, k=1, graph=graph_info(g))
         doc = json.loads(text)
         assert doc["schema"] == "matchext/1"
         assert doc["holds"] is True
@@ -20,21 +24,21 @@ class TestEmitVerdictJson:
     def test_failure_embeds_tutte(self):
         fam = build_h1(2, 0)
         verdict = is_nk_extendable(fam.graph, 2, 2)
-        doc = json.loads(emit_verdict_json(verdict, n=2, k=2, graph=graph_info(fam.graph, "h1:2:0")))
+        doc = json.loads(verdict_json(verdict, n=2, k=2, graph=graph_info(fam.graph, "h1:2:0")))
         assert doc["failure"]["kind"] == "STUCK_MATCHING"
         assert doc["failure"]["tutte"]["excess"] == 2
         assert doc["graph"]["source"] == "h1:2:0"
 
     def test_theorem_report(self):
         report = verify_theorem2(complete_graph(6), 0, 0)
-        doc = json.loads(emit_verdict_json(report))
+        doc = json.loads(to_json(reports_document([report])))
         assert doc["schema"] == "matchext/1"
         assert doc["reports"][0]["status"] == "CONFIRMED"
 
     def test_deterministic_bytes(self):
         g = complete_graph(6)
-        one = emit_verdict_json(is_nk_extendable(g, 0, 1), n=0, k=1, graph=graph_info(g))
-        two = emit_verdict_json(is_nk_extendable(g, 0, 1), n=0, k=1, graph=graph_info(g))
+        one = verdict_json(is_nk_extendable(g, 0, 1), n=0, k=1, graph=graph_info(g))
+        two = verdict_json(is_nk_extendable(g, 0, 1), n=0, k=1, graph=graph_info(g))
         assert one == two
 
 
