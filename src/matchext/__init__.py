@@ -7,6 +7,8 @@ builds the H1/H2 sharpness families, and stress-tests the surrounding
 edge-deletion theorems over exhaustive and random graph corpora.
 """
 
+from types import ModuleType as _ModuleType
+
 from .census import (
     CensusResult,
     CorpusFilters,
@@ -89,4 +91,7 @@ from .theorems import (
     verify_theoremC,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

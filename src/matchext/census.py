@@ -17,6 +17,7 @@ from functools import partial
 from multiprocessing import Pool
 from typing import ClassVar, Iterable, Sequence
 
+from .extendability import Budget
 from .families import resolve_family_ref
 from .generate import exhaustive_graphs, random_graphs
 from .graph import Graph, components_of_mask
@@ -191,6 +192,7 @@ def run_census(
     use pair_cap when byte-stable output matters.
     """
     chosen = normalize_theorems(theorems)
+    Budget.from_limits(timeout, pair_cap)  # rejects a bad limit before any work
     items = corpus_graphs(spec)
     keep = None if keep_statuses is None else set(keep_statuses)
     summary = {tid: {status: 0 for status in STATUS_ORDER} for tid in chosen}

@@ -12,7 +12,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .census import (
@@ -48,117 +47,58 @@ EXIT_ABORTED = 3
 log = logging.getLogger("matchext.cli")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation; built from parsed flags before any work.
+class RunConfig(argparse.Namespace):
+    """One validated invocation: the parsed flags, checked before any work.
 
-    Invalid combinations (two corpus sources, missing graph input, unknown
-    theorem ids, a malformed vertex range, a negative count or limit, a NaN
-    --timeout) are rejected here with a usage error rather than surfacing
-    mid-run.
+    The attributes are the names argparse gives the flags. ``from_args``
+    normalises four of them: ``theorems`` becomes a tuple of ids, ``format``
+    a GraphFormat, ``connected`` a bool or None, and census's ``--vertices``
+    becomes ``vertex_min`` / ``vertex_max``. Invalid combinations (two corpus
+    sources, missing graph input, unknown theorem ids, a malformed vertex
+    range, a negative count or limit, a NaN --timeout) are rejected there
+    with a usage error rather than surfacing mid-run.
     """
-
-    command: str
-    n: int | None = None
-    k: int | None = None
-    i: int | None = None
-    graph: str | None = None
-    graph_file: str | None = None
-    format: GraphFormat = GraphFormat.GRAPH6
-    theorems: tuple[str, ...] = ()
-    max_vertices: int | None = None
-    random_count: int | None = None
-    vertex_min: int | None = None
-    vertex_max: int | None = None
-    edge_prob: float = 0.5
-    seed: int = 0
-    corpus_items: tuple[str, ...] = ()
-    parity: str | None = None
-    connected: bool | None = None
-    n_max: int = 3
-    k_max: int = 2
-    jobs: int = 1
-    full: bool = False
-    parts: bool = False
-    timeout: float | None = None
-    pair_cap: int | None = None
-    out: str | None = None
 
     @staticmethod
     def from_args(args: argparse.Namespace) -> "RunConfig":
-        command = args.command
-        theorems: tuple[str, ...] = ()
+        config = RunConfig(**vars(args))
+        command = config.command
         if command in ("verify", "census"):
-            ids = tuple(t.strip() for t in args.theorems.split(",") if t.strip())
+            ids = tuple(t.strip() for t in config.theorems.split(",") if t.strip())
             unknown = [t for t in ids if t not in th.THEOREM_IDS]
             if unknown:
                 raise MatchextError(f"unknown theorem ids: {unknown}")
             if not ids:
                 raise MatchextError("--theorems must name at least one validator")
-            theorems = ids
+            config.theorems = ids
         if command in ("check", "certify", "verify"):
-            if (args.graph is None) == (args.graph_file is None):
+            if (config.graph is None) == (config.graph_file is None):
                 raise MatchextError("provide exactly one of --graph / --graph-file")
-            _reject_negative(args, ("n", "k", "i", "timeout", "pair-cap"))
-            return RunConfig(
-                command=command,
-                n=args.n,
-                k=args.k,
-                i=getattr(args, "i", None),
-                graph=args.graph,
-                graph_file=args.graph_file,
-                format=GraphFormat(args.format),
-                theorems=theorems,
-                timeout=args.timeout,
-                pair_cap=args.pair_cap,
-                out=args.out,
-            )
-        if command == "family":
-            return RunConfig(command=command, graph=args.graph, parts=args.parts, out=args.out)
-        # census
-        sources = [
-            args.max_vertices is not None,
-            args.random is not None,
-            bool(args.graph or args.graph_file),
-        ]
-        if sum(sources) != 1:
-            raise MatchextError(
-                "choose exactly one corpus: --max-vertices, --random, or --graph/--graph-file"
-            )
-        _reject_negative(args, ("max-vertices", "random", "timeout", "pair-cap"))
-        vertex_min = vertex_max = None
-        if args.random is not None:
-            vertex_min, vertex_max = _parse_vertex_range(args.vertices)
-        return RunConfig(
-            command=command,
-            theorems=theorems,
-            max_vertices=args.max_vertices,
-            random_count=args.random,
-            vertex_min=vertex_min,
-            vertex_max=vertex_max,
-            edge_prob=args.edge_prob,
-            seed=args.seed,
-            corpus_items=tuple(args.graph) + tuple(args.graph_file),
-            parity=args.parity,
-            connected=None if args.connected is None else args.connected == "yes",
-            n_max=args.n_max,
-            k_max=args.k_max,
-            jobs=args.jobs,
-            full=args.full,
-            timeout=args.timeout,
-            pair_cap=args.pair_cap,
-            out=args.out,
-        )
+            _reject_negative(config, ("n", "k", "i", "timeout", "pair-cap"))
+            config.format = GraphFormat(config.format)
+        elif command == "census":
+            sources = [
+                config.max_vertices is not None,
+                config.random is not None,
+                bool(config.graph or config.graph_file),
+            ]
+            if sum(sources) != 1:
+                raise MatchextError(
+                    "choose exactly one corpus: --max-vertices, --random, or --graph/--graph-file"
+                )
+            _reject_negative(config, ("max-vertices", "random", "timeout", "pair-cap"))
+            if config.random is not None:
+                config.vertex_min, config.vertex_max = _parse_vertex_range(config.vertices)
+            config.connected = None if config.connected is None else config.connected == "yes"
+        return config
 
     def corpus_spec(self) -> CorpusSpec:
         if self.max_vertices is not None:
             source: object = ExhaustiveSource(self.max_vertices)
-        elif self.random_count is not None:
-            source = RandomSource(
-                self.random_count, self.vertex_min, self.vertex_max, self.edge_prob, self.seed
-            )
+        elif self.random is not None:
+            source = RandomSource(self.random, self.vertex_min, self.vertex_max, self.edge_prob, self.seed)
         else:
-            source = FileSource(self.corpus_items)
+            source = FileSource(tuple(self.graph) + tuple(self.graph_file))
         return CorpusSpec(source, CorpusFilters(parity=self.parity, connected=self.connected))
 
 

@@ -134,8 +134,12 @@ class Budget:
 
     @staticmethod
     def from_limits(timeout_seconds: float | None, pair_cap: int | None) -> "Budget | None":
+        """None when there are no limits; ValueError on a negative or NaN limit."""
         if timeout_seconds is None and pair_cap is None:
             return None
+        for name, value in (("timeout", timeout_seconds), ("pair_cap", pair_cap)):
+            if value is not None and not value >= 0:  # also catches a NaN timeout
+                raise ValueError(f"{name} must be non-negative; got {value}")
         deadline = None if timeout_seconds is None else time.monotonic() + timeout_seconds
         return Budget(deadline=deadline, pair_cap=pair_cap)
 

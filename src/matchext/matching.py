@@ -89,18 +89,19 @@ def validate_matching_in(g: Graph, m: Matching) -> None:
             raise NotAMatchingError(f"edge ({u}, {v}) not present in the graph")
 
 
-def _blossom_mates(
-    n: int, neighbors: Sequence[Sequence[int]], mate: list[int] | None = None
-) -> list[int]:
+def _blossom_mates(n: int, neighbors: Sequence[Sequence[int]]) -> list[int]:
     """Deterministic blossom search; returns the mate array (-1 = exposed).
 
-    Starts from the matching ``mate`` (updated in place) or, by default, from
-    the empty one.
+    Starts from a greedy matching, which leaves few exposed vertices to
+    search from.
     """
-    if mate is None:
-        mate = [-1] * n
-    if n == 0:
-        return mate
+    mate = [-1] * n
+    for v, near in enumerate(neighbors):
+        if mate[v] == -1:
+            for u in near:
+                if mate[u] == -1:
+                    mate[v], mate[u] = u, v
+                    break
     parent = [-1] * n
     base = list(range(n))
     in_tree = [False] * n
@@ -179,22 +180,12 @@ def _blossom_mates(
 def _blossom_size(neighbors: Sequence[Sequence[int]], mask: int) -> int:
     """Maximum matching size of the induced subgraph on ``mask``, uncached.
 
-    ``neighbors`` lists the neighbors of every host vertex. Only the size is
-    returned, so the search may start from a greedy matching, which leaves
-    few exposed vertices to search from.
+    ``neighbors`` lists the neighbors of every host vertex.
     """
     verts = list(_bits(mask))
     index = {v: i for i, v in enumerate(verts)}
     local = [[index[u] for u in neighbors[v] if u in index] for v in verts]
-    mate = [-1] * len(verts)
-    for v, near in enumerate(local):
-        if mate[v] == -1:
-            for u in near:
-                if mate[u] == -1:
-                    mate[v], mate[u] = u, v
-                    break
-    mate = _blossom_mates(len(verts), local, mate)
-    return sum(1 for m in mate if m != -1) // 2
+    return sum(1 for m in _blossom_mates(len(verts), local) if m != -1) // 2
 
 
 def maximum_matching(g: Graph) -> Matching:

@@ -185,11 +185,6 @@ def _conclude(oracle: SubsetMatchingOracle, budget: Budget | None, detail: dict,
     return TheoremStatus.CONFIRMED, detail, None
 
 
-def _edge_admissible(nv: int, n: int, k: int) -> bool:
-    """(n, k) admissible on every G - V(e): n + 2k <= |V| - 4 and |V| - n even."""
-    return n + 2 * k <= nv - 4 and (nv - n) % 2 == 0
-
-
 # --- Bodies -----------------------------------------------------------------
 
 
@@ -349,7 +344,7 @@ def _tc_params(k: int | None = None, n: int | None = None) -> dict:
 
 def _t4_admissible(nv: int, has_factor: bool, p: dict) -> bool:
     n, k = p.get("n", 0), p.get("k", 0)
-    return has_factor and (admissible(nv, 0, 0) if n == k == 0 else _edge_admissible(nv, n, k))
+    return has_factor and (admissible(nv, 0, 0) if n == k == 0 else admissible(nv - 2, n, k))
 
 
 _T4_NEEDS = "a 1-factor, and n + 2k <= |V| - 4 with |V| - n even unless n = k = 0"
@@ -413,12 +408,12 @@ THEOREMS: dict[str, TheoremSpec] = {spec.theorem_id: spec for spec in (
         _edge_deletion((0, 1), lambda g, p: {"has_one_factor": True}, "all_edge_deletions_k_extendable"),
     ),
     TheoremSpec(
-        "T2", verify_theorem2, _nk_grid(0), lambda nv, hf, p: _edge_admissible(nv, p["n"], p["k"]),
+        "T2", verify_theorem2, _nk_grid(0), lambda nv, hf, p: admissible(nv - 2, p["n"], p["k"]),
         "n + 2k <= |V| - 4 and |V| - n even", False, _flags("n", "k"), _edge_deletion((0, 1)),
     ),
     TheoremSpec(
         "T3", verify_theorem3, _nk_grid(2),
-        lambda nv, hf, p: p["n"] >= 2 and _edge_admissible(nv, p["n"], p["k"]),
+        lambda nv, hf, p: p["n"] >= 2 and admissible(nv - 2, p["n"], p["k"]),
         "n > 1, n + 2k <= |V| - 4 and |V| - n even", False, _flags("n", "k"),
         _edge_deletion((2, 0), lambda g, p: {
             "size_bound_ok": g.vertex_count <= 2 * p["k"] + 3 * p["n"] + 4,
@@ -430,7 +425,7 @@ THEOREMS: dict[str, TheoremSpec] = {spec.theorem_id: spec for spec in (
         _one_factor_body,
     ),
     TheoremSpec(
-        "TA", verify_theoremA, _k_grid, lambda nv, hf, p: _edge_admissible(nv, 0, p["k"]),
+        "TA", verify_theoremA, _k_grid, lambda nv, hf, p: admissible(nv - 2, 0, p["k"]),
         "2k <= |V| - 4 and |V| even", False, _flags("k"), _edge_deletion((0, 0)),
     ),
     TheoremSpec(

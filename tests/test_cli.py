@@ -8,7 +8,17 @@ import pytest
 
 import matchext
 
-from matchext import MatchextError, complete_graph, serialize_graph6
+from matchext import (
+    THEOREM_IDS,
+    CorpusFilters,
+    CorpusSpec,
+    ExhaustiveSource,
+    FileSource,
+    MatchextError,
+    RandomSource,
+    complete_graph,
+    serialize_graph6,
+)
 from matchext.cli import RunConfig, build_parser, main
 from matchext.families import build_h2
 
@@ -83,6 +93,30 @@ class TestRunConfig:
         assert code == 2
         assert out == ""
         assert f"{flag} must be non-negative" in err
+
+    @pytest.mark.parametrize("argv, spec, theorems, n_max, k_max, full, jobs", [
+        (
+            ["--max-vertices", "7", "--jobs", "2", "--full"],
+            CorpusSpec(ExhaustiveSource(7)), THEOREM_IDS, 3, 2, True, 2,
+        ),
+        (
+            ["--graph-file", "corpus.g6", "--jobs", "1"],
+            CorpusSpec(FileSource(("corpus.g6",))), THEOREM_IDS, 3, 2, False, 1,
+        ),
+        (
+            ["--random", "10", "--vertices", "4..7", "--edge-prob", "0.3", "--seed", "5",
+             "--parity", "even", "--connected", "no", "--theorems", "T2,L1", "--n-max", "2", "--k-max", "1"],
+            CorpusSpec(RandomSource(10, 4, 7, 0.3, 5), CorpusFilters(parity="even", connected=False)),
+            ("T2", "L1"), 2, 1, False, 1,
+        ),
+    ])
+    def test_census_config(self, argv, spec, theorems, n_max, k_max, full, jobs):
+        # What a census run (and the benchmark's sweep) reads off the config.
+        config = self.parse("census", *argv)
+        assert config.corpus_spec() == spec
+        assert (config.theorems, config.n_max, config.k_max, config.full, config.jobs) == (
+            theorems, n_max, k_max, full, jobs
+        )
 
     def test_vertex_range_parsed_eagerly(self):
         config = self.parse("census", "--random", "3", "--vertices", "4..7")

@@ -260,6 +260,16 @@ class TestBudget:
     def test_no_limits_is_none(self):
         assert Budget.from_limits(None, None) is None
 
+    @pytest.mark.parametrize("timeout, pair_cap", [(-1.0, None), (float("nan"), None), (None, -1)])
+    def test_bad_limit_rejected(self, timeout, pair_cap):
+        # Unchecked, a negative limit aborts every search and a NaN timeout
+        # never fires, since every comparison with NaN is false.
+        with pytest.raises(ValueError, match="must be non-negative"):
+            Budget.from_limits(timeout, pair_cap)
+
+    def test_zero_limits_allowed(self):
+        assert Budget.from_limits(0.0, 0).pair_cap == 0
+
     def test_stats_are_counted(self):
         verdict = is_nk_extendable(complete_graph(6), 0, 1)
         assert verdict.stats.subsets_examined == 1

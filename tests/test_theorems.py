@@ -294,6 +294,16 @@ class TestCensus:
         spec = CorpusSpec(ExhaustiveSource(4), CorpusFilters(connected=True))
         assert len(corpus_graphs(spec)) == 1 + 1 + 2 + 6
 
+    @pytest.mark.parametrize("limits", [{"pair_cap": -1}, {"timeout": -1.0}, {"timeout": float("nan")}])
+    def test_bad_limit_rejected_before_the_corpus(self, monkeypatch, limits):
+        # Unchecked, pair_cap=-1 turns all 11 admissible L1 rows of the <= 4
+        # corpus into ABORTED rows.
+        monkeypatch.setattr(
+            census, "corpus_graphs", lambda spec: pytest.fail("corpus built before the limits were checked")
+        )
+        with pytest.raises(ValueError, match="must be non-negative"):
+            run_census(CorpusSpec(ExhaustiveSource(4)), theorems=["L1"], **limits)
+
     def test_pair_cap_aborts_instances(self):
         result = run_census(
             CorpusSpec(FileSource(("h1:1:0", "h1:2:0"))),
