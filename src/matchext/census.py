@@ -193,6 +193,9 @@ def run_census(
     """
     chosen = normalize_theorems(theorems)
     Budget.from_limits(timeout, pair_cap)  # rejects a bad limit before any work
+    for name, value in (("n_max", ranges.n_max), ("k_max", ranges.k_max)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative; got {value}")
     items = corpus_graphs(spec)
     keep = None if keep_statuses is None else set(keep_statuses)
     summary = {tid: {status: 0 for status in STATUS_ORDER} for tid in chosen}

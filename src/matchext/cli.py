@@ -86,7 +86,7 @@ class RunConfig(argparse.Namespace):
                 raise MatchextError(
                     "choose exactly one corpus: --max-vertices, --random, or --graph/--graph-file"
                 )
-            _reject_negative(config, ("max-vertices", "random", "timeout", "pair-cap"))
+            _reject_negative(config, ("max-vertices", "random", "n-max", "k-max", "timeout", "pair-cap"))
             if config.random is not None:
                 config.vertex_min, config.vertex_max = _parse_vertex_range(config.vertices)
             config.connected = None if config.connected is None else config.connected == "yes"

@@ -19,14 +19,12 @@ class InvalidParametersError(MatchextError):
     Carries the failed ParameterCheck in ``check``.
     """
 
-    def __init__(self, check, message=None):
+    def __init__(self, check):
         self.check = check
-        if message is None:
-            message = (
-                f"inadmissible parameters n={check.n}, k={check.k}: "
-                f"size_ok={check.size_ok}, parity_ok={check.parity_ok}"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"inadmissible parameters n={check.n}, k={check.k}: "
+            f"size_ok={check.size_ok}, parity_ok={check.parity_ok}"
+        )
 
 
 class InadmissibleParametersError(MatchextError):

@@ -172,8 +172,8 @@ def check_parameters(g: Graph, n: int, k: int) -> ParameterCheck:
 
 
 def admissible(vertex_count: int, n: int, k: int) -> bool:
-    """n + 2k <= |V| - 2 and |V| - n even."""
-    return n + 2 * k <= vertex_count - 2 and (vertex_count - n) % 2 == 0
+    """n, k >= 0, n + 2k <= |V| - 2 and |V| - n even."""
+    return n >= 0 and k >= 0 and n + 2 * k <= vertex_count - 2 and (vertex_count - n) % 2 == 0
 
 
 def _twin_classes(oracle: SubsetMatchingOracle, mask: int) -> list[list[int]]:

@@ -39,7 +39,7 @@ from .graph import Graph, _bits, twin_classes, twin_prefix_sets
 
 EXHAUSTIVE_LIMIT = 8
 
-# Isomorphism class counts for n = 0..8, used as a generator self-check.
+# Isomorphism class counts for n = 0..8; the tests check the generator against them.
 KNOWN_GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 
 

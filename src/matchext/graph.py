@@ -9,7 +9,7 @@ whole structure hashable and shareable across worker processes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -51,6 +51,7 @@ class ComponentReport:
     even_count: int
 
 
+@dataclass(frozen=True)
 class IndexRemap:
     """Old/new index translation produced by vertex deletion.
 
@@ -59,11 +60,12 @@ class IndexRemap:
     translated back through this table.
     """
 
-    __slots__ = ("kept", "_old_to_new")
+    kept: tuple[int, ...]
+    _old_to_new: dict[int, int] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, kept: Sequence[int]):
-        self.kept = tuple(kept)
-        self._old_to_new = {old: new for new, old in enumerate(self.kept)}
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kept", tuple(self.kept))
+        object.__setattr__(self, "_old_to_new", {old: new for new, old in enumerate(self.kept)})
 
     def old_of(self, new: int) -> int:
         return self.kept[new]
@@ -71,17 +73,16 @@ class IndexRemap:
     def new_of(self, old: int) -> int:
         return self._old_to_new[old]
 
-    def __repr__(self) -> str:
-        return f"IndexRemap(kept={self.kept!r})"
 
-
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Equality and hashing are by vertex count and edge set.
     """
 
-    __slots__ = ("_n", "_masks")
+    vertex_count: int
+    adjacency_masks: tuple[int, ...]
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
@@ -94,72 +95,40 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        object.__setattr__(self, "_n", vertex_count)
-        object.__setattr__(self, "_masks", tuple(masks))
-
-    # Graphs are value-immutable; block accidental attribute writes.
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    @property
-    def vertex_count(self) -> int:
-        return self._n
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "adjacency_masks", tuple(masks))
 
     @property
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self._masks) // 2
-
-    @property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        return self._masks
+        return sum(m.bit_count() for m in self.adjacency_masks) // 2
 
     def vertices(self) -> range:
-        return range(self._n)
+        return range(self.vertex_count)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return bool(self._masks[u] >> v & 1)
+        return bool(self.adjacency_masks[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return tuple(_bits(self._masks[v]))
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._masks[v].bit_count()
+        return tuple(_bits(self.adjacency_masks[v]))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
         out = []
-        for u in range(self._n):
-            m = self._masks[u] >> (u + 1) << (u + 1)
+        for u in range(self.vertex_count):
+            m = self.adjacency_masks[u] >> (u + 1) << (u + 1)
             for v in _bits(m):
                 out.append((u, v))
         return out
 
     def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self._n):
-            raise OutOfRangeError(f"vertex {v} outside 0..{self._n - 1}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self._n == other._n and self._masks == other._masks
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._masks))
+        if not (0 <= v < self.vertex_count):
+            raise OutOfRangeError(f"vertex {v} outside 0..{self.vertex_count - 1}")
 
     def __repr__(self) -> str:
-        return f"Graph(vertices={self._n}, edges={self.edge_count})"
-
-    def __getstate__(self):
-        return (self._n, self._masks)
-
-    def __setstate__(self, state):
-        n, masks = state
-        object.__setattr__(self, "_n", n)
-        object.__setattr__(self, "_masks", masks)
+        return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -37,7 +37,7 @@ from .extendability import (
     _verdict_on_mask,
     admissible,
 )
-from .graph import Graph
+from .graph import Graph, _mask_of
 from .graph_io import serialize_graph6
 from .matching import (
     Matching,
@@ -155,11 +155,6 @@ def report_or_abort(
 # --- Shared checks ----------------------------------------------------------
 
 
-def _edge_bits(edge: tuple[int, int]) -> int:
-    u, v = edge
-    return (1 << u) | (1 << v)
-
-
 def _conclusion_payload(
     oracle: SubsetMatchingOracle, mask: int, n: int, k: int
 ) -> dict:
@@ -206,7 +201,7 @@ def _edge_deletion(
             detail[key] = None
             return TheoremStatus.VACUOUS, detail, None
         full = oracle.full_mask
-        edges = (e for e in g.edges() if not _holds_on_mask(oracle, full ^ _edge_bits(e), n, k, budget))
+        edges = (e for e in g.edges() if not _holds_on_mask(oracle, full ^ _mask_of(e), n, k, budget))
         failing = next(edges, None)  # the first edge whose deletion breaks the hypothesis
         detail[key] = failing is None
         if failing is not None:
@@ -240,7 +235,7 @@ def _one_factor_body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | No
         if budget is not None:
             budget.charge_pairs()
             budget.check_time()
-        if _holds_on_mask(oracle, full ^ _edge_bits(e), n, k, budget):
+        if _holds_on_mask(oracle, full ^ _mask_of(e), n, k, budget):
             qualifying.append(e)
     spanning = Graph(g.vertex_count, qualifying)
     detail["some_factor_hypothesis"] = has_one_factor(spanning)
@@ -403,7 +398,7 @@ def verify_lemma2(g: Graph, n: int, k: int, **context: Any) -> TheoremReport:
 # in words, needs a 1-factor, verify flags, body[, params from kwargs]
 THEOREMS: dict[str, TheoremSpec] = {spec.theorem_id: spec for spec in (
     TheoremSpec(
-        "T1", verify_theorem1, _k_grid, lambda nv, hf, p: hf and nv >= 2 * p["k"] + 4,
+        "T1", verify_theorem1, _k_grid, lambda nv, hf, p: hf and admissible(nv - 2, 0, p["k"]),
         "a 1-factor and |V| >= 2k + 4", True, _flags("k"),
         _edge_deletion((0, 1), lambda g, p: {"has_one_factor": True}, "all_edge_deletions_k_extendable"),
     ),

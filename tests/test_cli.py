@@ -76,6 +76,15 @@ class TestRunConfig:
         assert out == ""
         assert f"{flag} must be non-negative" in err
 
+    @pytest.mark.parametrize("flag", ["--n-max", "--k-max"])
+    def test_negative_range_exit_2(self, capsys, flag):
+        # Unchecked, --n-max -1 leaves rows only for T1, TA, TB and TC, and
+        # --k-max -1 only TC's CRITICAL rows, and the census exits 0.
+        code, out, err = run_cli(capsys, "census", "--max-vertices", "6", flag, "-1")
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be non-negative; got -1" in err
+
     @pytest.mark.parametrize("command", ["check", "certify", "verify", "census"])
     @pytest.mark.parametrize("flag, value", [
         ("--timeout", "-1"), ("--pair-cap", "-1"), ("--timeout", "nan"),

@@ -46,6 +46,13 @@ class TestConstruction:
         clone = pickle.loads(pickle.dumps(g))
         assert clone == g
         assert clone.edges() == [(0, 1), (2, 4)]
+        assert hash(clone) == hash(g)
+
+    def test_value_equality(self):
+        g, h = Graph(3, [(0, 1), (1, 2)]), Graph(3, [(2, 1), (1, 0)])
+        assert g == h
+        assert hash(g) == hash(h)
+        assert Graph(2) != Graph(3)
 
     def test_vertexset_sorts_and_dedups(self):
         assert VertexSet.of([3, 1, 1, 2]).members == (1, 2, 3)
@@ -88,6 +95,7 @@ class TestDeleteVertices:
         assert remap.kept == (1, 2, 3)
         assert remap.old_of(0) == 1
         assert remap.new_of(3) == 2
+        assert repr(remap) == "IndexRemap(kept=(1, 2, 3))"
 
     def test_delete_nothing(self):
         g = complete_graph(4)

@@ -294,10 +294,14 @@ class TestCensus:
         spec = CorpusSpec(ExhaustiveSource(4), CorpusFilters(connected=True))
         assert len(corpus_graphs(spec)) == 1 + 1 + 2 + 6
 
-    @pytest.mark.parametrize("limits", [{"pair_cap": -1}, {"timeout": -1.0}, {"timeout": float("nan")}])
+    @pytest.mark.parametrize("limits", [
+        {"pair_cap": -1}, {"timeout": -1.0}, {"timeout": float("nan")},
+        {"ranges": ParamRanges(-1, 2)}, {"ranges": ParamRanges(3, -1)},
+    ])
     def test_bad_limit_rejected_before_the_corpus(self, monkeypatch, limits):
         # Unchecked, pair_cap=-1 turns all 11 admissible L1 rows of the <= 4
-        # corpus into ABORTED rows.
+        # corpus into ABORTED rows, and a negative n_max or k_max empties
+        # the (n, k) grids, so the census checks nothing and returns.
         monkeypatch.setattr(
             census, "corpus_graphs", lambda spec: pytest.fail("corpus built before the limits were checked")
         )
@@ -393,6 +397,19 @@ class TestRegistry:
                         spec.validator(g, **kwargs, oracle=oracle, source=source)
                     refused += 1
         assert refused > 0
+
+    @pytest.mark.parametrize("validator, g, kwargs", [
+        (verify_theorem2, complete_graph(5), {"n": -1, "k": 0}),
+        (verify_lemma2, complete_graph(5), {"n": -1, "k": 1}),
+        (verify_theorem1, complete_graph(6), {"k": -1}),
+        (verify_theoremA, complete_graph(6), {"k": -1}),
+        (verify_theorem4, complete_graph(8), {"n": -2, "k": 0}),
+    ], ids=["T2", "L2", "T1", "TA", "T4"])
+    def test_negative_parameters_inadmissible(self, validator, g, kwargs):
+        # Unchecked, T2 and L2 confirm these rows, and T1, TA and T4 fail
+        # inside itertools.combinations with a ValueError.
+        with pytest.raises(InadmissibleParametersError):
+            validator(g, **kwargs)
 
     def test_tc_grid_order(self):
         assert THEOREMS["TC"].grid(2, 1) == [{"k": 0}, {"k": 1}, {"n": 1}, {"n": 2}]
