@@ -10,14 +10,13 @@ import time
 
 from matchext import CorpusSpec, ExhaustiveSource, ParamRanges, TheoremStatus, run_census
 from matchext.census import STATUS_ORDER
-
-DEFAULT_THEOREMS = "T1,T2,T3,T4,TB,TC,L1,L2"
+from matchext.theorems import THEOREM_IDS
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-vertices", type=int, default=8)
-    parser.add_argument("--theorems", default=DEFAULT_THEOREMS)
+    parser.add_argument("--theorems", default=",".join(THEOREM_IDS))
     parser.add_argument("--n-max", type=int, default=3)
     parser.add_argument("--k-max", type=int, default=2)
     parser.add_argument("--jobs", type=int, default=2)

@@ -272,9 +272,11 @@ class SubsetMatchingOracle:
     was, so it never holds more than ``miss_budget`` entries and its length
     is the number of misses.
 
-    Also carries the (mask, n, k)-extendability cache shared by the theorem
-    validators and the twin classes of each decided mask; see
-    extendability._holds_on_mask.
+    Also carries two caches for the extendability decisions (see
+    extendability._holds_on_mask and extendability._prefix_sets):
+    ``nk_cache``, the verdict per (mask, n, k), shared by the theorem
+    validators; and, once the table is built, ``prefix_cache``, the
+    twin-prefix sets per (mask, size).
     """
 
     def __init__(self, graph: Graph):
@@ -283,7 +285,7 @@ class SubsetMatchingOracle:
         self.n = graph.vertex_count
         self.full_mask = (1 << self.n) - 1
         self.nk_cache: dict[tuple[int, int, int], bool] = {}
-        self.twin_cache: dict[int, list[list[int]]] = {}
+        self.prefix_cache: dict[tuple[int, int], Sequence[int]] = {}
         self._lazy: dict[int, int] = {}
         self._table: bytearray | None = None
         if self.n <= _EAGER_VERTICES:
@@ -314,20 +316,24 @@ class SubsetMatchingOracle:
             self.size = self._table.__getitem__
 
     def _build_table(self) -> bytearray:
+        # nu(mask) is nu(rest), or nu(rest - u) + 1 for a neighbour u of the
+        # lowest vertex, and never more than nu(rest) + 1 or |mask| / 2. So the
+        # scan is skipped when nu(rest) is already |mask| / 2 and stops at the
+        # first u with nu(rest - u) = nu(rest).
         masks = self.masks
         table = bytearray(1 << self.n)
         for mask in range(1, 1 << self.n):
             low = mask & -mask
-            v = low.bit_length() - 1
             rest = mask ^ low
             best = table[rest]
-            nb = masks[v] & rest
-            while nb:
-                ub = nb & -nb
-                nb ^= ub
-                cand = table[rest ^ ub] + 1
-                if cand > best:
-                    best = cand
+            if best < mask.bit_count() >> 1:
+                nb = masks[low.bit_length() - 1] & rest
+                while nb:
+                    ub = nb & -nb
+                    if table[rest ^ ub] == best:
+                        best += 1
+                        break
+                    nb ^= ub
             table[mask] = best
         return table
 

@@ -10,6 +10,7 @@ from matchext import (
     Failure,
     InvalidParametersError,
     Matching,
+    SearchStats,
     VertexSet,
     check_parameters,
     complete_graph,
@@ -19,9 +20,10 @@ from matchext import (
     is_nk_extendable,
     verify_failure_witness,
 )
-from matchext import SubsetMatchingOracle, exhaustive_graphs
-from matchext.extendability import _holds_on_mask, _verdict_on_mask, admissible
+from matchext import SubsetMatchingOracle, exhaustive_graphs, extendability
+from matchext.extendability import _holds_on_mask, _prefix_sets, _verdict_on_mask, admissible
 from matchext.families import build_h1, resolve_family_ref
+from matchext.graph import twin_classes, twin_prefix_sets
 
 from conftest import cycle_graph, graphs, star_graph, twin_heavy_graphs
 from oracles import naive_is_nk_extendable, reference_search_failure
@@ -124,6 +126,46 @@ class TestLargeGraphFallback:
     def test_cycle_20_plus_isolated_vertices_fails(self):
         # 22 vertices: any 1-matching strands the two isolated vertices.
         g = disjoint_union([cycle_graph(20), Graph(1), Graph(1)])
+        verdict = is_nk_extendable(g, 0, 1)
+        assert not verdict.holds
+        assert verdict.failure.kind is FailureKind.STUCK_MATCHING
+        assert verify_failure_witness(g, 0, 1, verdict.failure)
+
+
+class TestDecisionCaches:
+    @pytest.mark.parametrize("g, holds", [
+        (cycle_graph(6), True),
+        (disjoint_union([star_graph(3), Graph(1), Graph(1)]), False),
+    ])
+    def test_0_0_decision_is_one_lookup(self, g, holds, monkeypatch):
+        # The empty set is the only 0-set, so a bare 1-factor question needs
+        # no twin classes.
+        monkeypatch.setattr(extendability, "twin_classes", None)
+        oracle = SubsetMatchingOracle(g)
+        budget = Budget(pair_cap=1)
+        stats = SearchStats()
+        assert _holds_on_mask(oracle, oracle.full_mask, 0, 0, budget, stats) is holds
+        assert oracle.prefix_cache == {}
+        assert budget.pairs_charged == 1
+        assert (stats.subsets_examined, stats.pairs_examined) == (1, 0)
+
+    def test_prefix_sets_shared_across_grid_points(self):
+        # (2, 0) walks the 2-sets in condition (i), (0, 1) in condition (ii).
+        g = cycle_graph(6)
+        oracle = SubsetMatchingOracle(g)
+        full = oracle.full_mask
+        _holds_on_mask(oracle, full, 2, 0)
+        _holds_on_mask(oracle, full, 0, 1)
+        assert list(oracle.prefix_cache) == [(full, 2)]
+        expected = list(twin_prefix_sets(twin_classes(g.adjacency_masks, full), 2))
+        assert list(_prefix_sets(oracle, full, 2)) == expected
+
+    def test_more_than_64_vertices_with_big_twin_classes(self):
+        # K_{35,35} is two classes of 35 false twins; its masks exceed a
+        # 64-bit word. The two added isolated vertices are stranded by any edge.
+        k35 = Graph(70, [(u, 35 + v) for u in range(35) for v in range(35)])
+        assert is_nk_extendable(k35, 0, 1).holds
+        g = disjoint_union([k35, Graph(1), Graph(1)])
         verdict = is_nk_extendable(g, 0, 1)
         assert not verdict.holds
         assert verdict.failure.kind is FailureKind.STUCK_MATCHING
@@ -244,6 +286,27 @@ class TestBudget:
         budget = Budget(pair_cap=10)
         with pytest.raises(BudgetExceededError):
             is_nk_extendable(fam.graph, 2, 2, budget=budget)
+
+    def test_pair_cap_stops_a_lazy_decision_within_its_sets(self, monkeypatch):
+        # The complement of C30 is twin-free, so it has C(30, 8) = 5.9 M
+        # twin-prefix 8-sets, and each leaves a Hamiltonian graph with a
+        # 1-factor. On a lazy oracle the sets stream: the cap fires at the
+        # eleventh, with no list built or cached.
+        pulled = []
+
+        def counted(classes, size):
+            for smask in twin_prefix_sets(classes, size):
+                pulled.append(smask)
+                yield smask
+
+        monkeypatch.setattr(extendability, "twin_prefix_sets", counted)
+        g = Graph(30, [(u, v) for u in range(30) for v in range(u + 2, 30) if (u, v) != (0, 29)])
+        oracle = SubsetMatchingOracle(g)
+        budget = Budget(pair_cap=10)
+        with pytest.raises(BudgetExceededError):
+            is_nk_extendable(g, 8, 0, budget=budget, oracle=oracle)
+        assert not oracle.table_built and oracle.prefix_cache == {}
+        assert budget.pairs_charged == len(pulled) == 11
 
     def test_zero_timeout_aborts(self):
         budget = Budget.from_limits(0.0, None)

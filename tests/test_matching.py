@@ -20,7 +20,7 @@ from matchext import (
 )
 from matchext.matching import _matchings_in_mask, _one_factors_in_mask
 
-from conftest import cycle_graph, graphs, petersen_graph, star_graph
+from conftest import cycle_graph, graphs, path_graph, petersen_graph, star_graph
 from oracles import (
     brute_max_deficiency,
     brute_max_matching_size,
@@ -238,6 +238,25 @@ class TestSubsetOracle:
             assert oracle.table_built == (oracle.misses == oracle.miss_budget)
             after += built
         assert oracle.misses == oracle.miss_budget
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graphs(max_vertices=6),
+        st.lists(st.sampled_from([Graph(1), complete_graph(3), path_graph(3)]), max_size=3),
+        st.data(),
+    )
+    def test_table_matches_brute_force_on_every_mask(self, base, loose, data):
+        # Isolated vertices and odd components leave vertices exposed, where
+        # the table build's early stop must not fire too soon.
+        g = disjoint_union(data.draw(st.permutations([base, *loose])))
+        if g.vertex_count > 9:
+            g, _ = delete_vertices(g, VertexSet.of(range(9, g.vertex_count)))
+        oracle = SubsetMatchingOracle(g)
+        assert oracle.table_built
+        for mask in range(1 << g.vertex_count):
+            drop = [v for v in range(g.vertex_count) if not mask >> v & 1]
+            sub, _ = delete_vertices(g, VertexSet.of(drop))
+            assert oracle.size(mask) == brute_max_matching_size(sub), mask
 
     def test_lazy_memo_bounded_by_miss_budget(self):
         g = Graph(14, [(u, v) for u in range(14) for v in range(u + 1, 14) if (u * v + u + v) % 3])
