@@ -15,27 +15,43 @@ isomorphic graphs share a certificate. Fine for the <= 8 vertices the
 census needs; beyond that the labeled space explodes and generation is
 refused.
 
-Both steps skip work that swapping two twins would repeat. Twins share
-their closed or their open neighborhood, so transposing them is an
-automorphism (B. D. McKay, "Practical graph isomorphism", 1981, restricted
-to these transpositions). The search branches on one vertex per twin class
-of the target cell: twins in a cell have not been individualized, so the
-transposition fixes the node and maps one subtree onto the other, and the
-minimum certificate is unchanged. The extension step skips a neighborhood
-that holds a vertex but not an earlier twin of it in the parent: the
-transposition turns it into a smaller neighborhood of the same parent that
-gives an isomorphic graph, so it never holds the first occurrence of a
-class. Representatives, their order and the certificates are therefore the
+Both steps skip work that an automorphism of the graph would repeat.
+Twins share their closed or their open neighborhood, so transposing them is
+an automorphism (B. D. McKay, "Practical graph isomorphism", 1981,
+restricted to these transpositions). The search branches on one vertex per
+twin class of the target cell: twins in a cell have not been individualized,
+so the transposition fixes the node and maps one subtree onto the other, and
+the minimum certificate is unchanged.
+
+The search also yields automorphisms at no extra cost: two leaves with equal
+certificates order the vertices so that position i of one and position i of
+the other have the same adjacencies, so mapping the one vertex to the other,
+position by position, is an automorphism. Leaves the twin branching skipped
+are reached from explored ones by twin transpositions, so these maps and the
+transpositions of consecutive twins generate the whole group.
+
+The extension step tries one neighborhood per orbit of the parent's
+automorphism group. Any automorphism turns a neighborhood into another of
+the same parent that gives an isomorphic graph, and in ascending order the
+least member of an orbit comes first, so only it can hold the first
+occurrence of a class; this holds for the orbits of any subgroup. A
+neighborhood that holds a vertex but not an earlier twin of it is dropped
+first, without a walk: the transposition makes it smaller. Every other one
+is dropped when a walk of its orbit under the generators reaches a smaller
+mask. Representatives, their order and the certificates are therefore the
 same as without pruning.
 """
 
 from __future__ import annotations
 
+import logging
 import random
 from functools import lru_cache
 from typing import Sequence
 
 from .graph import Graph, _bits, twin_classes, twin_prefix_sets
+
+log = logging.getLogger("matchext.generate")
 
 EXHAUSTIVE_LIMIT = 8
 
@@ -44,17 +60,25 @@ KNOWN_GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 
 
 def _refine(nbrs: Sequence[tuple[int, ...]], colors: list[int]) -> list[int]:
-    """Stable coloring: split classes by multiset of neighbor colors."""
+    """Stable coloring: split classes by multiset of neighbor colors.
+
+    Each pass refines the last, so a pass that keeps the class count keeps
+    the partition, and its ranks are what every later pass returns. A
+    vertex alone in its class is ranked by its color alone.
+    """
+    cells = len(set(colors))
     while True:
+        seen: set[int] = set()
+        shared = {c for c in colors if c in seen or seen.add(c)}
         signatures = [
-            (colors[v], tuple(sorted([colors[u] for u in nb])))
-            for v, nb in enumerate(nbrs)
+            (c, tuple(sorted([colors[u] for u in nb]))) if c in shared else (c,)
+            for c, nb in zip(colors, nbrs)
         ]
         order = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [order[sig] for sig in signatures]
-        if new_colors == colors:
+        colors = [order[sig] for sig in signatures]
+        if len(order) == cells:
             return colors
-        colors = new_colors
+        cells = len(order)
 
 
 def _certificate(masks: tuple[int, ...], n: int, perm: list[int]) -> int:
@@ -67,8 +91,12 @@ def _certificate(masks: tuple[int, ...], n: int, perm: list[int]) -> int:
     return bits
 
 
-def canonical_form(g: Graph) -> int:
-    """Exact isomorphism invariant: equal iff the graphs are isomorphic."""
+def canonical_form(g: Graph, *, automorphisms: list[tuple[int, ...]] | None = None) -> int:
+    """Exact isomorphism invariant: equal iff the graphs are isomorphic.
+
+    Given a list, appends generators of the automorphism group of ``g`` to
+    it, each as the tuple of vertex images.
+    """
     n = g.vertex_count
     masks = g.adjacency_masks
     if n == 0:
@@ -78,10 +106,16 @@ def canonical_form(g: Graph) -> int:
     for i, cls in enumerate(twin_classes(masks, (1 << n) - 1)):
         for v in cls:
             twin[v] = i
+        if automorphisms is not None:
+            for u, v in zip(cls, cls[1:]):
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                automorphisms.append(tuple(swap))
     best: int | None = None
+    best_colors: list[int] = []
 
     def search(colors: list[int]) -> None:
-        nonlocal best
+        nonlocal best, best_colors
         colors = _refine(nbrs, colors)
         count: dict[int, int] = {}
         for c in colors:
@@ -95,7 +129,11 @@ def canonical_form(g: Graph) -> int:
             perm = sorted(range(n), key=colors.__getitem__)
             cert = _certificate(masks, n, perm)
             if best is None or cert < best:
-                best = cert
+                best, best_colors = cert, colors
+            elif cert == best and automorphisms is not None:
+                # The vertex at each position of the best leaf goes to the
+                # vertex at that position here.
+                automorphisms.append(tuple(perm[c] for c in best_colors))
             return
         branched: set[int] = set()
         for v in range(n):
@@ -110,32 +148,59 @@ def canonical_form(g: Graph) -> int:
     return best
 
 
-def _extension_masks(parent: Graph) -> list[int]:
+def _image(perm: tuple[int, ...], mask: int) -> int:
+    out = 0
+    for v in _bits(mask):
+        out |= 1 << perm[v]
+    return out
+
+
+def _extension_masks(parent: Graph, generators: Sequence[tuple[int, ...]]) -> list[int]:
     """Neighborhoods for a new vertex, ascending, that take a prefix of
-    every twin class of ``parent``."""
+    every twin class of ``parent`` and are the least of their orbit under
+    ``generators``."""
     n = parent.vertex_count
     classes = twin_classes(parent.adjacency_masks, (1 << n) - 1)
-    return sorted(m for size in range(n + 1) for m in twin_prefix_sets(classes, size))
+    masks = sorted(m for size in range(n + 1) for m in twin_prefix_sets(classes, size))
+    return [m for m in masks if _least_in_orbit(m, generators)]
+
+
+def _least_in_orbit(mask: int, generators: Sequence[tuple[int, ...]]) -> bool:
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        x = stack.pop()
+        for perm in generators:
+            y = _image(perm, x)
+            if y < mask:
+                return False
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return True
 
 
 @lru_cache(maxsize=None)
-def _exhaustive_level(t: int) -> tuple[Graph, ...]:
-    """Canonical representatives of every t-vertex graph, discovery order."""
-    if t == 0:
-        return (Graph(0),)
-    if t == 1:
-        return (Graph(1),)
-    reps: list[Graph] = []
+def _exhaustive_level(t: int) -> tuple[tuple[Graph, list[tuple[int, ...]]], ...]:
+    """Canonical representatives of every t-vertex graph, discovery order,
+    each beside generators of its automorphism group."""
+    if t <= 1:
+        return ((Graph(t), []),)
+    reps: list[tuple[Graph, list[tuple[int, ...]]]] = []
     seen: set[int] = set()
-    for parent in _exhaustive_level(t - 1):
+    tried = 0
+    for parent, generators in _exhaustive_level(t - 1):
         base_edges = parent.edges()
-        for nbmask in _extension_masks(parent):
+        for nbmask in _extension_masks(parent, generators):
             edges = base_edges + [(u, t - 1) for u in _bits(nbmask)]
             candidate = Graph(t, edges)
-            cert = canonical_form(candidate)
+            found: list[tuple[int, ...]] = []
+            cert = canonical_form(candidate, automorphisms=found)
+            tried += 1
             if cert not in seen:
                 seen.add(cert)
-                reps.append(candidate)
+                reps.append((candidate, found))
+    log.info("level %d: %d extensions tried, %d classes", t, tried, len(reps))
     return tuple(reps)
 
 
@@ -152,7 +217,7 @@ def exhaustive_graphs(max_vertices: int) -> list[Graph]:
         )
     out: list[Graph] = []
     for t in range(1, max_vertices + 1):
-        out.extend(_exhaustive_level(t))
+        out.extend(g for g, _ in _exhaustive_level(t))
     return out
 
 

@@ -403,3 +403,21 @@ class TestOracleLog:
         assert run.stderr.splitlines() == [f"matchext.cli INFO subset oracle: {line}"]
         code, out, _ = run_cli(capsys, *argv)
         assert run.stdout == out
+
+
+class TestGenerateLog:
+    def test_level_lines_on_stderr(self, capsys):
+        argv = ("census", "--max-vertices", "4", "--full")
+        src = str(Path(matchext.__file__).resolve().parents[1])
+        env = dict(os.environ, MATCHEXT_LOG="info", PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "matchext", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0
+        assert run.stderr.splitlines() == [
+            "matchext.generate INFO level 2: 2 extensions tried, 2 classes",
+            "matchext.generate INFO level 3: 6 extensions tried, 4 classes",
+            "matchext.generate INFO level 4: 20 extensions tried, 11 classes",
+        ]
+        code, out, _ = run_cli(capsys, *argv)
+        assert run.stdout == out

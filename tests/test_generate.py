@@ -13,7 +13,7 @@ from matchext import (
     join,
     random_graphs,
 )
-from matchext.generate import KNOWN_GRAPH_COUNTS
+from matchext.generate import KNOWN_GRAPH_COUNTS, _exhaustive_level, _extension_masks
 from matchext.graph import _bits
 from matchext.graph_io import serialize_graph6
 
@@ -38,6 +38,18 @@ SYMMETRIC_8 = {
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
+    n = g.vertex_count
+    return sorted(perm) == list(range(n)) and all(
+        g.has_edge(perm[u], perm[v]) for u, v in g.edges()
+    )
+
+
+def extensions_tried(t: int) -> int:
+    """Neighborhoods the generator tries to build level t."""
+    return sum(len(_extension_masks(g, gens)) for g, gens in _exhaustive_level(t - 1))
 
 
 def unpruned_level(previous: list[Graph], t: int) -> list[Graph]:
@@ -104,6 +116,31 @@ class TestAgainstUnprunedSearch:
             assert [g.edges() for g in exhaustive_graphs(t)[-len(level):]] == [
                 g.edges() for g in level
             ]
+
+
+class TestOrbitPruning:
+    """The stored generators are automorphisms, and they generate the whole
+    group: one neighborhood per orbit of a graph on t - 1 vertices is one
+    graph with loops on t - 1 vertices (OEIS A000666)."""
+
+    def test_stored_generators_are_automorphisms(self):
+        for t in range(1, 8):
+            for g, gens in _exhaustive_level(t):
+                assert all(is_automorphism(g, perm) for perm in gens), g
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(graphs(max_vertices=8), twin_heavy_graphs(max_vertices=8)))
+    def test_found_generators_are_automorphisms(self, g):
+        found: list[tuple[int, ...]] = []
+        canonical_form(g, automorphisms=found)
+        assert all(is_automorphism(g, perm) for perm in found)
+
+    def test_extensions_per_level(self):
+        assert [extensions_tried(t) for t in range(2, 8)] == [2, 6, 20, 90, 544, 5096]
+
+    def test_extensions_at_level_eight(self):
+        exhaustive_graphs(8)  # process-cached, shared with the pinned corpus test
+        assert extensions_tried(8) == 79264
 
 
 class TestAtlasCrossCheck:
