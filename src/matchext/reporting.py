@@ -7,8 +7,8 @@ seeds) produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 from .census import CensusResult, CorpusSpec
@@ -138,5 +138,66 @@ def census_document(result: CensusResult) -> dict[str, Any]:
     }
 
 
+_INF = float("inf")
+
+
+def _scalar(value: Any) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write(value: Any, indent: str, out: list[str]) -> None:
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + _encode_str(key if isinstance(key, str) else _scalar(key)) + ": ")
+            sep = "," + inner
+            _write(item, inner, out)
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _write(item, inner, out)
+        out.append(indent + "]")
+    else:
+        out.append(_scalar(value))
+
+
 def to_json(document: dict[str, Any]) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    """``json.dumps(document, indent=2)`` plus a newline, byte for byte.
+
+    json takes its pure-Python encoder whenever it indents; this writer
+    builds the same text in one pass, with json's own string escaping and
+    number reprs.
+    """
+    out: list[str] = []
+    _write(document, "\n", out)
+    out.append("\n")
+    return "".join(out)

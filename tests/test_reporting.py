@@ -1,5 +1,8 @@
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from matchext import complete_graph, is_nk_extendable, verify_theorem2
 from matchext.cli import main
 from matchext.families import build_h1
@@ -40,6 +43,24 @@ class TestEmitVerdictJson:
         one = verdict_json(is_nk_extendable(g, 0, 1), n=0, k=1, graph=graph_info(g))
         two = verdict_json(is_nk_extendable(g, 0, 1), n=0, k=1, graph=graph_info(g))
         assert one == two
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_same_bytes_as_json_dumps(self, value):
+        assert to_json(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_tuples_and_non_ascii(self):
+        value = {"t": (1, ("x", 2.5)), "é": ["\u2603", "\x00"], "e": {}, "l": []}
+        assert to_json(value) == json.dumps(value, indent=2) + "\n"
 
 
 class TestCliDiagnostics:
