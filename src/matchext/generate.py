@@ -181,12 +181,12 @@ def _least_in_orbit(mask: int, generators: Sequence[tuple[int, ...]]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _exhaustive_level(t: int) -> tuple[tuple[Graph, list[tuple[int, ...]]], ...]:
+def _exhaustive_level(t: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], ...]:
     """Canonical representatives of every t-vertex graph, discovery order,
     each beside generators of its automorphism group."""
     if t <= 1:
-        return ((Graph(t), []),)
-    reps: list[tuple[Graph, list[tuple[int, ...]]]] = []
+        return ((Graph(t), ()),)
+    reps: list[tuple[Graph, tuple[tuple[int, ...], ...]]] = []
     seen: set[int] = set()
     tried = 0
     for parent, generators in _exhaustive_level(t - 1):
@@ -199,7 +199,7 @@ def _exhaustive_level(t: int) -> tuple[tuple[Graph, list[tuple[int, ...]]], ...]
             tried += 1
             if cert not in seen:
                 seen.add(cert)
-                reps.append((candidate, found))
+                reps.append((candidate, tuple(found)))
     log.info("level %d: %d extensions tried, %d classes", t, tried, len(reps))
     return tuple(reps)
 

@@ -53,13 +53,14 @@ JSON_VALUES = st.recursive(
 
 
 class TestJsonWriter:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(JSON_VALUES)
     def test_same_bytes_as_json_dumps(self, value):
         assert to_json(value) == json.dumps(value, indent=2) + "\n"
 
-    def test_tuples_and_non_ascii(self):
+    def test_tuples_non_ascii_and_scalar_keys(self):
         value = {"t": (1, ("x", 2.5)), "é": ["\u2603", "\x00"], "e": {}, "l": []}
+        value.update({1: "i", 2.5: "f", False: "b", None: "n"})
         assert to_json(value) == json.dumps(value, indent=2) + "\n"
 
 
