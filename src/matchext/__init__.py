@@ -49,12 +49,10 @@ from .extendability import (
 from .families import FamilyInstance, build_h1, build_h2, resolve_family_ref
 from .generate import canonical_form, exhaustive_graphs, random_graphs
 from .graph import (
-    ComponentReport,
     Graph,
     IndexRemap,
     VertexSet,
     complete_graph,
-    components,
     delete_vertices,
     disjoint_union,
     join,

@@ -44,8 +44,7 @@ from .graph import (
     VertexSet,
     _bits,
     _mask_of,
-    components,
-    delete_vertices,
+    components_of_mask,
     twin_classes,
     twin_prefix_sets,
 )
@@ -53,11 +52,9 @@ from .matching import (
     Matching,
     SubsetMatchingOracle,
     TutteCertificate,
+    _blossom_size,
     _gallai_edmonds_tutte,
     _matchings_in_mask,
-    has_one_factor,
-    maximum_matching,
-    validate_matching_in,
 )
 
 
@@ -335,52 +332,49 @@ def is_n_factor_critical(g: Graph, n: int, **kwargs) -> ExtendabilityVerdict:
     return is_nk_extendable(g, n, 0, **kwargs)
 
 
-def verify_failure_witness(g: Graph, n: int, k: int, failure: Failure) -> bool:
-    """Re-check a failure witness from scratch.
+def _distinct_mask(vertices: Iterable[int], vertex_count: int) -> int | None:
+    """Mask of ``vertices``, or None if one repeats or lies outside 0..vertex_count-1."""
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < vertex_count or mask >> v & 1:
+            return None
+        mask |= 1 << v
+    return mask
 
-    Deliberately avoids the subset oracle: only vertex deletion, the blossom
-    engine, and component counting are used, so a verdict and its witness
-    are established by two independent routes.
+
+def verify_failure_witness(g: Graph, n: int, k: int, failure: Failure) -> bool:
+    """Re-check a failure witness from scratch; False, never an error, if malformed.
+
+    Deliberately avoids the subset oracle, its table and twin classes: every
+    set is a vertex mask of g, each matching size is one blossom run on g's
+    own neighbour lists, and the odd components come from a component walk,
+    so a verdict and its witness are established by two independent routes.
     """
-    s = failure.s
-    if len(s) != n:
+    count, masks = g.vertex_count, g.adjacency_masks
+    s_mask = _distinct_mask(failure.s, count)
+    if s_mask is None or len(failure.s) != n:
         return False
-    if s.members and (s.members[0] < 0 or s.members[-1] >= g.vertex_count):
-        return False
-    minus_s, _ = delete_vertices(g, s)
+    neighbors = [g.neighbors(v) for v in g.vertices()]
+    rest = ((1 << count) - 1) ^ s_mask
     if failure.kind is FailureKind.NO_K_MATCHING:
-        return maximum_matching(minus_s).size < k
+        return _blossom_size(neighbors, rest) < k
     m = failure.m
     if m is None or m.size != k:
         return False
-    try:
-        validate_matching_in(g, m)
-    except Exception:
+    m_mask = _distinct_mask((v for edge in m.edges for v in edge), count)
+    if m_mask is None or m_mask & s_mask or not all(masks[u] >> v & 1 for u, v in m.edges):
         return False
-    if m.mask() & s.mask():
-        return False
-    remainder, remap = delete_vertices(g, VertexSet.of(set(s) | m.vertices))
-    if has_one_factor(remainder):
-        return False
+    rest ^= m_mask
+    if rest.bit_count() % 2 == 0 and 2 * _blossom_size(neighbors, rest) == rest.bit_count():
+        return False  # G - S - V(M) has a 1-factor, so M extends
     tutte = failure.tutte
     if tutte is None:
         return False
-    try:
-        s_prime_new = [remap.new_of(v) for v in tutte.s_prime]
-    except KeyError:
+    s_prime = _distinct_mask(tutte.s_prime, count)
+    if s_prime is None or s_prime & ~rest:
         return False
-    reduced, inner_remap = delete_vertices(remainder, VertexSet.of(s_prime_new))
-    comps = components(reduced)
-    reported = {c.members for c in tutte.odd_components}
-    actual = {
-        tuple(inner_remap.old_of(v) for v in c.members)
-        for c in comps.components
-        if len(c) % 2 == 1
-    }
-    actual_original = {
-        tuple(remap.old_of(v) for v in comp) for comp in actual
-    }
-    if reported != actual_original:
+    odd = [c for c in components_of_mask(masks, rest ^ s_prime) if c.bit_count() % 2]
+    if sorted(c.members for c in tutte.odd_components) != [tuple(_bits(c)) for c in odd]:
         return False
-    excess = comps.odd_count - len(tutte.s_prime)
+    excess = len(odd) - s_prime.bit_count()
     return excess == tutte.deficiency_excess and excess >= 2

@@ -38,18 +38,6 @@ class VertexSet:
     def __contains__(self, v: object) -> bool:
         return v in self.members
 
-    def mask(self) -> int:
-        return _mask_of(self.members)
-
-
-@dataclass(frozen=True)
-class ComponentReport:
-    """Connected components of a graph with odd/even tallies."""
-
-    components: tuple[VertexSet, ...]
-    odd_count: int
-    even_count: int
-
 
 @dataclass(frozen=True)
 class IndexRemap:
@@ -262,13 +250,3 @@ def components_of_mask(masks: Sequence[int], mask: int) -> list[int]:
         out.append(comp)
         todo &= ~comp
     return out
-
-
-def components(g: Graph) -> ComponentReport:
-    """Connected components partitioning V(g); odd_count is the o(G) tally."""
-    full = (1 << g.vertex_count) - 1
-    comps = [
-        VertexSet(tuple(_bits(c))) for c in components_of_mask(g.adjacency_masks, full)
-    ]
-    odd = sum(1 for c in comps if len(c) % 2 == 1)
-    return ComponentReport(tuple(comps), odd, len(comps) - odd)

@@ -56,9 +56,6 @@ class Matching:
     def vertices(self) -> frozenset[int]:
         return frozenset(v for e in self.edges for v in e)
 
-    def covers(self, v: int) -> bool:
-        return v in self.vertices
-
     def mask(self) -> int:
         return _mask_of(v for edge in self.edges for v in edge)
 
@@ -80,13 +77,6 @@ class TutteCertificate:
     s_prime: VertexSet
     odd_components: tuple[VertexSet, ...]
     deficiency_excess: int
-
-
-def validate_matching_in(g: Graph, m: Matching) -> None:
-    """Raise NotAMatchingError unless every edge of m exists in g."""
-    for u, v in m.edges:
-        if u >= g.vertex_count or v >= g.vertex_count or not g.has_edge(u, v):
-            raise NotAMatchingError(f"edge ({u}, {v}) not present in the graph")
 
 
 def _blossom_mates(n: int, neighbors: Sequence[Sequence[int]]) -> list[int]:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from matchext import (
     InvalidParametersError,
     Matching,
     SearchStats,
+    TutteCertificate,
     VertexSet,
     check_parameters,
     complete_graph,
@@ -254,6 +257,13 @@ class TestRelabelling:
         assert naive_is_nk_extendable(g, n, k) == holds
 
 
+def _unchecked_matching(edges):
+    """A Matching built without its own checks, as a hand-written witness may be."""
+    matching = object.__new__(Matching)
+    object.__setattr__(matching, "edges", tuple(edges))
+    return matching
+
+
 class TestWitnessValidity:
     @settings(max_examples=100, deadline=None)
     @given(graphs(max_vertices=8), st.integers(0, 2), st.integers(0, 1))
@@ -266,18 +276,104 @@ class TestWitnessValidity:
         assert verify_failure_witness(g, n, k, verdict.failure)
 
     def test_tampered_witness_rejected(self):
-        fam = build_h1(2, 0)
-        verdict = is_nk_extendable(fam.graph, 2, 2)
-        good = verdict.failure
-        assert verify_failure_witness(fam.graph, 2, 2, good)
-        wrong_s = Failure(kind=good.kind, s=VertexSet.of([0, 1]), m=good.m, tutte=good.tutte)
-        assert not verify_failure_witness(fam.graph, 2, 2, wrong_s)
-        wrong_kind = Failure(kind=FailureKind.NO_K_MATCHING, s=good.s)
-        assert not verify_failure_witness(fam.graph, 2, 2, wrong_kind)
-        wrong_m = Failure(
-            kind=good.kind, s=good.s, m=Matching.of([(0, 1), (2, 3)]), tutte=good.tutte
-        )
-        assert not verify_failure_witness(fam.graph, 2, 2, wrong_m)
+        # Each mutant changes one field of a genuine witness: the h1:2:0 (2,2)
+        # one (S = {10, 11}, M = {12 13, 14 15}, S' empty, the two K5s odd)
+        # or the NO_K_MATCHING one of K_{1,7} at (2,1) (S = {0, 1}).
+        h1 = build_h1(2, 0).graph
+        stuck = is_nk_extendable(h1, 2, 2).failure
+        star = Graph(8, [(0, i) for i in range(1, 8)])
+        starved = is_nk_extendable(star, 2, 1).failure
+        assert verify_failure_witness(h1, 2, 2, stuck)
+        assert verify_failure_witness(star, 2, 1, starved)
+        assert starved == Failure(kind=FailureKind.NO_K_MATCHING, s=VertexSet((0, 1)))
+        k5s = stuck.tutte.odd_components
+        assert [c.members for c in k5s] == [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
+        assert h1.has_edge(10, 11) and not h1.has_edge(0, 5)
+
+        def tutte(s_prime=(), odd=k5s, excess=2):
+            return TutteCertificate(VertexSet(s_prime), tuple(odd), excess)
+
+        def m(*edges):
+            return replace(stuck, m=_unchecked_matching(edges))
+
+        def t(**fields):
+            return replace(stuck, tutte=tutte(**fields))
+
+        stuck_mutants = {
+            "S too small": replace(stuck, s=VertexSet((10,))),
+            "S too large": replace(stuck, s=VertexSet((9, 10, 11))),
+            "S out of range": replace(stuck, s=VertexSet((10, 16))),
+            "S negative": replace(stuck, s=VertexSet((-1, 10))),
+            "S repeats a vertex": replace(stuck, s=VertexSet((10, 10))),
+            "S moved": replace(stuck, s=VertexSet((0, 1))),
+            "kind swapped": replace(stuck, kind=FailureKind.NO_K_MATCHING),
+            "M missing": replace(stuck, m=None),
+            "|M| < k": m((12, 13)),
+            "|M| > k": m((0, 1), (12, 13), (14, 15)),
+            "M edge not in G": m((0, 5), (12, 13)),
+            "M vertex negative": m((-1, 12), (14, 15)),
+            "M vertex past |V|": m((12, 13), (14, 16)),
+            "M repeats a vertex": m((12, 13), (13, 14)),
+            "M meets S": m((10, 11), (14, 15)),
+            "M extends": m((0, 1), (2, 3)),
+            "tutte missing": replace(stuck, tutte=None),
+            "S' meets S": t(s_prime=(10,)),
+            "S' meets V(M)": t(s_prime=(12,)),
+            "S' out of range": t(s_prime=(16,)),
+            "S' negative": t(s_prime=(-1,)),
+            "odd component dropped": t(odd=k5s[:1]),
+            "odd component repeated": t(odd=k5s + k5s[:1]),
+            "odd component altered": t(odd=(VertexSet((0, 1, 2, 3, 4, 5)), k5s[1])),
+            "excess one low": t(excess=1),
+            "excess one high": t(excess=3),
+            # Without vertex 0, the first K5 leaves an even component.
+            "excess below 2": t(s_prime=(0,), odd=k5s[1:], excess=0),
+        }
+        starved_mutants = {
+            "S too small": replace(starved, s=VertexSet((0,))),
+            "S out of range": replace(starved, s=VertexSet((0, 8))),
+            "S negative": replace(starved, s=VertexSet((-1, 0))),
+            "S repeats a vertex": replace(starved, s=VertexSet((0, 0))),
+            "S leaves a k-matching": replace(starved, s=VertexSet((1, 2))),
+            "kind swapped": replace(starved, kind=FailureKind.STUCK_MATCHING),
+        }
+        # On 2K5 + 3K2 the same witness shape leaves a true barrier after
+        # each of these changes, so only the check the mutant breaks rejects it.
+        loose = disjoint_union([complete_graph(5)] * 2 + [complete_graph(2)] * 3)
+        kept = replace(stuck, m=Matching(((12, 13), (14, 15))))
+        assert verify_failure_witness(loose, 2, 2, kept)
+        isolated_mutants = {
+            "|M| < k": replace(kept, m=Matching(((12, 13),))),
+            "|M| > k": replace(
+                kept,
+                m=Matching(((0, 1), (12, 13), (14, 15))),
+                tutte=tutte(odd=(VertexSet((2, 3, 4)), k5s[1])),
+            ),
+            "M edge not in G": replace(kept, m=Matching(((12, 14), (13, 15)))),
+            "M meets S": replace(kept, m=Matching(((10, 11), (12, 13)))),
+            "S' meets S": replace(kept, tutte=tutte(s_prime=(10,), odd=k5s + (VertexSet((10,)),))),
+        }
+        for name, failure in stuck_mutants.items():
+            assert not verify_failure_witness(h1, 2, 2, failure), name
+        for name, failure in starved_mutants.items():
+            assert not verify_failure_witness(star, 2, 1, failure), name
+        for name, failure in isolated_mutants.items():
+            assert not verify_failure_witness(loose, 2, 2, failure), name
+
+    def test_malformed_deletion_set_rejected(self):
+        # K_{1,5} at (2, 0) with S' = {0}: a genuine S of two distinct leaves
+        # passes, while a repeated or negative member must not, nor raise.
+        g = Graph(6, [(0, i) for i in range(1, 6)])
+
+        def witness(s, odd):
+            tutte = TutteCertificate(
+                VertexSet((0,)), tuple(VertexSet((v,)) for v in odd), len(odd) - 1
+            )
+            return Failure(FailureKind.STUCK_MATCHING, VertexSet(s), Matching(()), tutte)
+
+        assert verify_failure_witness(g, 2, 0, witness((1, 2), (3, 4, 5)))
+        assert not verify_failure_witness(g, 2, 0, witness((1, 1), (2, 3, 4, 5)))
+        assert not verify_failure_witness(g, 2, 0, witness((1, -1), (2, 3, 4, 5)))
 
 
 class TestBudget:

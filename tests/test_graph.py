@@ -9,11 +9,11 @@ from matchext import (
     OutOfRangeError,
     VertexSet,
     complete_graph,
-    components,
     delete_vertices,
     disjoint_union,
     join,
 )
+from matchext.graph import components_of_mask
 
 from conftest import graphs, path_graph
 
@@ -67,7 +67,7 @@ class TestDisjointUnionAndJoin:
     def test_union_k3_k2(self):
         g = disjoint_union([complete_graph(3), complete_graph(2)])
         assert (g.vertex_count, g.edge_count) == (5, 4)
-        assert len(components(g).components) == 2
+        assert components_of_mask(g.adjacency_masks, 0b11111) == [0b00111, 0b11000]
 
     def test_union_three_k2(self):
         g = disjoint_union([complete_graph(2)] * 3)
@@ -126,24 +126,37 @@ class TestDeleteVertices:
 
 class TestComponents:
     def test_singleton(self):
-        report = components(complete_graph(1))
-        assert (report.odd_count, report.even_count) == (1, 0)
+        assert components_of_mask(complete_graph(1).adjacency_masks, 1) == [1]
 
     def test_mixed(self):
         g = disjoint_union([complete_graph(3), complete_graph(2), complete_graph(1)])
-        report = components(g)
-        assert (report.odd_count, report.even_count) == (2, 1)
+        assert components_of_mask(g.adjacency_masks, 0b111111) == [0b000111, 0b011000, 0b100000]
+        # An induced subgraph splits where its mask leaves a cut vertex out.
+        assert components_of_mask(path_graph(5).adjacency_masks, 0b11011) == [0b00011, 0b11000]
 
     def test_empty_graph(self):
-        report = components(Graph(0))
-        assert report.components == ()
-        assert (report.odd_count, report.even_count) == (0, 0)
+        assert components_of_mask(Graph(0).adjacency_masks, 0) == []
+        assert components_of_mask(complete_graph(3).adjacency_masks, 0) == []
 
     @settings(max_examples=60)
-    @given(graphs())
-    def test_partition_and_parity(self, g):
-        report = components(g)
-        all_members = sorted(v for c in report.components for v in c)
-        assert all_members == list(range(g.vertex_count))
-        assert report.odd_count % 2 == g.vertex_count % 2
-        assert report.odd_count + report.even_count == len(report.components)
+    @given(graphs(), st.data())
+    def test_partition_and_parity(self, g, data):
+        mask = data.draw(st.integers(0, (1 << g.vertex_count) - 1))
+        comps = components_of_mask(g.adjacency_masks, mask)
+        assert sum(comps) == mask and sum(c.bit_count() for c in comps) == mask.bit_count()
+        assert [c & -c for c in comps] == sorted(c & -c for c in comps)
+        odd = sum(c.bit_count() % 2 for c in comps)
+        assert odd % 2 == mask.bit_count() % 2
+        for c in comps:
+            # Connected: a walk from the lowest vertex inside c reaches all of c.
+            seen, frontier = c & -c, c & -c
+            while frontier:
+                v = (frontier & -frontier).bit_length() - 1
+                frontier ^= 1 << v
+                grow = g.adjacency_masks[v] & c & ~seen
+                seen |= grow
+                frontier |= grow
+            assert seen == c
+            # Maximal: no edge leaves c inside the mask.
+            members = [v for v in range(g.vertex_count) if c >> v & 1]
+            assert not any(g.adjacency_masks[v] & mask & ~c for v in members)
