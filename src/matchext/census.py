@@ -3,9 +3,9 @@
 A census applies selected theorem validators to every corpus graph over
 every admissible parameter choice in range. Inadmissible (graph, params)
 combinations are skipped but tallied, so the summary still shows coverage.
-Corpus items are independent work units; with jobs > 1 they are distributed
-over worker processes and merged back in corpus order, so the output is
-identical for any job count.
+Corpus items are independent work units, spread over worker processes when
+jobs > 1. The work on one graph returns the reports it keeps and its status
+counts, added up in corpus order, so the output is the same for any job count.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from . import theorems as th
 log = logging.getLogger("matchext.census")
 
 STATUS_ORDER = tuple(s.value for s in th.TheoremStatus)
+_STATUS_INDEX = {status: index for index, status in enumerate(th.TheoremStatus)}
 
 
 @dataclass(frozen=True)
@@ -145,28 +146,31 @@ def normalize_theorems(theorems: Sequence[str]) -> tuple[str, ...]:
 
 def _census_item(
     item: tuple[str, Graph],
-    theorems: tuple[str, ...],
-    ranges: ParamRanges,
+    rows: list[tuple[str, dict, dict]],
     limits: tuple[float | None, int | None],
-) -> tuple[list[th.TheoremReport], dict[str, int]]:
-    """All reports for one corpus graph, plus per-theorem inadmissible tallies."""
+    keep: frozenset[th.TheoremStatus] | None,
+) -> tuple[list[th.TheoremReport], dict[str, list[int]]]:
+    """One corpus graph's result over ``rows`` (theorem id, kwargs, params): the
+    reports ``keep`` keeps (all when None), in row order, and per theorem the
+    number of rows in each status, indexed as STATUS_ORDER."""
     source, g = item
     oracle = SubsetMatchingOracle(g)
     graph6 = serialize_graph6(g)
     has_factor = oracle.is_perfectable(oracle.full_mask)
-    reports: list[th.TheoremReport] = []
-    inadmissible: dict[str, int] = {tid: 0 for tid in theorems}
-    for tid in theorems:
-        spec = th.THEOREMS[tid]
-        for kwargs in spec.grid(ranges.n_max, ranges.k_max):
-            if not spec.admissible(g.vertex_count, has_factor, spec.params(**kwargs)):
-                inadmissible[tid] += 1
-                continue
-            reports.append(th.report_or_abort(
+    kept: list[th.TheoremReport] = []
+    counts = {tid: [0] * len(STATUS_ORDER) for tid, _, _ in rows}
+    for tid, kwargs, params in rows:
+        status = th.TheoremStatus.INADMISSIBLE
+        if th.THEOREMS[tid].admissible(g.vertex_count, has_factor, params):
+            report = th.report_or_abort(
                 _VALIDATORS[tid], tid, g, kwargs,
                 oracle=oracle, limits=limits, source=source, graph6=graph6,
-            ))
-    return reports, inadmissible
+            )
+            status = report.status
+            if keep is None or status in keep:
+                kept.append(report)
+        counts[tid][_STATUS_INDEX[status]] += 1
+    return kept, counts
 
 
 def clamp_jobs(requested: int, corpus_size: int) -> int:
@@ -197,34 +201,28 @@ def run_census(
         if value < 0:
             raise ValueError(f"{name} must be non-negative; got {value}")
     items = corpus_graphs(spec)
-    keep = None if keep_statuses is None else set(keep_statuses)
-    summary = {tid: {status: 0 for status in STATUS_ORDER} for tid in chosen}
+    grid = [(tid, kwargs) for tid in chosen for kwargs in th.THEOREMS[tid].grid(ranges.n_max, ranges.k_max)]
+    rows = [(tid, kwargs, th.THEOREMS[tid].params(**kwargs)) for tid, kwargs in grid]
+    keep = None if keep_statuses is None else frozenset(keep_statuses)
+    worker = partial(_census_item, rows=rows, limits=(timeout, pair_cap), keep=keep)
     reports: list[th.TheoremReport] = []
-    worker = partial(
-        _census_item, theorems=chosen, ranges=ranges, limits=(timeout, pair_cap)
-    )
-    jobs = clamp_jobs(jobs, len(items))
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
-            results = pool.imap(worker, items, chunksize=max(1, len(items) // (jobs * 8)))
-            merged = _merge(results, summary, reports, keep, len(items))
-    else:
-        merged = _merge(map(worker, items), summary, reports, keep, len(items))
-    return CensusResult(
-        reports=merged, summary=summary, spec=spec, theorems=chosen, ranges=ranges
-    )
-
-
-def _merge(results, summary, reports, keep, total):
-    done = 0
-    for item_reports, inadmissible in results:
-        for report in item_reports:
-            summary[report.theorem_id][report.status.value] += 1
-            if keep is None or report.status in keep:
-                reports.append(report)
-        for tid, count in inadmissible.items():
-            summary[tid][th.TheoremStatus.INADMISSIBLE.value] += count
-        done += 1
+    totals = {tid: [0] * len(STATUS_ORDER) for tid in chosen}
+    for done, (kept, counts) in enumerate(_results(worker, items, clamp_jobs(jobs, len(items))), 1):
+        reports.extend(kept)
+        for tid, per in counts.items():
+            totals[tid] = [total + count for total, count in zip(totals[tid], per)]
         if done % 500 == 0:
-            log.info("census progress: %d/%d graphs", done, total)
-    return reports
+            log.info("census progress: %d/%d graphs", done, len(items))
+    summary = {tid: dict(zip(STATUS_ORDER, per)) for tid, per in totals.items()}
+    return CensusResult(
+        reports=reports, summary=summary, spec=spec, theorems=chosen, ranges=ranges
+    )
+
+
+def _results(worker, items, jobs):
+    """``worker`` over ``items`` in corpus order, on ``jobs`` worker processes when jobs > 1."""
+    if jobs == 1:
+        yield from map(worker, items)
+        return
+    with Pool(processes=jobs) as pool:
+        yield from pool.imap(worker, items, chunksize=max(1, len(items) // (jobs * 8)))

@@ -22,12 +22,15 @@ class VertexSet:
 
     members: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.members and min(self.members) < 0:
+            raise OutOfRangeError(f"negative vertex index {min(self.members)}")
+        if any(u >= v for u, v in zip(self.members, self.members[1:])):
+            raise ValueError(f"vertex set members not strictly increasing: {self.members}")
+
     @staticmethod
     def of(vertices: Iterable[int]) -> "VertexSet":
-        members = tuple(sorted(set(vertices)))
-        if members and members[0] < 0:
-            raise OutOfRangeError(f"negative vertex index {members[0]}")
-        return VertexSet(members)
+        return VertexSet(tuple(sorted(set(vertices))))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)

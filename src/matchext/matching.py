@@ -20,7 +20,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NotAMatchingError
-from .graph import Graph, VertexSet, _bits, _mask_of, components_of_mask
+from .graph import Graph, VertexSet, _bits, components_of_mask
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class Matching:
         for u, v in self.edges:
             if u >= v:
                 raise NotAMatchingError(f"edge ({u}, {v}) not in (min, max) order")
+            if u < 0:
+                raise NotAMatchingError(f"edge ({u}, {v}) has a negative vertex")
             if prev is not None and (u, v) <= prev:
                 raise NotAMatchingError("edges not sorted lexicographically")
             prev = (u, v)
@@ -55,9 +57,6 @@ class Matching:
     @cached_property
     def vertices(self) -> frozenset[int]:
         return frozenset(v for e in self.edges for v in e)
-
-    def mask(self) -> int:
-        return _mask_of(v for edge in self.edges for v in edge)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.edges)

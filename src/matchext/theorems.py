@@ -260,24 +260,24 @@ def _theoremB_body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | None
     lhs = _holds_on_mask(oracle, full, 0, k, budget)
     has_i_matching = oracle.size(full) >= i
     detail: dict[str, object] = {"lhs_k_extendable": lhs, "has_i_matching": has_i_matching}
-    witness_m: tuple[tuple[int, int], ...] | None = None
+    witness = None  # the first i-matching (edges, vertex mask) whose deletion fails
     if has_i_matching:
         for chosen, used in _matchings_in_mask(oracle.masks, full, i):
             if budget is not None:
                 budget.charge_pairs()
             if not _holds_on_mask(oracle, full ^ used, 0, k - i, budget):
-                witness_m = chosen
+                witness = chosen, used
                 break
-    rhs = has_i_matching and witness_m is None
+    rhs = has_i_matching and witness is None
     detail["rhs_all_deletions"] = rhs if has_i_matching else None
     if lhs == rhs:
         return TheoremStatus.CONFIRMED, detail, None
     if lhs:
         payload: dict[str, object] = {"direction": "lhs_true_rhs_false"}
-        if witness_m is not None:
-            payload["witness_matching"] = Matching(witness_m)
-            mask = full ^ Matching(witness_m).mask()
-            payload["subgraph_failure"] = _verdict_on_mask(oracle, mask, 0, k - i, None).failure
+        if witness is not None:
+            chosen, used = witness
+            payload["witness_matching"] = Matching(chosen)
+            payload["subgraph_failure"] = _verdict_on_mask(oracle, full ^ used, 0, k - i, None).failure
     else:
         payload = {
             "direction": "lhs_false_rhs_true",

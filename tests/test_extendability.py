@@ -264,6 +264,13 @@ def _unchecked_matching(edges):
     return matching
 
 
+def _unchecked_vertex_set(members):
+    """A VertexSet built without its own checks, as a hand-written witness may be."""
+    vertex_set = object.__new__(VertexSet)
+    object.__setattr__(vertex_set, "members", tuple(members))
+    return vertex_set
+
+
 class TestWitnessValidity:
     @settings(max_examples=100, deadline=None)
     @given(graphs(max_vertices=8), st.integers(0, 2), st.integers(0, 1))
@@ -291,7 +298,7 @@ class TestWitnessValidity:
         assert h1.has_edge(10, 11) and not h1.has_edge(0, 5)
 
         def tutte(s_prime=(), odd=k5s, excess=2):
-            return TutteCertificate(VertexSet(s_prime), tuple(odd), excess)
+            return TutteCertificate(_unchecked_vertex_set(s_prime), tuple(odd), excess)
 
         def m(*edges):
             return replace(stuck, m=_unchecked_matching(edges))
@@ -303,8 +310,8 @@ class TestWitnessValidity:
             "S too small": replace(stuck, s=VertexSet((10,))),
             "S too large": replace(stuck, s=VertexSet((9, 10, 11))),
             "S out of range": replace(stuck, s=VertexSet((10, 16))),
-            "S negative": replace(stuck, s=VertexSet((-1, 10))),
-            "S repeats a vertex": replace(stuck, s=VertexSet((10, 10))),
+            "S negative": replace(stuck, s=_unchecked_vertex_set((-1, 10))),
+            "S repeats a vertex": replace(stuck, s=_unchecked_vertex_set((10, 10))),
             "S moved": replace(stuck, s=VertexSet((0, 1))),
             "kind swapped": replace(stuck, kind=FailureKind.NO_K_MATCHING),
             "M missing": replace(stuck, m=None),
@@ -332,8 +339,8 @@ class TestWitnessValidity:
         starved_mutants = {
             "S too small": replace(starved, s=VertexSet((0,))),
             "S out of range": replace(starved, s=VertexSet((0, 8))),
-            "S negative": replace(starved, s=VertexSet((-1, 0))),
-            "S repeats a vertex": replace(starved, s=VertexSet((0, 0))),
+            "S negative": replace(starved, s=_unchecked_vertex_set((-1, 0))),
+            "S repeats a vertex": replace(starved, s=_unchecked_vertex_set((0, 0))),
             "S leaves a k-matching": replace(starved, s=VertexSet((1, 2))),
             "kind swapped": replace(starved, kind=FailureKind.STUCK_MATCHING),
         }
@@ -369,7 +376,7 @@ class TestWitnessValidity:
             tutte = TutteCertificate(
                 VertexSet((0,)), tuple(VertexSet((v,)) for v in odd), len(odd) - 1
             )
-            return Failure(FailureKind.STUCK_MATCHING, VertexSet(s), Matching(()), tutte)
+            return Failure(FailureKind.STUCK_MATCHING, _unchecked_vertex_set(s), Matching(()), tutte)
 
         assert verify_failure_witness(g, 2, 0, witness((1, 2), (3, 4, 5)))
         assert not verify_failure_witness(g, 2, 0, witness((1, 1), (2, 3, 4, 5)))

@@ -59,6 +59,14 @@ class TestConstruction:
         with pytest.raises(OutOfRangeError):
             VertexSet.of([-1])
 
+    def test_vertexset_direct_construction_checks_members(self):
+        assert VertexSet((0, 2, 5)).members == (0, 2, 5)
+        with pytest.raises(OutOfRangeError):
+            VertexSet((3, 1, 1, -2))
+        for members in ((3, 1), (1, 1), (0, 2, 2)):
+            with pytest.raises(ValueError):
+                VertexSet(members)
+
 
 class TestDisjointUnionAndJoin:
     def test_union_identity(self):

@@ -17,7 +17,7 @@ from matchext import (
     has_one_factor,
     maximum_matching,
 )
-from matchext.graph import components_of_mask
+from matchext.graph import _mask_of, components_of_mask
 from matchext.matching import _matchings_in_mask, _one_factors_in_mask
 
 from conftest import cycle_graph, graphs, path_graph, petersen_graph, star_graph
@@ -42,6 +42,10 @@ class TestMatchingType:
     def test_rejects_unsorted_direct_construction(self):
         with pytest.raises(NotAMatchingError):
             Matching(((2, 3), (0, 1)))
+
+    def test_rejects_negative_vertex(self):
+        with pytest.raises(NotAMatchingError):
+            Matching.of([(-1, 2)])
 
 
 class TestMaximumMatching:
@@ -89,7 +93,7 @@ def k_matchings(g, k):
     """Edge tuples of ``_matchings_in_mask`` on the whole of g, checking each mask."""
     out = []
     for edges, used in _matchings_in_mask(g.adjacency_masks, (1 << g.vertex_count) - 1, k):
-        assert used == Matching(edges).mask()
+        assert used == _mask_of(v for edge in edges for v in edge)
         out.append(edges)
     return out
 

@@ -35,7 +35,7 @@ from matchext.theorems import THEOREM_IDS, THEOREMS
 from matchext.families import build_h2
 from matchext.reporting import census_document, to_json
 
-from conftest import cycle_graph, star_graph
+from conftest import cycle_graph, path_graph, star_graph
 from oracles import reference_one_factor_body
 
 CONFIRMED = TheoremStatus.CONFIRMED
@@ -237,6 +237,24 @@ class TestTheoremB:
         with pytest.raises(InadmissibleParametersError):
             verify_theoremB(complete_graph(6), 1, 2)
 
+    def test_lhs_true_rhs_false_payload(self, monkeypatch):
+        # The statement is proved, so force the left side: on P4 the first
+        # 1-matching whose deletion leaves no 1-factor is {12}, and the
+        # subgraph failure is decided on the vertices {0, 3} it leaves.
+        real = theorems._holds_on_mask
+
+        def forced(oracle, mask, n, k, budget):
+            return mask == oracle.full_mask or real(oracle, mask, n, k, budget)
+
+        monkeypatch.setattr(theorems, "_holds_on_mask", forced)
+        report = verify_theoremB(path_graph(4), 1, 1)
+        assert report.status is TheoremStatus.COUNTEREXAMPLE
+        payload = report.counterexample
+        assert payload["direction"] == "lhs_true_rhs_false"
+        assert payload["witness_matching"].edges == ((1, 2),)
+        odd = payload["subgraph_failure"].tutte.odd_components
+        assert sorted(c.members for c in odd) == [(0,), (3,)]
+
 
 class TestTheoremC:
     def test_modes(self):
@@ -318,6 +336,19 @@ class TestCensus:
         assert result.count(TheoremStatus.ABORTED) > 0
         aborted = [r for r in result.reports if r.status is TheoremStatus.ABORTED]
         assert aborted[0].hypothesis_detail["reason"] == "budget exceeded"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_kept_rows_and_summary_match_the_full_run(self, jobs):
+        # The pair cap aborts some rows, so the kept list is not empty, while
+        # the rows it drops still count in the summary.
+        spec = CorpusSpec(FileSource(("h1:1:0", "h2:1:0", "h1:2:0")))
+        kwargs = dict(theorems=("T2", "TB", "L2"), ranges=ParamRanges(2, 1), pair_cap=50)
+        keep = (TheoremStatus.COUNTEREXAMPLE, TheoremStatus.ABORTED)
+        full = run_census(spec, **kwargs)
+        kept = run_census(spec, jobs=jobs, keep_statuses=keep, **kwargs)
+        assert kept.summary == full.summary
+        assert kept.reports == [r for r in full.reports if r.status in keep]
+        assert 0 < len(kept.reports) < len(full.reports)
 
     def test_determinism_and_jobs_invariance(self):
         spec = CorpusSpec(RandomSource(12, 5, 8, 0.4, seed=11))
