@@ -6,20 +6,22 @@ combinations are skipped but tallied, so the summary still shows coverage.
 Corpus items are independent work units, spread over worker processes when
 jobs > 1. The work on one graph returns the reports it keeps and its status
 counts, added up in corpus order, so the output is the same for any job count.
+The same workers generate an exhaustive corpus before they sweep it.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .extendability import Budget
 from .families import resolve_family_ref
-from .generate import exhaustive_graphs, random_graphs
+from .generate import Mapper, exhaustive_count, exhaustive_graphs, random_graphs
 from .graph import Graph, components_of_mask
 from .graph_io import GraphFormat, load_graph_file, serialize_graph6
 from .matching import SubsetMatchingOracle
@@ -102,14 +104,15 @@ def _passes_filters(g: Graph, filters: CorpusFilters) -> bool:
     return True
 
 
-def corpus_graphs(spec: CorpusSpec) -> list[tuple[str, Graph]]:
-    """Materialize the corpus as (source descriptor, graph) pairs."""
+def corpus_graphs(spec: CorpusSpec, mapper: Mapper = map) -> list[tuple[str, Graph]]:
+    """Materialize the corpus as (source descriptor, graph) pairs; ``mapper``
+    runs exhaustive generation's work per parent graph."""
     source = spec.source
     items: list[tuple[str, Graph]]
     if isinstance(source, ExhaustiveSource):
         items = [
             (f"exhaustive:{i}", g)
-            for i, g in enumerate(exhaustive_graphs(source.max_vertices))
+            for i, g in enumerate(exhaustive_graphs(source.max_vertices, mapper))
         ]
     elif isinstance(source, RandomSource):
         graphs = random_graphs(
@@ -164,7 +167,7 @@ def _census_item(
         if th.THEOREMS[tid].admissible(g.vertex_count, has_factor, params):
             report = th.report_or_abort(
                 _VALIDATORS[tid], tid, g, kwargs,
-                oracle=oracle, limits=limits, source=source, graph6=graph6,
+                oracle=oracle, limits=limits, source=source, graph6=graph6, params=params,
             )
             status = report.status
             if keep is None or status in keep:
@@ -200,29 +203,37 @@ def run_census(
     for name, value in (("n_max", ranges.n_max), ("k_max", ranges.k_max)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative; got {value}")
-    items = corpus_graphs(spec)
     grid = [(tid, kwargs) for tid in chosen for kwargs in th.THEOREMS[tid].grid(ranges.n_max, ranges.k_max)]
     rows = [(tid, kwargs, th.THEOREMS[tid].params(**kwargs)) for tid, kwargs in grid]
     keep = None if keep_statuses is None else frozenset(keep_statuses)
     worker = partial(_census_item, rows=rows, limits=(timeout, pair_cap), keep=keep)
     reports: list[th.TheoremReport] = []
     totals = {tid: [0] * len(STATUS_ORDER) for tid in chosen}
-    for done, (kept, counts) in enumerate(_results(worker, items, clamp_jobs(jobs, len(items))), 1):
-        reports.extend(kept)
-        for tid, per in counts.items():
-            totals[tid] = [total + count for total, count in zip(totals[tid], per)]
-        if done % 500 == 0:
-            log.info("census progress: %d/%d graphs", done, len(items))
+    # An exhaustive corpus is generated in the pool, so the pool starts first
+    # and its size is clamped by the class count; other corpora are built first.
+    source = spec.source
+    items = None if isinstance(source, ExhaustiveSource) else corpus_graphs(spec)
+    size = exhaustive_count(source.max_vertices) if items is None else len(items)
+    with _ordered_map(clamp_jobs(jobs, size)) as mapper:
+        if items is None:
+            items = corpus_graphs(spec, mapper)
+        for done, (kept, counts) in enumerate(mapper(worker, items), 1):
+            reports.extend(kept)
+            for tid, per in counts.items():
+                totals[tid] = [total + count for total, count in zip(totals[tid], per)]
+            if done % 500 == 0:
+                log.info("census progress: %d/%d graphs", done, len(items))
     summary = {tid: dict(zip(STATUS_ORDER, per)) for tid, per in totals.items()}
     return CensusResult(
         reports=reports, summary=summary, spec=spec, theorems=chosen, ranges=ranges
     )
 
 
-def _results(worker, items, jobs):
-    """``worker`` over ``items`` in corpus order, on ``jobs`` worker processes when jobs > 1."""
+@contextmanager
+def _ordered_map(jobs: int) -> Iterator[Mapper]:
+    """An ordered map over ``jobs`` worker processes, or the builtin map when jobs is 1."""
     if jobs == 1:
-        yield from map(worker, items)
+        yield map
         return
     with Pool(processes=jobs) as pool:
-        yield from pool.imap(worker, items, chunksize=max(1, len(items) // (jobs * 8)))
+        yield lambda fn, items: pool.imap(fn, items, chunksize=max(1, len(items) // (jobs * 8)))

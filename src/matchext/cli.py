@@ -190,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--k-max", type=int, default=2)
     p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at most the CPU count and corpus size"
+        "--jobs", type=int, default=1,
+        help="worker processes, at most the CPU count and corpus size; with --max-vertices the "
+        "corpus size is the number of isomorphism classes before filters, as the workers also generate it",
     )
     p.add_argument("--full", action="store_true", help="keep all report rows, not just abnormal ones")
     add_limit_args(p)

@@ -40,20 +40,30 @@ first, without a walk: the transposition makes it smaller. Every other one
 is dropped when a walk of its orbit under the generators reaches a smaller
 mask. Representatives, their order and the certificates are therefore the
 same as without pruning.
+
+The work of a level is split by parent: one parent's candidates, with their
+certificates and automorphism generators, are one work unit, and an ordered
+mapper (``map``, or the census's worker pool) runs the units. Deduplication
+stays in the calling process, in (parent, neighborhood) order, so the
+representatives, their order and their generators do not depend on the
+mapper.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from functools import lru_cache
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .graph import Graph, _bits, twin_classes, twin_prefix_sets
 
 log = logging.getLogger("matchext.generate")
 
 EXHAUSTIVE_LIMIT = 8
+
+# An ordered map: the builtin ``map`` or a worker pool's ``imap``.
+Mapper = Callable[[Callable, Sequence], Iterable]
 
 # Isomorphism class counts for n = 0..8; the tests check the generator against them.
 KNOWN_GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -180,44 +190,77 @@ def _least_in_orbit(mask: int, generators: Sequence[tuple[int, ...]]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _exhaustive_level(t: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], ...]:
+def _extensions(
+    item: tuple[Graph, Sequence[tuple[int, ...]]], t: int
+) -> list[tuple[int, int, tuple[tuple[int, ...], ...]]]:
+    """(mask, canonical form, automorphism generators) of each t-vertex graph
+    that one parent, given as (parent, its generators), yields: the new
+    vertex t - 1 attached to ``mask``, for each mask of _extension_masks."""
+    parent, generators = item
+    base_edges = parent.edges()
+    out = []
+    for nbmask in _extension_masks(parent, generators):
+        found: list[tuple[int, ...]] = []
+        candidate = Graph(t, base_edges + [(u, t - 1) for u in _bits(nbmask)])
+        cert = canonical_form(candidate, automorphisms=found)
+        out.append((nbmask, cert, tuple(found)))
+    return out
+
+
+# Representatives of one vertex count, each beside its automorphism generators.
+Level = tuple[tuple[Graph, tuple[tuple[int, ...], ...]], ...]
+
+# t -> _exhaustive_level(t); the levels do not depend on the mapper.
+_LEVELS: dict[int, Level] = {}
+
+
+def _exhaustive_level(t: int, mapper: Mapper = map) -> Level:
     """Canonical representatives of every t-vertex graph, discovery order,
-    each beside generators of its automorphism group."""
+    each beside generators of its automorphism group.
+
+    ``mapper`` runs _extensions over the parents and yields in their order.
+    """
+    if t in _LEVELS:
+        return _LEVELS[t]
     if t <= 1:
-        return ((Graph(t), ()),)
+        return _LEVELS.setdefault(t, ((Graph(t), ()),))
+    parents = _exhaustive_level(t - 1, mapper)
     reps: list[tuple[Graph, tuple[tuple[int, ...], ...]]] = []
     seen: set[int] = set()
     tried = 0
-    for parent, generators in _exhaustive_level(t - 1):
+    for (parent, _), extensions in zip(parents, mapper(partial(_extensions, t=t), parents)):
         base_edges = parent.edges()
-        for nbmask in _extension_masks(parent, generators):
-            edges = base_edges + [(u, t - 1) for u in _bits(nbmask)]
-            candidate = Graph(t, edges)
-            found: list[tuple[int, ...]] = []
-            cert = canonical_form(candidate, automorphisms=found)
+        for nbmask, cert, generators in extensions:
             tried += 1
             if cert not in seen:
                 seen.add(cert)
-                reps.append((candidate, tuple(found)))
+                reps.append((Graph(t, base_edges + [(u, t - 1) for u in _bits(nbmask)]), generators))
     log.info("level %d: %d extensions tried, %d classes", t, tried, len(reps))
-    return tuple(reps)
+    return _LEVELS.setdefault(t, tuple(reps))
 
 
-def exhaustive_graphs(max_vertices: int) -> list[Graph]:
-    """One representative per isomorphism class, 1..max_vertices vertices.
-
-    Deterministic order: vertex count ascending, then discovery order.
-    Refuses max_vertices > EXHAUSTIVE_LIMIT: isomorph-free generation at
-    that size needs specialized tooling.
-    """
+def exhaustive_count(max_vertices: int) -> int:
+    """How many graphs exhaustive_graphs(max_vertices) returns, without
+    generating them; refuses the sizes it refuses."""
     if max_vertices > EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"exhaustive generation is limited to {EXHAUSTIVE_LIMIT} vertices"
         )
+    return sum(KNOWN_GRAPH_COUNTS[1 : max_vertices + 1])
+
+
+def exhaustive_graphs(max_vertices: int, mapper: Mapper = map) -> list[Graph]:
+    """One representative per isomorphism class, 1..max_vertices vertices.
+
+    Deterministic order: vertex count ascending, then discovery order, for
+    any ordered ``mapper`` (``map``, or a pool's ``imap``). Refuses
+    max_vertices > EXHAUSTIVE_LIMIT: isomorph-free generation at that size
+    needs specialized tooling.
+    """
+    exhaustive_count(max_vertices)  # refuses sizes beyond EXHAUSTIVE_LIMIT
     out: list[Graph] = []
     for t in range(1, max_vertices + 1):
-        out.extend(g for g, _ in _exhaustive_level(t))
+        out.extend(g for g, _ in _exhaustive_level(t, mapper))
     return out
 
 

@@ -106,16 +106,17 @@ def run_theorem(
     budget: Budget | None = None,
     source: str | None = None,
     graph6: str | None = None,
+    params: dict | None = None,
 ) -> TheoremReport:
     """Check one statement on one graph; what every ``verify_*`` does.
 
-    ``graph6`` is g's graph6 string, for a caller that reports on g more
-    than once; it is computed here when absent. Raises NoOneFactorError (for
-    entries that need a 1-factor) or InadmissibleParametersError when the
-    entry's admissibility fails.
+    ``graph6`` is g's graph6 string and ``params`` the entry's params of
+    ``kwargs``, for a caller that has them already; each is computed here
+    when absent. Raises NoOneFactorError (for entries that need a 1-factor)
+    or InadmissibleParametersError when the entry's admissibility fails.
     """
     spec = THEOREMS[theorem_id]
-    params = spec.params(**kwargs)
+    params = spec.params(**kwargs) if params is None else params
     oracle = oracle or SubsetMatchingOracle(g)
     has_factor = oracle.is_perfectable(oracle.full_mask)
     if not spec.admissible(g.vertex_count, has_factor, params):
@@ -139,16 +140,20 @@ def report_or_abort(
     limits: tuple[float | None, int | None],
     source: str | None,
     graph6: str,
+    params: dict | None = None,
 ) -> TheoremReport:
     """``validator``'s report under a fresh Budget of ``limits`` (timeout, pair cap),
     or an ABORTED row with the same params once that budget runs out.
-    ``graph6`` is g's graph6 string, shared by all reports on g."""
+    ``graph6`` is g's graph6 string, shared by all reports on g; ``params``
+    are the entry's params of ``kwargs``, built here when absent."""
+    params = THEOREMS[theorem_id].params(**kwargs) if params is None else params
     try:
         return validator(
-            g, **kwargs, oracle=oracle, budget=Budget.from_limits(*limits), source=source, graph6=graph6
+            g, **kwargs, oracle=oracle, budget=Budget.from_limits(*limits),
+            source=source, graph6=graph6, params=params,
         )
     except BudgetExceededError:
-        instance = InstanceRef(graph6, source, THEOREMS[theorem_id].params(**kwargs))
+        instance = InstanceRef(graph6, source, params)
         return TheoremReport(theorem_id, instance, TheoremStatus.ABORTED, {"reason": "budget exceeded"})
 
 

@@ -421,3 +421,25 @@ class TestGenerateLog:
         ]
         code, out, _ = run_cli(capsys, *argv)
         assert run.stdout == out
+
+    def test_pooled_census_matches_one_job(self):
+        # At --jobs 2 the pool's workers compute the canonical forms; the
+        # parent alone logs each level, once.
+        src = str(Path(matchext.__file__).resolve().parents[1])
+        env = dict(os.environ, MATCHEXT_LOG="info", PYTHONPATH=src)
+        runs = {
+            jobs: subprocess.run(
+                [sys.executable, "-m", "matchext", "census", "--max-vertices", "6", "--full", "--jobs", jobs],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            for jobs in ("1", "2")
+        }
+        assert runs["1"].returncode == runs["2"].returncode == 0
+        assert runs["2"].stdout == runs["1"].stdout
+        levels = {
+            jobs: [line for line in run.stderr.splitlines() if " level " in line] for jobs, run in runs.items()
+        }
+        assert [line.split(":")[0] for line in levels["2"]] == [
+            f"matchext.generate INFO level {t}" for t in range(2, 7)
+        ]
+        assert levels["2"] == levels["1"]

@@ -1,4 +1,5 @@
 import hashlib
+from multiprocessing import Pool
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from matchext import (
     join,
     random_graphs,
 )
+from matchext import generate
 from matchext.generate import KNOWN_GRAPH_COUNTS, _exhaustive_level, _extension_masks
 from matchext.graph import _bits
 from matchext.graph_io import serialize_graph6
@@ -188,6 +190,21 @@ class TestExhaustive:
         assert hashlib.sha256(forms.encode()).hexdigest() == (
             "ac174a8182e0693026bba6ca00a2aeeb6e46c1de070b56f826d8c82307ecb1a6"
         )
+
+    def test_pooled_levels_match_serial_levels(self, monkeypatch):
+        # Each run starts from an empty level cache, so neither reads levels
+        # the other built; workers return their results in parent order, and
+        # the parent deduplicates, so even the generators must agree.
+        def levels(mapper):
+            monkeypatch.setattr(generate, "_LEVELS", {})
+            return [
+                [(g.vertex_count, g.edges(), gens) for g, gens in _exhaustive_level(t, mapper)]
+                for t in range(1, 8)
+            ]
+
+        serial = levels(map)
+        with Pool(processes=2) as pool:
+            assert levels(pool.imap) == serial
 
     def test_limit_enforced(self):
         with pytest.raises(ValueError):

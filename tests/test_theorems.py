@@ -28,7 +28,7 @@ from matchext import (
     verify_theoremB,
     verify_theoremC,
 )
-from matchext import census, theorems
+from matchext import census, cli, theorems
 from matchext.census import clamp_jobs, normalize_theorems
 from matchext.matching import SubsetMatchingOracle
 from matchext.theorems import THEOREM_IDS, THEOREMS
@@ -326,6 +326,30 @@ class TestCensus:
         with pytest.raises(ValueError, match="must be non-negative"):
             run_census(CorpusSpec(ExhaustiveSource(4)), theorems=["L1"], **limits)
 
+    def test_no_pool_when_the_clamp_gives_one_job(self, monkeypatch, capsys):
+        # clamp_jobs takes an exhaustive corpus's size from its class count,
+        # since the pool starts before generation does.
+        class PoolStarted(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise PoolStarted
+
+        monkeypatch.setattr(census, "Pool", refuse)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        kwargs = dict(theorems=("L2",), ranges=ParamRanges(1, 1), jobs=2)
+        result = run_census(CorpusSpec(FileSource(("h1:1:0",))), **kwargs)
+        assert result.summary["L2"]["CONFIRMED"] > 0
+        assert cli.main(["census", "--max-vertices", "1", "--jobs", "2"]) == 2
+        assert "checked no admissible row" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="must be non-negative"):
+            run_census(CorpusSpec(ExhaustiveSource(4)), pair_cap=-1, **kwargs)
+        with pytest.raises(ValueError, match="limited to 8 vertices"):
+            run_census(CorpusSpec(ExhaustiveSource(9)), **kwargs)
+        for source in (FileSource(("h1:1:0", "h1:2:0")), ExhaustiveSource(2)):
+            with pytest.raises(PoolStarted):
+                run_census(CorpusSpec(source), **kwargs)
+
     def test_pair_cap_aborts_instances(self):
         result = run_census(
             CorpusSpec(FileSource(("h1:1:0", "h1:2:0"))),
@@ -460,6 +484,18 @@ class TestReportShape:
         assert report.instance.graph6 == "E~~w"
         assert report.instance.source == "unit"
         assert report.instance.params == {"n": 0, "k": 0}
+
+    @pytest.mark.parametrize("pair_cap, status", [(None, TheoremStatus.CONFIRMED), (0, TheoremStatus.ABORTED)])
+    def test_report_or_abort_keeps_the_given_params(self, pair_cap, status):
+        # The census builds each row's params once and hands them down.
+        g = complete_graph(6)
+        params = THEOREMS["T2"].params(n=0, k=1)
+        report = theorems.report_or_abort(
+            verify_theorem2, "T2", g, {"n": 0, "k": 1}, oracle=SubsetMatchingOracle(g),
+            limits=(None, pair_cap), source=None, graph6="E~~w", params=params,
+        )
+        assert report.status is status
+        assert report.instance.params is params
 
     def test_counterexample_payload_machinery_reverifies(self):
         # Genuine counterexamples cannot occur (the statements are proved),
