@@ -6,6 +6,9 @@ combinations are skipped but tallied, so the summary still shows coverage.
 Corpus items are independent work units, spread over worker processes when
 jobs > 1. The work on one graph returns the reports it keeps and its status
 counts, added up in corpus order, so the output is the same for any job count.
+Given a ``render`` function (the CLI passes ``reporting.render_row``), the
+work on one graph returns each kept report as its JSON row text instead, so
+a worker pickles text to the parent and the parent holds no report objects.
 The same workers generate an exhaustive corpus before they sweep it.
 """
 
@@ -17,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .extendability import Budget
 from .families import resolve_family_ref
@@ -81,7 +84,8 @@ class ParamRanges:
 
 @dataclass
 class CensusResult:
-    reports: list[th.TheoremReport]
+    # The kept rows in corpus order: reports, or their text when rendered.
+    reports: list[th.TheoremReport] | list[str]
     summary: dict[str, dict[str, int]]
     spec: CorpusSpec
     theorems: tuple[str, ...]
@@ -152,15 +156,17 @@ def _census_item(
     rows: list[tuple[str, dict, dict]],
     limits: tuple[float | None, int | None],
     keep: frozenset[th.TheoremStatus] | None,
-) -> tuple[list[th.TheoremReport], dict[str, list[int]]]:
+    render: Callable[[th.TheoremReport], str] | None = None,
+) -> tuple[list[th.TheoremReport] | list[str], dict[str, list[int]]]:
     """One corpus graph's result over ``rows`` (theorem id, kwargs, params): the
-    reports ``keep`` keeps (all when None), in row order, and per theorem the
-    number of rows in each status, indexed as STATUS_ORDER."""
+    reports ``keep`` keeps (all when None), in row order, each passed through
+    ``render`` when given, and per theorem the number of rows in each status,
+    indexed as STATUS_ORDER."""
     source, g = item
     oracle = SubsetMatchingOracle(g)
     graph6 = serialize_graph6(g)
     has_factor = oracle.is_perfectable(oracle.full_mask)
-    kept: list[th.TheoremReport] = []
+    kept: list = []
     counts = {tid: [0] * len(STATUS_ORDER) for tid, _, _ in rows}
     for tid, kwargs, params in rows:
         status = th.TheoremStatus.INADMISSIBLE
@@ -171,7 +177,7 @@ def _census_item(
             )
             status = report.status
             if keep is None or status in keep:
-                kept.append(report)
+                kept.append(report if render is None else render(report))
         counts[tid][_STATUS_INDEX[status]] += 1
     return kept, counts
 
@@ -190,9 +196,12 @@ def run_census(
     pair_cap: int | None = None,
     jobs: int = 1,
     keep_statuses: Iterable[th.TheoremStatus] | None = None,
+    render: Callable[[th.TheoremReport], str] | None = None,
 ) -> CensusResult:
     """Run the selected validators over the corpus.
 
+    Each kept report is passed through ``render`` in the process that
+    checked it, when given, and the result holds what it returns.
     Deterministic for a fixed spec (including the RANDOM seed) and fixed
     limits: reports come back in corpus order regardless of jobs. Wall-clock
     timeouts can of course abort different instances on different machines;
@@ -206,8 +215,8 @@ def run_census(
     grid = [(tid, kwargs) for tid in chosen for kwargs in th.THEOREMS[tid].grid(ranges.n_max, ranges.k_max)]
     rows = [(tid, kwargs, th.THEOREMS[tid].params(**kwargs)) for tid, kwargs in grid]
     keep = None if keep_statuses is None else frozenset(keep_statuses)
-    worker = partial(_census_item, rows=rows, limits=(timeout, pair_cap), keep=keep)
-    reports: list[th.TheoremReport] = []
+    worker = partial(_census_item, rows=rows, limits=(timeout, pair_cap), keep=keep, render=render)
+    reports: list = []
     totals = {tid: [0] * len(STATUS_ORDER) for tid in chosen}
     # An exhaustive corpus is generated in the pool, so the pool starts first
     # and its size is clamped by the class count; other corpora are built first.

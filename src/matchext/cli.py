@@ -33,6 +33,7 @@ from .reporting import (
     SCHEMA,
     census_document,
     graph_info,
+    render_row,
     reports_document,
     to_json,
     verdict_document,
@@ -324,6 +325,7 @@ def _run_census(config: RunConfig) -> int:
         pair_cap=config.pair_cap,
         jobs=config.jobs,
         keep_statuses=keep,
+        render=render_row,
     )
     if all(result.count(s) == 0 for s in th.TheoremStatus if s is not th.TheoremStatus.INADMISSIBLE):
         raise MatchextError(

@@ -3,13 +3,19 @@
 Every document carries schema "matchext/1". Keys are emitted in a fixed
 construction order and no timing data is embedded, so equal inputs (and
 seeds) produce byte-identical output.
+
+Theorem report rows, in ``verify`` and ``census`` documents alike, are
+written by one function, ``render_row``, at the indent their list gives
+them. A census hands it to its pool workers, so a row becomes text in the
+process that checked it; the document carries the rows as ``RenderedRows``
+and ``to_json`` splices their text in.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any
+from typing import Any, Iterable
 
 from .census import CensusResult, CorpusSpec
 from .extendability import ExtendabilityVerdict, Failure
@@ -111,11 +117,32 @@ def report_to_dict(report: TheoremReport) -> dict[str, Any]:
     }
 
 
-def reports_document(reports) -> dict[str, Any]:
+# Where a document's "reports" list puts its rows: a top-level key's items.
+_ROW_INDENT = "\n    "
+
+
+def render_row(report: TheoremReport) -> str:
+    """``report_to_dict(report)`` as JSON text at the row indent of a document."""
+    out: list[str] = []
+    _write(report_to_dict(report), _ROW_INDENT, out)
+    return "".join(out)
+
+
+class RenderedRows(list):
+    """A "reports" list whose items are rows as ``render_row`` writes them;
+    ``to_json`` copies their text instead of encoding them."""
+
+
+def _rows(reports: Iterable[TheoremReport | str]) -> RenderedRows:
+    """The rows of a document; a str is a row ``render_row`` already wrote."""
+    return RenderedRows(r if isinstance(r, str) else render_row(r) for r in reports)
+
+
+def reports_document(reports: Iterable[TheoremReport]) -> dict[str, Any]:
     return {
         "schema": SCHEMA,
         "command": "verify",
-        "reports": [report_to_dict(r) for r in reports],
+        "reports": _rows(reports),
     }
 
 
@@ -134,7 +161,7 @@ def census_document(result: CensusResult) -> dict[str, Any]:
         "theorems": list(result.theorems),
         "params": {"n_max": result.ranges.n_max, "k_max": result.ranges.k_max},
         "summary": {tid: dict(per) for tid, per in result.summary.items()},
-        "reports": [report_to_dict(r) for r in result.reports],
+        "reports": _rows(result.reports),
     }
 
 
@@ -180,6 +207,9 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = indent + "  "
+        if type(value) is RenderedRows:
+            out.append("[" + inner + ("," + inner).join(value) + indent + "]")
+            return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -191,7 +221,8 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
 
 
 def to_json(document: dict[str, Any]) -> str:
-    """``json.dumps(document, indent=2)`` plus a newline, byte for byte.
+    """``json.dumps(document, indent=2)`` plus a newline, byte for byte,
+    where a ``RenderedRows`` list counts as the dicts its rows were written from.
 
     json takes its pure-Python encoder whenever it indents; this writer
     builds the same text in one pass, with json's own string escaping and

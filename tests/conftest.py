@@ -1,11 +1,24 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from matchext import Graph, complete_graph, disjoint_union, join
+from matchext.census import _ordered_map
+from matchext.generate import EXHAUSTIVE_LIMIT, _exhaustive_level
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(scope="session")
+def corpus_up_to_eight():
+    """Build the <= 8 exhaustive corpus once per session, in the census's
+    two-worker ordered map. The levels land in generate's cache, where
+    exhaustive_graphs(8) and an exhaustive census find them; they do not
+    depend on the mapper."""
+    with _ordered_map(2) as mapper:
+        _exhaustive_level(EXHAUSTIVE_LIMIT, mapper)
 
 
 def cycle_graph(n: int) -> Graph:

@@ -2,7 +2,8 @@
 
 Each test prints one `[acceptance] criterion N PASS` line (run pytest with
 -s to see them live); a failing criterion fails its test. The heavyweight
-sweeps share the process-cached exhaustive corpus.
+sweeps share the exhaustive corpus, built once per session by the
+``corpus_up_to_eight`` fixture.
 """
 
 import json
@@ -106,6 +107,7 @@ def test_criterion_3_h2_claim(capsys):
         report(3, "h2:1:1 is (1,1)-extendable and fails (3,1) at core/pendant exactly")
 
 
+@pytest.mark.usefixtures("corpus_up_to_eight")
 def test_criterion_4_tutte_certificate_soundness(capsys):
     start = time.monotonic()
     checked = 0
@@ -154,6 +156,7 @@ def test_criterion_5_matching_oracle(capsys):
         report(5, f"blossom == brute force on {count} random graphs (8-12 vertices), {elapsed:.1f}s")
 
 
+@pytest.mark.usefixtures("corpus_up_to_eight")
 def test_criterion_6_zero_counterexample_census(capsys):
     start = time.monotonic()
     result = run_census(
@@ -207,6 +210,7 @@ def direct_factor_critical(g, n: int) -> bool:
     return True
 
 
+@pytest.mark.usefixtures("corpus_up_to_eight")
 def test_criterion_7_specialization_identities(capsys):
     start = time.monotonic()
     checked = 0

@@ -177,9 +177,10 @@ class TestExhaustive:
         b = [g.edges() for g in exhaustive_graphs(5)]
         assert a == b
 
+    @pytest.mark.usefixtures("corpus_up_to_eight")
     def test_up_to_eight_vertices_pinned(self):
         # Representatives in discovery order and their canonical forms, frozen
-        # from the unpruned generator; the <= 8 corpus is process-cached.
+        # from the unpruned generator; the <= 8 corpus is built once per session.
         corpus = exhaustive_graphs(8)
         assert len(corpus) == sum(KNOWN_GRAPH_COUNTS[1:9])
         graph6 = "\n".join(serialize_graph6(g) for g in corpus)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from matchext import complete_graph, is_nk_extendable, verify_theorem2
 from matchext.cli import main
 from matchext.families import build_h1
-from matchext.reporting import graph_info, reports_document, to_json, verdict_document
+from matchext.reporting import graph_info, report_to_dict, reports_document, to_json, verdict_document
 
 
 def verdict_json(verdict, **context):
@@ -37,6 +37,14 @@ class TestEmitVerdictJson:
         doc = json.loads(to_json(reports_document([report])))
         assert doc["schema"] == "matchext/1"
         assert doc["reports"][0]["status"] == "CONFIRMED"
+
+    def test_verify_rows_equal_json_dumps(self):
+        # verify's rows take census's path: render_row, spliced by to_json.
+        fam = build_h1(1, 0)
+        reports = [verify_theorem2(fam.graph, 1, 0), verify_theorem2(complete_graph(6), 0, 0)]
+        for rows in (reports, []):
+            built = {**reports_document(rows), "reports": [report_to_dict(r) for r in rows]}
+            assert to_json(reports_document(rows)) == json.dumps(built, indent=2) + "\n"
 
     def test_deterministic_bytes(self):
         g = complete_graph(6)

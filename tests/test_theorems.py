@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 
 from matchext import (
@@ -33,13 +36,18 @@ from matchext.census import clamp_jobs, normalize_theorems
 from matchext.matching import SubsetMatchingOracle
 from matchext.theorems import THEOREM_IDS, THEOREMS
 from matchext.families import build_h2
-from matchext.reporting import census_document, to_json
+from matchext.reporting import census_document, render_row, report_to_dict, to_json
 
 from conftest import cycle_graph, path_graph, star_graph
 from oracles import reference_one_factor_body
 
 CONFIRMED = TheoremStatus.CONFIRMED
 VACUOUS = TheoremStatus.VACUOUS
+
+# The pair cap aborts rows of every theorem here, and T2 has a VACUOUS row
+# that names its failing edge.
+CAPPED_SPEC = CorpusSpec(FileSource(("h1:1:0", "h2:1:0", "h1:2:0")))
+CAPPED_KWARGS = dict(theorems=("T2", "TB", "L2"), ranges=ParamRanges(2, 1), pair_cap=50)
 
 
 def delete_for_edge(g, u, v):
@@ -273,6 +281,11 @@ class TestTheoremC:
             assert verify_theoremC(g, n=2).status == verify_theorem4(g, 2, 0).status
 
 
+def _render_with_pid(report) -> str:
+    """A row renderer that tells which process ran it."""
+    return f"{os.getpid()} {render_row(report)}"
+
+
 class TestCensus:
     def test_exhaustive_6_lemmas_no_counterexamples(self):
         result = run_census(
@@ -365,14 +378,42 @@ class TestCensus:
     def test_kept_rows_and_summary_match_the_full_run(self, jobs):
         # The pair cap aborts some rows, so the kept list is not empty, while
         # the rows it drops still count in the summary.
-        spec = CorpusSpec(FileSource(("h1:1:0", "h2:1:0", "h1:2:0")))
-        kwargs = dict(theorems=("T2", "TB", "L2"), ranges=ParamRanges(2, 1), pair_cap=50)
         keep = (TheoremStatus.COUNTEREXAMPLE, TheoremStatus.ABORTED)
-        full = run_census(spec, **kwargs)
-        kept = run_census(spec, jobs=jobs, keep_statuses=keep, **kwargs)
+        full = run_census(CAPPED_SPEC, **CAPPED_KWARGS)
+        kept = run_census(CAPPED_SPEC, jobs=jobs, keep_statuses=keep, **CAPPED_KWARGS)
         assert kept.summary == full.summary
         assert kept.reports == [r for r in full.reports if r.status in keep]
         assert 0 < len(kept.reports) < len(full.reports)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_spliced_rows_equal_json_dumps(self, jobs):
+        # Rows rendered where they are checked, spliced by to_json, give the
+        # bytes json.dumps gives for the document built from report dicts;
+        # keeping only COUNTEREXAMPLE rows leaves "reports": [].
+        full = run_census(CAPPED_SPEC, **CAPPED_KWARGS)
+        kinds = {(r.status, "failing_edge" in r.hypothesis_detail) for r in full.reports}
+        assert {(VACUOUS, True), (TheoremStatus.ABORTED, False)} <= kinds
+        for keep in (None, (TheoremStatus.COUNTEREXAMPLE,)):
+            built = run_census(CAPPED_SPEC, keep_statuses=keep, **CAPPED_KWARGS)
+            doc = {**census_document(built), "reports": [report_to_dict(r) for r in built.reports]}
+            rendered = run_census(
+                CAPPED_SPEC, jobs=jobs, keep_statuses=keep, render=render_row, **CAPPED_KWARGS
+            )
+            text = to_json(census_document(rendered))
+            assert text == json.dumps(doc, indent=2) + "\n"
+            assert ('"reports": []' in text) == (keep is not None)
+
+    def test_rows_are_rendered_in_the_workers(self, monkeypatch):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        default = run_census(CAPPED_SPEC, jobs=2, **CAPPED_KWARGS)
+        assert default.reports
+        assert all(isinstance(r, theorems.TheoremReport) for r in default.reports)
+        rendered = run_census(CAPPED_SPEC, jobs=2, render=render_row, **CAPPED_KWARGS)
+        assert all(type(r) is str for r in rendered.reports)
+        assert census_document(rendered) == census_document(default)
+        tagged = run_census(CAPPED_SPEC, jobs=2, render=_render_with_pid, **CAPPED_KWARGS)
+        pids = {int(row.split(" ", 1)[0]) for row in tagged.reports}
+        assert pids and os.getpid() not in pids
 
     def test_determinism_and_jobs_invariance(self):
         spec = CorpusSpec(RandomSource(12, 5, 8, 0.4, seed=11))
