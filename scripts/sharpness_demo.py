@@ -24,7 +24,7 @@ def describe_failure(verdict) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=3)
+    parser.add_argument("--n-max", type=int, default=4)
     parser.add_argument("--k-max", type=int, default=1)
     args = parser.parse_args()
 

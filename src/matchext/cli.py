@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--pair-cap",
             type=int,
-            help="per-instance cap on work: vertex sets looked up, (S, M) pairs tried for a witness, "
+            help="per-instance cap on work: vertex sets looked up, for a decision or a witness, "
             "and i-matchings (TB) or edges (T4, TC) tried",
         )
 

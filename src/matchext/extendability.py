@@ -27,7 +27,12 @@ definition's double loop: the least failing n-set S (always in twin-prefix
 form, because the map to prefix form never increases a vertex; S fails
 exactly when G - S is not (0, k)-extendable, which is decided as above),
 and the first k-matching of G - S, in lexicographic canonical order, that
-does not extend. Only that last step enumerates k-matchings, on that one S.
+does not extend. That matching is found in set form too, without listing
+the k-matchings of G - S: a descent through their lexicographic order
+takes, edge by edge, the first next edge after which some completion does
+not extend, and each such question is a loop over twin-prefix sets of at
+most 2k - 2 vertices, with one oracle lookup for each set that has a
+1-factor.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .matching import (
     TutteCertificate,
     _blossom_size,
     _gallai_edmonds_tutte,
-    _matchings_in_mask,
+    _one_factors_in_mask,
 )
 
 
@@ -85,8 +90,8 @@ class SearchStats:
     nk_cache does not answer: (n, k) on G and, while extracting a witness,
     (0, k) on G - S for each S walked. subsets_examined counts the n-sets
     looked up (the empty set alone, for a (0, k) decision); pairs_examined
-    counts the (n+2k)-sets looked up (for k >= 1) plus the (S, M) pairs
-    tried on the failing S.
+    counts the (n+2k)-sets looked up (for k >= 1) plus the sets looked up
+    while finding the stuck k-matching on the failing S.
     """
 
     subsets_examined: int = 0
@@ -121,10 +126,10 @@ class Budget:
     """Work limits for one search instance.
 
     pair_cap bounds the work charged: one unit per vertex set looked up,
-    one per (S, M) pair tried while extracting a witness, and in the theorem
-    validators one per i-matching (TB) or edge (T4, TC) tried. deadline is an
-    absolute time.monotonic() cutoff, checked on entry to every search and
-    then every 256 charges.
+    in a decision or while finding the stuck k-matching of a witness, and
+    in the theorem validators one per i-matching (TB) or edge (T4, TC)
+    tried. deadline is an absolute time.monotonic() cutoff, checked on
+    entry to every search and then every 256 charges.
     """
 
     deadline: float | None = None
@@ -257,6 +262,78 @@ def _holds_on_mask(
     return result
 
 
+def _stuck_matching(
+    oracle: SubsetMatchingOracle,
+    rem: int,
+    k: int,
+    budget: Budget | None,
+    stats: SearchStats,
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """First k-matching of G[rem] that does not extend to a 1-factor of G[rem].
+
+    "First" is in the lexicographic order of _matchings_in_mask, which
+    extends a prefix only by edges (a, b) with a above its last edge's lower
+    endpoint. The search descends through that order without listing
+    matchings: at each level it takes the first such edge whose completions
+    include a stuck one (see _has_stuck_completion). G[rem] must have a
+    k-matching that does not extend. Returns the edges and their vertex mask.
+    """
+    masks = oracle.masks
+    chosen: tuple[tuple[int, int], ...] = ()
+    used = 0
+    start = 0  # children take their lower endpoint from start upwards
+    for j in reversed(range(k)):
+        free = rem ^ used
+        a, b = next(
+            (a, b)
+            for a in _bits(free >> start << start)
+            for b in _bits(masks[a] & (free >> (a + 1) << (a + 1)))
+            if _has_stuck_completion(oracle, free ^ (1 << a) ^ (1 << b), a, j, budget, stats)
+        )
+        chosen += ((a, b),)
+        used |= (1 << a) | (1 << b)
+        start = a + 1
+    return chosen, used
+
+
+def _has_stuck_completion(
+    oracle: SubsetMatchingOracle,
+    rest: int,
+    a: int,
+    j: int,
+    budget: Budget | None,
+    stats: SearchStats,
+) -> bool:
+    """True iff some j-matching M of G[H], H = rest minus the vertices <= a,
+    leaves G[rest] - V(M) without a 1-factor.
+
+    Such an M exists iff some 2j-set T of H has a 1-factor while G[rest] - T
+    has none. Swapping two twins of G[rest] that both lie in H maps rest and
+    H onto themselves, so T ranges over the twin-prefix sets of G[rest]'s
+    twin classes cut to H. At j = 0, T is empty. G[T] has at most 2k - 2
+    vertices, so its 1-factor is looked for by _one_factors_in_mask, not the
+    oracle: on sparse graphs most T have none, and a memoized blossom run per
+    T made the search slower than listing the k-matchings. Each set looked up
+    is charged and counted as one pair.
+    """
+    masks = oracle.masks
+    if j == 0:
+        sets: Iterable[int] = _EMPTY_SET_ONLY
+    else:
+        high = rest >> (a + 1) << (a + 1)
+        cut = ([v for v in c if high >> v & 1] for c in twin_classes(masks, rest))
+        sets = twin_prefix_sets([c for c in cut if c], 2 * j)
+    size = oracle.size
+    half = rest.bit_count() // 2 - j
+    for tmask in sets:
+        if budget is not None:
+            budget.charge_pairs()
+        stats.pairs_examined += 1
+        if next(_one_factors_in_mask(masks, tmask), None) is not None and size(rest ^ tmask) != half:
+            return True
+    return False
+
+
 def _verdict_on_mask(
     oracle: SubsetMatchingOracle,
     mask: int,
@@ -267,8 +344,8 @@ def _verdict_on_mask(
     """Full verdict for G[mask], witness indices in the host graph numbering.
 
     Decides first. Only on failure does it walk the twin-prefix n-sets S in
-    lex order to the first whose G[mask] - S fails (0, k), and runs the
-    lexicographic k-matching loop on that S alone.
+    lex order to the first whose G[mask] - S fails (0, k), and on that S
+    alone finds the first k-matching that does not extend (_stuck_matching).
     """
     stats = SearchStats()
     if _holds_on_mask(oracle, mask, n, k, budget, stats):
@@ -283,14 +360,7 @@ def _verdict_on_mask(
     if oracle.size(rem) < k:
         failure = Failure(kind=FailureKind.NO_K_MATCHING, s=VertexSet(s_tuple))
         return ExtendabilityVerdict(holds=False, failure=failure, stats=stats)
-    for chosen, used in _matchings_in_mask(oracle.masks, rem, k):
-        if budget is not None:
-            budget.charge_pairs()
-        stats.pairs_examined += 1
-        if not oracle.is_perfectable(rem ^ used):
-            break
-    else:
-        raise AssertionError("every k-matching extends at a failing set")
+    chosen, used = _stuck_matching(oracle, rem, k, budget, stats)
     failure = Failure(
         kind=FailureKind.STUCK_MATCHING,
         s=VertexSet(s_tuple),
@@ -347,17 +417,16 @@ def verify_failure_witness(g: Graph, n: int, k: int, failure: Failure) -> bool:
 
     Deliberately avoids the subset oracle, its table and twin classes: every
     set is a vertex mask of g, each matching size is one blossom run on g's
-    own neighbour lists, and the odd components come from a component walk,
+    own adjacency masks, and the odd components come from a component walk,
     so a verdict and its witness are established by two independent routes.
     """
     count, masks = g.vertex_count, g.adjacency_masks
     s_mask = _distinct_mask(failure.s, count)
     if s_mask is None or len(failure.s) != n:
         return False
-    neighbors = [g.neighbors(v) for v in g.vertices()]
     rest = ((1 << count) - 1) ^ s_mask
     if failure.kind is FailureKind.NO_K_MATCHING:
-        return _blossom_size(neighbors, rest) < k
+        return _blossom_size(masks, rest) < k
     m = failure.m
     if m is None or m.size != k:
         return False
@@ -365,7 +434,7 @@ def verify_failure_witness(g: Graph, n: int, k: int, failure: Failure) -> bool:
     if m_mask is None or m_mask & s_mask or not all(masks[u] >> v & 1 for u, v in m.edges):
         return False
     rest ^= m_mask
-    if rest.bit_count() % 2 == 0 and 2 * _blossom_size(neighbors, rest) == rest.bit_count():
+    if rest.bit_count() % 2 == 0 and 2 * _blossom_size(masks, rest) == rest.bit_count():
         return False  # G - S - V(M) has a 1-factor, so M extends
     tutte = failure.tutte
     if tutte is None:

@@ -8,9 +8,12 @@ clique blocks first, then the core clique, then the pendant pairs, so the
 canonical witnesses (core set, pendant matching) are stable across runs.
 
 H1(n, k) is (n, k+1)-extendable but not (n, k+2)-extendable; H2(n, k) is
-not (n+2, k)-extendable. Both keep (n, k)-extendability under deletion of
-any edge's endpoints, which makes them sharpness examples for the
-edge-deletion theorems.
+not (n+2, k)-extendable. H1 keeps (n, k)-extendability under deletion of
+any edge's endpoints (apart from the corner n = 0, k = 1, where deleting a
+join edge breaks it), which makes it a sharpness example for the
+edge-deletion theorems. H2 does not: deleting its core edge leaves the rest
+of the core and the pendant matching as a stuck pair, so H2 fails the
+edge-deletion hypothesis.
 """
 
 from __future__ import annotations

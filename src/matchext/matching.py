@@ -1,15 +1,16 @@
 """Maximum matchings, Tutte certificates, and the subset oracle.
 
-The public engine is a deterministic blossom implementation: vertices are
-scanned in ascending order and every tie breaks toward the smaller index,
-so a fixed graph always yields the same matching. The extendability search
-layers a per-graph subset oracle on top (see SubsetMatchingOracle), which
-answers maximum-matching sizes for arbitrary induced subgraphs. It starts
-with one memoized blossom run per queried subset and switches to a table
-over all 2^n subsets once the runs have cost about as much as the table:
-a table entry is about 18 to 35 times cheaper than a blossom run, so the
-switch comes after 2^n / 32 runs, and graphs of at most 12 vertices, whose
-table takes a few milliseconds, get it at once.
+One blossom kernel, _blossom_mates, serves every caller. It works on the
+host graph's adjacency masks and a vertex mask, so an induced subgraph needs
+no relabelling: a greedy pass over bitmasks, then Edmonds' search only when
+that leaves two exposed vertices with neighbours. Vertices are scanned in
+ascending order and every tie breaks toward the smaller index, so a fixed
+graph always yields the same matching. The extendability search layers a
+per-graph subset oracle on top (see SubsetMatchingOracle), which answers
+maximum-matching sizes for arbitrary induced subgraphs. It starts with one
+memoized blossom run per queried subset and switches to a table over all
+2^n subsets after 2^n / 32 runs (see the constants below), and graphs of at
+most 12 vertices, whose table takes a few milliseconds, get it at once.
 """
 
 from __future__ import annotations
@@ -78,35 +79,52 @@ class TutteCertificate:
     deficiency_excess: int
 
 
-def _blossom_mates(n: int, neighbors: Sequence[Sequence[int]]) -> list[int]:
-    """Deterministic blossom search; returns the mate array (-1 = exposed).
+def _blossom_mates(masks: Sequence[int], mask: int) -> list[int]:
+    """Deterministic blossom search on G[mask]; returns the mate array.
 
-    Starts from a greedy matching, which leaves few exposed vertices to
-    search from.
+    ``masks`` are the host graph's adjacency masks, and the array is indexed
+    by host vertex: -1 marks an exposed vertex or one outside ``mask``. A
+    greedy pass first matches each vertex, in ascending order, to its lowest
+    free neighbour. An augmenting path joins two exposed vertices that have
+    neighbours in ``mask``, so when at most one such vertex is left the
+    matching is maximum. Otherwise Edmonds' search runs from each of them in
+    ascending order, scanning neighbours in ascending order.
     """
-    mate = [-1] * n
-    for v, near in enumerate(neighbors):
-        if mate[v] == -1:
-            for u in near:
-                if mate[u] == -1:
-                    mate[v], mate[u] = u, v
-                    break
-    parent = [-1] * n
-    base = list(range(n))
-    in_tree = [False] * n
-    in_blossom = [False] * n
+    mate = [-1] * len(masks)
+    free = mask
+    roots = 0
+    while free:
+        low = free & -free
+        free ^= low
+        v = low.bit_length() - 1
+        nb = masks[v] & free
+        if nb:
+            ub = nb & -nb
+            free ^= ub
+            u = ub.bit_length() - 1
+            mate[v], mate[u] = u, v
+        elif masks[v] & mask:
+            roots |= low
+    if roots & (roots - 1) == 0:
+        return mate
+    verts = list(_bits(mask))
+    size = len(masks)
+    parent = [-1] * size
+    base = list(range(size))
+    in_tree = [False] * size
+    in_blossom = [False] * size
 
     def lowest_common_base(a: int, b: int) -> int:
-        on_path = [False] * n
+        on_path = set()
         while True:
             a = base[a]
-            on_path[a] = True
+            on_path.add(a)
             if mate[a] == -1:
                 break
             a = parent[mate[a]]
         while True:
             b = base[b]
-            if on_path[b]:
+            if b in on_path:
                 return b
             b = parent[mate[b]]
 
@@ -119,7 +137,7 @@ def _blossom_mates(n: int, neighbors: Sequence[Sequence[int]]) -> list[int]:
             v = parent[mate[v]]
 
     def find_augmenting_end(root: int) -> int:
-        for i in range(n):
+        for i in verts:
             in_tree[i] = False
             parent[i] = -1
             base[i] = i
@@ -127,17 +145,17 @@ def _blossom_mates(n: int, neighbors: Sequence[Sequence[int]]) -> list[int]:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for to in neighbors[v]:
+            for to in _bits(masks[v] & mask):
                 if base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                     # Odd cycle: contract the blossom around its base.
                     cur_base = lowest_common_base(v, to)
-                    for i in range(n):
+                    for i in verts:
                         in_blossom[i] = False
                     mark_path(v, cur_base, to)
                     mark_path(to, cur_base, v)
-                    for i in range(n):
+                    for i in verts:
                         if in_blossom[base[i]]:
                             base[i] = cur_base
                             if not in_tree[i]:
@@ -151,12 +169,10 @@ def _blossom_mates(n: int, neighbors: Sequence[Sequence[int]]) -> list[int]:
                     queue.append(mate[to])
         return -1
 
-    for root in range(n):
+    for root in _bits(roots):
         if mate[root] != -1:
             continue
         end = find_augmenting_end(root)
-        if end == -1:
-            continue
         while end != -1:
             prev = parent[end]
             before = mate[prev]
@@ -166,21 +182,15 @@ def _blossom_mates(n: int, neighbors: Sequence[Sequence[int]]) -> list[int]:
     return mate
 
 
-def _blossom_size(neighbors: Sequence[Sequence[int]], mask: int) -> int:
-    """Maximum matching size of the induced subgraph on ``mask``, uncached.
-
-    ``neighbors`` lists the neighbors of every host vertex.
-    """
-    verts = list(_bits(mask))
-    index = {v: i for i, v in enumerate(verts)}
-    local = [[index[u] for u in neighbors[v] if u in index] for v in verts]
-    return sum(1 for m in _blossom_mates(len(verts), local) if m != -1) // 2
+def _blossom_size(masks: Sequence[int], mask: int) -> int:
+    """Maximum matching size of the induced subgraph on ``mask``, uncached."""
+    mate = _blossom_mates(masks, mask)
+    return (len(mate) - mate.count(-1)) // 2
 
 
 def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching, deterministic for a fixed graph."""
-    neighbors = [g.neighbors(v) for v in g.vertices()]
-    mate = _blossom_mates(g.vertex_count, neighbors)
+    mate = _blossom_mates(g.adjacency_masks, (1 << g.vertex_count) - 1)
     edges = [(v, mate[v]) for v in g.vertices() if mate[v] > v]
     return Matching(tuple(edges))
 
@@ -234,13 +244,15 @@ def _one_factors_in_mask(
             yield ((v, u),) + rest
 
 
-# Measured on a 2-core x86 box (Python 3.11) over the decisions of the H1/H2
-# family instances of 13 to 21 vertices: one table entry costs 0.8-1.7 us and
-# one blossom miss 13-46 us, a ratio of 18 to 35 on all but the smallest. So
-# the table has paid for itself after about 2^n / 18 to 2^n / 35 misses, and a
-# budget of 2^n / 32 misses sits in that range. Up to 12 vertices the table
-# costs at most about 4 ms; a census asks thousands of queries of each such
-# graph and a single decision loses at most those 4 ms, so it is built at once.
+# Measured on a 2-core x86 box (Python 3.11) over the misses of the verdicts
+# on the H1/H2 family instances of 14 to 21 vertices: one table entry costs
+# 0.3-0.45 us and one blossom miss 4-13 us, a ratio of 11 to 41 (most near
+# 16). So the table has paid for itself after about 2^n / 11 to 2^n / 41
+# misses. The budget of 2^n / 32 misses was set when a miss cost 18 to 35
+# entries; it still lies in the range, near its top, so the table tends to
+# come early rather than late. Up to 12 vertices the table costs at most a
+# few ms; a census asks thousands of queries of each such graph and a single
+# decision loses at most those few ms, so it is built at once.
 _EAGER_VERTICES = 12
 _MISS_SHIFT = 5
 
@@ -295,10 +307,6 @@ class SubsetMatchingOracle:
         """True once the table over all 2^n subsets is built."""
         return self._table is not None
 
-    @cached_property
-    def _neighbors(self) -> list[tuple[int, ...]]:
-        return [self.graph.neighbors(v) for v in self.graph.vertices()]
-
     def _promote(self) -> None:
         if self._table is None:
             self._table = self._build_table()
@@ -332,7 +340,7 @@ class SubsetMatchingOracle:
         if cached is None:
             if self._table is not None:  # bound by a caller before the table was built
                 return self._table[mask]
-            cached = self._lazy[mask] = _blossom_size(self._neighbors, mask)
+            cached = self._lazy[mask] = _blossom_size(self.masks, mask)
             if len(self._lazy) >= self.miss_budget:
                 self._promote()
         return cached
@@ -385,5 +393,5 @@ def find_tutte_certificate(g: Graph) -> TutteCertificate | None:
     Only even-order graphs without a 1-factor yield a certificate; parity
     makes the excess even, hence >= 2. Each size query is one blossom run.
     """
-    neighbors = [g.neighbors(v) for v in g.vertices()]
-    return _gallai_edmonds_tutte(partial(_blossom_size, neighbors), g.adjacency_masks, (1 << g.vertex_count) - 1)
+    masks = g.adjacency_masks
+    return _gallai_edmonds_tutte(partial(_blossom_size, masks), masks, (1 << g.vertex_count) - 1)

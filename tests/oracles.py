@@ -6,9 +6,12 @@ over all vertex subsets with its own component walk, and the extendability
 oracle is the definition's double loop using only vertex deletion and
 has_one_factor. Expected values frozen into tests were computed with these.
 
-Two references are exceptions. reference_search_failure walks every
+Some references are exceptions. reference_search_failure walks every
 (S, M) pair in lexicographic order over the package's subset oracle, and
 the set-form engine must report exactly its first failure.
+reference_blossom_mates is the package's earlier blossom kernel, on
+neighbour lists of a relabelled subgraph, and the mask kernel must return
+the same mate array.
 reference_one_factor_body walks every 1-factor of G for T4/TC, and the
 theorem body must give exactly its report. reference_canonical_form is
 the canonical form without twin pruning: it branches on every vertex of
@@ -17,7 +20,9 @@ the target cell, and the pruned search must return the same integer.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
+from typing import Sequence
 
 from matchext import Graph, VertexSet, delete_vertices, has_one_factor, theorems
 from matchext.extendability import FailureKind
@@ -48,6 +53,96 @@ def brute_max_matching_size(g: Graph) -> int:
         return best
 
     return rec((1 << g.vertex_count) - 1)
+
+
+def reference_blossom_mates(n: int, neighbors: Sequence[Sequence[int]]) -> list[int]:
+    """Edmonds' blossom search on neighbour lists; the mate array (-1 = exposed).
+
+    The package's earlier kernel, kept as the reference for its mask-native
+    one: a greedy pass matches each vertex to its lowest free neighbour, then
+    each exposed vertex in ascending order roots a search that scans
+    neighbours in ascending order, so the two must give the same array.
+    """
+    mate = [-1] * n
+    for v, near in enumerate(neighbors):
+        if mate[v] == -1:
+            for u in near:
+                if mate[u] == -1:
+                    mate[v], mate[u] = u, v
+                    break
+    parent = [-1] * n
+    base = list(range(n))
+    in_tree = [False] * n
+    in_blossom = [False] * n
+
+    def lowest_common_base(a: int, b: int) -> int:
+        on_path = [False] * n
+        while True:
+            a = base[a]
+            on_path[a] = True
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if on_path[b]:
+                return b
+            b = parent[mate[b]]
+
+    def mark_path(v: int, b: int, child: int) -> None:
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    def find_augmenting_end(root: int) -> int:
+        for i in range(n):
+            in_tree[i] = False
+            parent[i] = -1
+            base[i] = i
+        in_tree[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in neighbors[v]:
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                    # Odd cycle: contract the blossom around its base.
+                    cur_base = lowest_common_base(v, to)
+                    for i in range(n):
+                        in_blossom[i] = False
+                    mark_path(v, cur_base, to)
+                    mark_path(to, cur_base, v)
+                    for i in range(n):
+                        if in_blossom[base[i]]:
+                            base[i] = cur_base
+                            if not in_tree[i]:
+                                in_tree[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if mate[to] == -1:
+                        return to
+                    in_tree[mate[to]] = True
+                    queue.append(mate[to])
+        return -1
+
+    for root in range(n):
+        if mate[root] != -1:
+            continue
+        end = find_augmenting_end(root)
+        if end == -1:
+            continue
+        while end != -1:
+            prev = parent[end]
+            before = mate[prev]
+            mate[end] = prev
+            mate[prev] = end
+            end = before
+    return mate
 
 
 def matchings_by_combinations(g: Graph, k: int) -> list[tuple[tuple[int, int], ...]]:

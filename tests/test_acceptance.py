@@ -29,13 +29,14 @@ from matchext import (
     random_graphs,
     run_census,
 )
+from matchext.census import _ordered_map
 from matchext.cli import main
 from matchext.families import build_h1, build_h2
-from matchext.matching import _blossom_mates
 
-from oracles import brute_max_deficiency, brute_max_matching_size
+from oracles import brute_max_deficiency, brute_max_matching_size, reference_blossom_mates
 
 CRITERION_6_THEOREMS = ("T1", "T2", "T3", "T4", "TB", "TC", "L1", "L2")
+CRITERION_7_IDENTITIES = 64718
 
 
 def report(criterion: int, message: str) -> None:
@@ -51,7 +52,7 @@ def masked_one_factor(g, mask: int) -> bool:
     neighbors = [
         [index[u] for u in g.neighbors(v) if mask >> u & 1] for v in verts
     ]
-    return all(m != -1 for m in _blossom_mates(len(verts), neighbors))
+    return all(m != -1 for m in reference_blossom_mates(len(verts), neighbors))
 
 
 def test_criterion_1_h1_sharpness_witness(capsys):
@@ -210,20 +211,34 @@ def direct_factor_critical(g, n: int) -> bool:
     return True
 
 
+def specialization_identities(g) -> tuple[int, list[tuple[str, int]]]:
+    """Criterion 7 on one graph: the number of identities checked and the
+    ("k", k) or ("n", n) of each one that fails."""
+    nv = g.vertex_count
+    checked, failed = 0, []
+    for k in range(3):
+        if 2 * k <= nv - 2 and nv % 2 == 0:
+            if is_k_extendable(g, k).holds != direct_k_extendable(g, k):
+                failed.append(("k", k))
+            checked += 1
+    for n in range(4):
+        if n <= nv - 2 and (nv - n) % 2 == 0:
+            if is_n_factor_critical(g, n).holds != direct_factor_critical(g, n):
+                failed.append(("n", n))
+            checked += 1
+    return checked, failed
+
+
 @pytest.mark.usefixtures("corpus_up_to_eight")
 def test_criterion_7_specialization_identities(capsys):
     start = time.monotonic()
+    graphs = exhaustive_graphs(8)
     checked = 0
-    for g in exhaustive_graphs(8):
-        nv = g.vertex_count
-        for k in range(3):
-            if 2 * k <= nv - 2 and nv % 2 == 0:
-                assert is_k_extendable(g, k).holds == direct_k_extendable(g, k)
-                checked += 1
-        for n in range(4):
-            if n <= nv - 2 and (nv - n) % 2 == 0:
-                assert is_n_factor_critical(g, n).holds == direct_factor_critical(g, n)
-                checked += 1
+    with _ordered_map(2) as mapper:
+        for g, (count, failed) in zip(graphs, mapper(specialization_identities, graphs)):
+            assert failed == [], (g.edges(), failed)
+            checked += count
+    assert checked == CRITERION_7_IDENTITIES
     elapsed = time.monotonic() - start
     with capsys.disabled():
         report(7, f"{checked} specialization identities on the <=8 census, {elapsed:.1f}s")

@@ -23,7 +23,7 @@ from matchext import (
     is_nk_extendable,
     verify_failure_witness,
 )
-from matchext import SubsetMatchingOracle, exhaustive_graphs, extendability
+from matchext import SubsetMatchingOracle, exhaustive_graphs, extendability, random_graphs
 from matchext.extendability import _holds_on_mask, _prefix_sets, _verdict_on_mask, admissible
 from matchext.families import build_h1, resolve_family_ref
 from matchext.graph import twin_classes, twin_prefix_sets
@@ -221,6 +221,7 @@ class TestReferenceSearch:
     @pytest.mark.parametrize(
         "ref,n,k",
         [
+            ("h1:2:0", 2, 3),
             ("h1:2:0", 2, 2),
             ("h1:2:0", 2, 1),
             ("h2:2:0", 4, 0),
@@ -239,6 +240,51 @@ class TestReferenceSearch:
             if admissible(mask.bit_count(), n, k):
                 expected = reference_search_failure(oracle, mask, n, k)
                 assert _reported_failure(oracle, mask, n, k) == expected
+
+
+    @pytest.mark.parametrize(
+        "ref, n, k, pairs, misses",
+        [("h1:2:0", 2, 2, 830, 612), ("h1:2:0", 2, 3, 1155, 522), ("h1:4:1", 4, 3, 20457, 10256)],
+    )
+    def test_descent_work_is_pinned(self, ref, n, k, pairs, misses):
+        # A child's completions use only vertices above its lower endpoint.
+        # Searching all of the rest instead reports the same matching (a
+        # stuck one through a lower vertex would be lexicographically
+        # smaller), so only the work shows it: 2695 sets at h1:2:0 (2, 3).
+        g = resolve_family_ref(ref).graph
+        oracle = SubsetMatchingOracle(g)
+        verdict = is_nk_extendable(g, n, k, oracle=oracle)
+        assert verdict.failure.kind is FailureKind.STUCK_MATCHING
+        assert (verdict.stats.pairs_examined, oracle.misses) == (pairs, misses)
+
+    @pytest.mark.parametrize("p, compared, stuck", [(0.5, 39, 39), (0.7, 39, 38), (0.9, 39, 26)])
+    def test_k3_on_random_graphs(self, p, compared, stuck):
+        # k = 3 needs 8 + n vertices, so the exhaustive corpus has no such case.
+        counts = [0, 0]
+        for g in random_graphs(30, 8, 12, p, 0):
+            oracle = SubsetMatchingOracle(g)
+            for n in range(3):
+                if admissible(g.vertex_count, n, 3):
+                    expected = reference_search_failure(oracle, oracle.full_mask, n, 3)
+                    assert _reported_failure(oracle, oracle.full_mask, n, 3) == expected
+                    counts[0] += 1
+                    counts[1] += expected is not None and expected[0] is FailureKind.STUCK_MATCHING
+        assert counts == [compared, stuck]
+
+    @pytest.mark.parametrize(
+        "g, n, k",
+        [(cycle_graph(40), 2, 2)]
+        + [(random_graphs(1, 26, 26, 0.25, seed)[0], n, k) for seed in range(3) for n, k in [(0, 3), (2, 2)]],
+        ids=["C40-2-2"] + [f"G26-seed{seed}-{n}-{k}" for seed in range(3) for n, k in [(0, 3), (2, 2)]],
+    )
+    def test_sparse_lazy_graphs(self, g, n, k):
+        # Few twins and few matchings per vertex set: the descent looks up
+        # many sets per child here, where the lazy oracle answers each miss.
+        oracle = SubsetMatchingOracle(g)
+        assert not oracle.table_built
+        expected = reference_search_failure(oracle, oracle.full_mask, n, k)
+        assert expected is not None and expected[0] is FailureKind.STUCK_MATCHING
+        assert _reported_failure(oracle, oracle.full_mask, n, k) == expected
 
 
 class TestRelabelling:

@@ -113,6 +113,17 @@ class TestSharpness:
         assert not is_nk_extendable(fam.graph, n, k + 2).holds
         assert verify_failure_witness(fam.graph, n, k + 2, canonical_failure(fam))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_h1_n_1_fails_n_3_at_core_and_pendants(self, n):
+        # 23 and 28 vertices, k = 3: the witness search finds the stuck
+        # 3-matching without listing 3-matchings.
+        fam = build_h1(n, 1)
+        verdict = is_nk_extendable(fam.graph, n, 3)
+        assert not verdict.holds
+        assert (verdict.failure.s, verdict.failure.m) == (fam.core, fam.pendant_matching)
+        assert verify_failure_witness(fam.graph, n, 3, verdict.failure)
+        assert verify_failure_witness(fam.graph, n, 3, canonical_failure(fam))
+
     @pytest.mark.parametrize("n,k", SMALL_RANGE)
     def test_h2_fails_n_plus_2_k(self, n, k):
         fam = build_h2(n, k)

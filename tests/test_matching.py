@@ -13,18 +13,20 @@ from matchext import (
     complete_graph,
     delete_vertices,
     disjoint_union,
+    exhaustive_graphs,
     find_tutte_certificate,
     has_one_factor,
     maximum_matching,
 )
 from matchext.graph import _mask_of, components_of_mask
-from matchext.matching import _matchings_in_mask, _one_factors_in_mask
+from matchext.matching import _blossom_size, _matchings_in_mask, _one_factors_in_mask
 
 from conftest import cycle_graph, graphs, path_graph, petersen_graph, star_graph
 from oracles import (
     brute_max_deficiency,
     brute_max_matching_size,
     matchings_by_combinations,
+    reference_blossom_mates,
 )
 
 
@@ -73,6 +75,26 @@ class TestMaximumMatching:
     @given(graphs(max_vertices=9))
     def test_agrees_with_brute_force(self, g):
         assert maximum_matching(g).size == brute_max_matching_size(g)
+
+    def test_same_matching_as_reference_blossom(self):
+        # The mask kernel must reproduce the neighbour-list blossom exactly,
+        # not only its size: witnesses and goldens depend on which matching.
+        rng = random.Random(0)
+        corpus = list(exhaustive_graphs(7))
+        for _ in range(1000):
+            n = rng.randint(1, 18)
+            p = rng.random()
+            corpus.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+        for g in corpus:
+            mate = reference_blossom_mates(g.vertex_count, [g.neighbors(v) for v in g.vertices()])
+            assert maximum_matching(g).edges == tuple((v, m) for v, m in enumerate(mate) if m > v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10), st.data())
+    def test_blossom_size_on_masks_agrees_with_brute_force(self, g, data):
+        mask = data.draw(st.integers(0, (1 << g.vertex_count) - 1))
+        sub, _ = delete_vertices(g, VertexSet.of(v for v in g.vertices() if not mask >> v & 1))
+        assert _blossom_size(g.adjacency_masks, mask) == brute_max_matching_size(sub)
 
     @settings(max_examples=80, deadline=None)
     @given(graphs(max_vertices=8))
