@@ -50,7 +50,6 @@ from .families import FamilyInstance, build_h1, build_h2, resolve_family_ref
 from .generate import canonical_form, exhaustive_graphs, random_graphs
 from .graph import (
     Graph,
-    IndexRemap,
     VertexSet,
     complete_graph,
     delete_vertices,

@@ -308,7 +308,8 @@ def _run_verify(config: RunConfig) -> int:
             if missing:
                 raise MatchextError(f"--{missing[0]} is required for {tid}")
             reports.append(th.report_or_abort(
-                spec.validator, tid, g, kwargs, oracle=oracle, limits=limits, source=source, graph6=graph6
+                spec.validator, tid, g, kwargs, oracle=oracle, limits=limits, source=source, graph6=graph6,
+                params=spec.params(**kwargs),
             ))
     _emit(to_json(reports_document(reports)), config.out)
     statuses = {r.status for r in reports}
@@ -356,9 +357,7 @@ def main(argv: list[str] | None = None) -> int:
             return _run_family(config)
         if config.command == "verify":
             return _run_verify(config)
-        if config.command == "census":
-            return _run_census(config)
-        raise MatchextError(f"unknown command {config.command!r}")
+        return _run_census(config)  # argparse admits no other command
     except BudgetExceededError as exc:
         print(f"matchext: {exc}", file=sys.stderr)
         return EXIT_ABORTED

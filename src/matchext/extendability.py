@@ -48,7 +48,6 @@ from .graph import (
     Graph,
     VertexSet,
     _bits,
-    _mask_of,
     components_of_mask,
     twin_classes,
     twin_prefix_sets,
@@ -352,18 +351,17 @@ def _verdict_on_mask(
         return ExtendabilityVerdict(holds=True, failure=None, stats=stats)
     # S fails exactly when G[mask] - S is not (0, k)-extendable, and (0, k)
     # is admissible there because (n, k) is admissible on G[mask].
-    walk = sorted(tuple(_bits(m)) for m in _prefix_sets(oracle, mask, n))
-    s_tuple = next(
-        s for s in walk if not _holds_on_mask(oracle, mask ^ _mask_of(s), 0, k, budget, stats)
-    )
-    rem = mask ^ _mask_of(s_tuple)
+    walk = sorted(_prefix_sets(oracle, mask, n), key=lambda m: tuple(_bits(m)))
+    s_mask = next(m for m in walk if not _holds_on_mask(oracle, mask ^ m, 0, k, budget, stats))
+    rem = mask ^ s_mask
+    s = VertexSet(tuple(_bits(s_mask)))
     if oracle.size(rem) < k:
-        failure = Failure(kind=FailureKind.NO_K_MATCHING, s=VertexSet(s_tuple))
+        failure = Failure(kind=FailureKind.NO_K_MATCHING, s=s)
         return ExtendabilityVerdict(holds=False, failure=failure, stats=stats)
     chosen, used = _stuck_matching(oracle, rem, k, budget, stats)
     failure = Failure(
         kind=FailureKind.STUCK_MATCHING,
-        s=VertexSet(s_tuple),
+        s=s,
         m=Matching(chosen),
         tutte=_gallai_edmonds_tutte(oracle.size, oracle.masks, rem ^ used),
     )

@@ -9,7 +9,7 @@ whole structure hashable and shareable across worker processes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -37,32 +37,6 @@ class VertexSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, v: object) -> bool:
-        return v in self.members
-
-
-@dataclass(frozen=True)
-class IndexRemap:
-    """Old/new index translation produced by vertex deletion.
-
-    ``kept`` lists surviving old indices in ascending order; position in the
-    tuple is the new index. Certificates computed on the reduced graph are
-    translated back through this table.
-    """
-
-    kept: tuple[int, ...]
-    _old_to_new: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kept", tuple(self.kept))
-        object.__setattr__(self, "_old_to_new", {old: new for new, old in enumerate(self.kept)})
-
-    def old_of(self, new: int) -> int:
-        return self.kept[new]
-
-    def new_of(self, old: int) -> int:
-        return self._old_to_new[old]
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,13 +102,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def twin_classes(masks: Sequence[int], mask: int) -> list[list[int]]:
@@ -211,11 +178,11 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(base.vertex_count, base.edges() + cross)
 
 
-def delete_vertices(g: Graph, s: Iterable[int] | VertexSet) -> tuple[Graph, IndexRemap]:
-    """Induced subgraph on V(g) minus s, plus the old/new index table.
+def delete_vertices(g: Graph, s: Iterable[int] | VertexSet) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph on V(g) minus s, and the ascending old indices it kept.
 
-    The remap lets callers translate certificates computed on the reduced
-    graph back into the original numbering.
+    ``kept[i]`` is the old index of new vertex i, so callers can translate
+    certificates computed on the reduced graph back into g's numbering.
     """
     vs = s if isinstance(s, VertexSet) else VertexSet.of(s)
     if vs.members and vs.members[-1] >= g.vertex_count:
@@ -223,14 +190,10 @@ def delete_vertices(g: Graph, s: Iterable[int] | VertexSet) -> tuple[Graph, Inde
             f"vertex {vs.members[-1]} outside 0..{g.vertex_count - 1}"
         )
     dropped = set(vs.members)
-    kept = [v for v in range(g.vertex_count) if v not in dropped]
-    remap = IndexRemap(kept)
-    edges = [
-        (remap.new_of(u), remap.new_of(v))
-        for u, v in g.edges()
-        if u not in dropped and v not in dropped
-    ]
-    return Graph(len(kept), edges), remap
+    kept = tuple(v for v in g.vertices() if v not in dropped)
+    new_of = {old: new for new, old in enumerate(kept)}
+    edges = [(new_of[u], new_of[v]) for u, v in g.edges() if u in new_of and v in new_of]
+    return Graph(len(kept), edges), kept
 
 
 def components_of_mask(masks: Sequence[int], mask: int) -> list[int]:

@@ -281,7 +281,6 @@ class SubsetMatchingOracle:
     """
 
     def __init__(self, graph: Graph):
-        self.graph = graph
         self.masks = graph.adjacency_masks
         self.n = graph.vertex_count
         self.full_mask = (1 << self.n) - 1

@@ -54,12 +54,8 @@ def _failure(f: Failure) -> dict[str, Any]:
 def _jsonable(value: Any) -> Any:
     if isinstance(value, Failure):
         return _failure(value)
-    if isinstance(value, TutteCertificate):
-        return _tutte(value)
     if isinstance(value, Matching):
         return _matching(value)
-    if isinstance(value, VertexSet):
-        return _vertexset(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -208,7 +204,7 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
             return
         inner = indent + "  "
         if type(value) is RenderedRows:
-            out.append("[" + inner + ("," + inner).join(value) + indent + "]")
+            out += ("[", inner, ("," + inner).join(value), indent, "]")
             return
         sep = "[" + inner
         for item in value:

@@ -37,14 +37,14 @@ from .extendability import (
     _verdict_on_mask,
     admissible,
 )
-from .graph import Graph, _mask_of
+from .graph import Graph
 from .graph_io import serialize_graph6
 from .matching import (
     Matching,
     SubsetMatchingOracle,
+    _blossom_size,
     _matchings_in_mask,
     _one_factors_in_mask,
-    has_one_factor,
 )
 
 
@@ -140,13 +140,12 @@ def report_or_abort(
     limits: tuple[float | None, int | None],
     source: str | None,
     graph6: str,
-    params: dict | None = None,
+    params: dict,
 ) -> TheoremReport:
     """``validator``'s report under a fresh Budget of ``limits`` (timeout, pair cap),
     or an ABORTED row with the same params once that budget runs out.
     ``graph6`` is g's graph6 string, shared by all reports on g; ``params``
-    are the entry's params of ``kwargs``, built here when absent."""
-    params = THEOREMS[theorem_id].params(**kwargs) if params is None else params
+    are the entry's params of ``kwargs``."""
     try:
         return validator(
             g, **kwargs, oracle=oracle, budget=Budget.from_limits(*limits),
@@ -206,7 +205,10 @@ def _edge_deletion(
             detail[key] = None
             return TheoremStatus.VACUOUS, detail, None
         full = oracle.full_mask
-        edges = (e for e in g.edges() if not _holds_on_mask(oracle, full ^ _mask_of(e), n, k, budget))
+        edges = (
+            (u, v) for u, v in g.edges()
+            if not _holds_on_mask(oracle, full ^ (1 << u) ^ (1 << v), n, k, budget)
+        )
         failing = next(edges, None)  # the first edge whose deletion breaks the hypothesis
         detail[key] = failing is None
         if failing is not None:
@@ -235,21 +237,21 @@ def _one_factor_body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | No
         return TheoremStatus.CONFIRMED, detail, None
     full = oracle.full_mask
     conclusion = _holds_on_mask(oracle, full, n, k, budget)
-    qualifying = []
-    for e in g.edges():
+    qualifying = [0] * oracle.n
+    for u, v in g.edges():
         if budget is not None:
             budget.charge_pairs()
             budget.check_time()
-        if _holds_on_mask(oracle, full ^ _mask_of(e), n, k, budget):
-            qualifying.append(e)
-    spanning = Graph(g.vertex_count, qualifying)
-    detail["some_factor_hypothesis"] = has_one_factor(spanning)
+        if _holds_on_mask(oracle, full ^ (1 << u) ^ (1 << v), n, k, budget):
+            qualifying[u] |= 1 << v
+            qualifying[v] |= 1 << u
+    detail["some_factor_hypothesis"] = 2 * _blossom_size(qualifying, full) == oracle.n
     if not detail["some_factor_hypothesis"]:
         return TheoremStatus.VACUOUS, detail, None
     if conclusion:
         return TheoremStatus.CONFIRMED, detail, None
     payload = _conclusion_payload(oracle, full, n, k)
-    payload["factor"] = Matching(next(_one_factors_in_mask(spanning.adjacency_masks, full)))
+    payload["factor"] = Matching(next(_one_factors_in_mask(qualifying, full)))
     return TheoremStatus.COUNTEREXAMPLE, detail, payload
 
 

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "CorpusFilters", "CorpusSpec", "DuplicateEdgeError", "ExhaustiveSource",
     "ExtendabilityVerdict", "Failure", "FailureKind", "FamilyInstance",
     "FileSource", "Graph", "GraphFormat", "InadmissibleParametersError",
-    "IndexRemap", "InstanceRef", "InvalidParametersError",
+    "InstanceRef", "InvalidParametersError",
     "MalformedGraph6Error", "MatchextError", "Matching", "NoOneFactorError",
     "NotAMatchingError", "OutOfRangeError", "ParamRanges", "ParameterCheck",
     "ParseError", "RandomSource", "SearchStats", "SelfLoopError",

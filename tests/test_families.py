@@ -88,13 +88,13 @@ def canonical_failure(fam, extra_core: int = 0) -> Failure:
     """The paper's witness: S = core, M = pendant edges, Tutte set on the rest."""
     g = fam.graph
     deleted = VertexSet.of(set(fam.core) | fam.pendant_matching.vertices)
-    remainder, remap = delete_vertices(g, deleted)
+    remainder, kept = delete_vertices(g, deleted)
     cert = find_tutte_certificate(remainder)
     assert cert is not None
     lifted = TutteCertificate(
-        s_prime=VertexSet.of(remap.old_of(v) for v in cert.s_prime),
+        s_prime=VertexSet.of(kept[v] for v in cert.s_prime),
         odd_components=tuple(
-            VertexSet.of(remap.old_of(v) for v in comp) for comp in cert.odd_components
+            VertexSet.of(kept[v] for v in comp) for comp in cert.odd_components
         ),
         deficiency_excess=cert.deficiency_excess,
     )

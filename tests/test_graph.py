@@ -98,18 +98,17 @@ class TestDisjointUnionAndJoin:
 
 class TestDeleteVertices:
     def test_delete_from_k4(self):
-        sub, remap = delete_vertices(complete_graph(4), VertexSet.of([0]))
+        sub, kept = delete_vertices(complete_graph(4), VertexSet.of([0]))
         assert sub == complete_graph(3)
-        assert remap.kept == (1, 2, 3)
-        assert remap.old_of(0) == 1
-        assert remap.new_of(3) == 2
-        assert repr(remap) == "IndexRemap(kept=(1, 2, 3))"
+        assert kept == (1, 2, 3)
+        assert kept[0] == 1  # new index -> old
+        assert kept.index(3) == 2  # old index -> new
 
     def test_delete_nothing(self):
         g = complete_graph(4)
-        sub, remap = delete_vertices(g, VertexSet())
+        sub, kept = delete_vertices(g, VertexSet())
         assert sub == g
-        assert remap.kept == (0, 1, 2, 3)
+        assert kept == (0, 1, 2, 3)
 
     def test_delete_path_center(self):
         sub, _ = delete_vertices(path_graph(3), VertexSet.of([1]))
@@ -126,8 +125,8 @@ class TestDeleteVertices:
         s = data.draw(st.sets(st.sampled_from(verts)) if verts else st.just(set()))
         rest = [v for v in verts if v not in s]
         t = data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set()))
-        once, remap1 = delete_vertices(g, VertexSet.of(s))
-        twice, _ = delete_vertices(once, VertexSet.of(remap1.new_of(v) for v in t))
+        once, kept = delete_vertices(g, VertexSet.of(s))
+        twice, _ = delete_vertices(once, VertexSet.of(kept.index(v) for v in t))
         combined, _ = delete_vertices(g, VertexSet.of(s | t))
         assert twice == combined
 

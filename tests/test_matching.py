@@ -18,7 +18,7 @@ from matchext import (
     has_one_factor,
     maximum_matching,
 )
-from matchext.graph import _mask_of, components_of_mask
+from matchext.graph import components_of_mask
 from matchext.matching import _blossom_size, _matchings_in_mask, _one_factors_in_mask
 
 from conftest import cycle_graph, graphs, path_graph, petersen_graph, star_graph
@@ -115,7 +115,7 @@ def k_matchings(g, k):
     """Edge tuples of ``_matchings_in_mask`` on the whole of g, checking each mask."""
     out = []
     for edges, used in _matchings_in_mask(g.adjacency_masks, (1 << g.vertex_count) - 1, k):
-        assert used == _mask_of(v for edge in edges for v in edge)
+        assert used == sum(1 << v for edge in edges for v in edge)
         out.append(edges)
     return out
 

@@ -179,9 +179,13 @@ class TestTheorem4:
 
 
 def _one_factor_rows():
-    """(g, oracle, params) for every admissible T4 and TC census row of the
-    <=6 exhaustive corpus at n_max = 3, k_max = 2."""
-    for _, g in corpus_graphs(CorpusSpec(ExhaustiveSource(6))):
+    """(g, oracle, params) for every admissible T4 and TC census row at
+    n_max = 3, k_max = 2 of the <=6 exhaustive corpus and of the first 10
+    graphs of the dense sample G(10..12, 0.8), seed 0, that
+    test_golden's census_dense60_full digest pins."""
+    small = corpus_graphs(CorpusSpec(ExhaustiveSource(6)))
+    dense = corpus_graphs(CorpusSpec(RandomSource(60, 10, 12, 0.8, 0)))[:10]
+    for _, g in small + dense:
         oracle = SubsetMatchingOracle(g)
         has_factor = oracle.is_perfectable(oracle.full_mask)
         for spec in (THEOREMS["T4"], THEOREMS["TC"]):
