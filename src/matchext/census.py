@@ -20,13 +20,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 
+from .errors import BudgetExceededError
 from .extendability import Budget
 from .families import resolve_family_ref
 from .generate import Mapper, exhaustive_count, exhaustive_graphs, random_graphs
 from .graph import Graph, components_of_mask
-from .graph_io import GraphFormat, load_graph_file, serialize_graph6
+from .graph_io import GraphFormat, load_graph_file
 from .matching import SubsetMatchingOracle
 from . import theorems as th
 
@@ -151,6 +152,22 @@ def normalize_theorems(theorems: Sequence[str]) -> tuple[str, ...]:
     return tuple(tid for tid in th.THEOREMS if tid in theorems)
 
 
+def report_or_abort(
+    theorem_id: str, g: Graph, kwargs: Mapping[str, int | None], *,
+    oracle: SubsetMatchingOracle, limits: tuple[float | None, int | None], source: str | None,
+) -> th.TheoremReport:
+    """The report of ``theorem_id``'s validator under a fresh Budget of ``limits``
+    (timeout, pair cap), or an ABORTED row once that budget runs out. Every
+    census and ``verify`` row runs here."""
+    try:
+        return _VALIDATORS[theorem_id](
+            g, **kwargs, oracle=oracle, budget=Budget.from_limits(*limits), source=source
+        )
+    except BudgetExceededError:
+        instance = th.InstanceRef(th._graph6(g), source, th.THEOREMS[theorem_id].params(**kwargs))
+        return th.TheoremReport(theorem_id, instance, th.TheoremStatus.ABORTED, {"reason": "budget exceeded"})
+
+
 def _census_item(
     item: tuple[str, Graph],
     rows: list[tuple[str, dict, dict]],
@@ -164,17 +181,13 @@ def _census_item(
     indexed as STATUS_ORDER."""
     source, g = item
     oracle = SubsetMatchingOracle(g)
-    graph6 = serialize_graph6(g)
     has_factor = oracle.is_perfectable(oracle.full_mask)
     kept: list = []
     counts = {tid: [0] * len(STATUS_ORDER) for tid, _, _ in rows}
     for tid, kwargs, params in rows:
         status = th.TheoremStatus.INADMISSIBLE
         if th.THEOREMS[tid].admissible(g.vertex_count, has_factor, params):
-            report = th.report_or_abort(
-                _VALIDATORS[tid], tid, g, kwargs,
-                oracle=oracle, limits=limits, source=source, graph6=graph6, params=params,
-            )
+            report = report_or_abort(tid, g, kwargs, oracle=oracle, limits=limits, source=source)
             status = report.status
             if keep is None or status in keep:
                 kept.append(report if render is None else render(report))

@@ -21,6 +21,7 @@ from .census import (
     FileSource,
     ParamRanges,
     RandomSource,
+    report_or_abort,
     run_census,
 )
 from .errors import BudgetExceededError, MatchextError
@@ -298,19 +299,14 @@ def _exit_code(counterexample: bool, aborted: bool) -> int:
 def _run_verify(config: RunConfig) -> int:
     source, g = _load_single_graph(config)
     oracle = SubsetMatchingOracle(g)
-    graph6 = serialize_graph6(g)
     limits = (config.timeout, config.pair_cap)
     reports: list[th.TheoremReport] = []
     for tid in config.theorems:
-        spec = th.THEOREMS[tid]
-        for kwargs in spec.flags(config.n, config.k, config.i):
+        for kwargs in th.THEOREMS[tid].flags(config.n, config.k, config.i):
             missing = [name for name, value in kwargs.items() if value is None]
             if missing:
                 raise MatchextError(f"--{missing[0]} is required for {tid}")
-            reports.append(th.report_or_abort(
-                spec.validator, tid, g, kwargs, oracle=oracle, limits=limits, source=source, graph6=graph6,
-                params=spec.params(**kwargs),
-            ))
+            reports.append(report_or_abort(tid, g, kwargs, oracle=oracle, limits=limits, source=source))
     _emit(to_json(reports_document(reports)), config.out)
     statuses = {r.status for r in reports}
     return _exit_code(th.TheoremStatus.COUNTEREXAMPLE in statuses, th.TheoremStatus.ABORTED in statuses)

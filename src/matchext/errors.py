@@ -60,4 +60,4 @@ class DuplicateEdgeError(ParseError):
 
 
 class BudgetExceededError(MatchextError):
-    """A search exceeded its wall-clock or (S, M)-pair budget."""
+    """A search exceeded its wall-clock budget or its pair cap (see extendability.Budget)."""

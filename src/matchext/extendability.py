@@ -379,15 +379,23 @@ def is_nk_extendable(
     """Decide (n, k)-extendability of g, with a witness on failure.
 
     Raises InvalidParametersError (carrying the ParameterCheck) when the
-    admissibility conditions fail, and BudgetExceededError when a budget
-    runs out mid-search.
+    admissibility conditions fail, ValueError when ``oracle`` was built on
+    another graph, and BudgetExceededError when a budget runs out mid-search.
     """
     check = check_parameters(g, n, k)
     if not check.ok:
         raise InvalidParametersError(check)
-    if oracle is None:
-        oracle = SubsetMatchingOracle(g)
+    oracle = _oracle_for(g, oracle)
     return _verdict_on_mask(oracle, oracle.full_mask, n, k, budget)
+
+
+def _oracle_for(g: Graph, oracle: SubsetMatchingOracle | None) -> SubsetMatchingOracle:
+    """``oracle``, or a new one on g when None; ValueError if it was built on another graph."""
+    if oracle is None:
+        return SubsetMatchingOracle(g)
+    if oracle.masks != g.adjacency_masks:
+        raise ValueError("the oracle was built on another graph")
+    return oracle
 
 
 def is_k_extendable(g: Graph, k: int, **kwargs) -> ExtendabilityVerdict:

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Any, Callable, Mapping
 
-from .errors import BudgetExceededError, InadmissibleParametersError, MatchextError, NoOneFactorError
+from .errors import InadmissibleParametersError, MatchextError, NoOneFactorError
 from .extendability import (
     Budget,
     _holds_on_mask,
+    _oracle_for,
     _verdict_on_mask,
     admissible,
 )
@@ -97,6 +99,12 @@ class TheoremSpec:
     params: Callable[..., dict] = dict
 
 
+@lru_cache(maxsize=1)
+def _graph6(g: Graph) -> str:
+    """g's graph6 string, kept for the graph last asked about, so all rows on one graph share it."""
+    return serialize_graph6(g)
+
+
 def run_theorem(
     theorem_id: str,
     g: Graph,
@@ -105,19 +113,17 @@ def run_theorem(
     oracle: SubsetMatchingOracle | None = None,
     budget: Budget | None = None,
     source: str | None = None,
-    graph6: str | None = None,
-    params: dict | None = None,
 ) -> TheoremReport:
     """Check one statement on one graph; what every ``verify_*`` does.
 
-    ``graph6`` is g's graph6 string and ``params`` the entry's params of
-    ``kwargs``, for a caller that has them already; each is computed here
-    when absent. Raises NoOneFactorError (for entries that need a 1-factor)
-    or InadmissibleParametersError when the entry's admissibility fails.
+    The report's params come from ``kwargs`` through the entry's ``params``.
+    Raises ValueError when ``oracle`` was built on another graph,
+    NoOneFactorError (for entries that need a 1-factor) or
+    InadmissibleParametersError when the entry's admissibility fails.
     """
     spec = THEOREMS[theorem_id]
-    params = spec.params(**kwargs) if params is None else params
-    oracle = oracle or SubsetMatchingOracle(g)
+    params = spec.params(**kwargs)
+    oracle = _oracle_for(g, oracle)
     has_factor = oracle.is_perfectable(oracle.full_mask)
     if not spec.admissible(g.vertex_count, has_factor, params):
         if spec.needs_factor and not has_factor:
@@ -126,34 +132,8 @@ def run_theorem(
         raise InadmissibleParametersError(
             f"theorem {theorem_id} needs {spec.needs}; got {shown}, |V|={g.vertex_count}"
         )
-    instance = InstanceRef(serialize_graph6(g) if graph6 is None else graph6, source, params)
+    instance = InstanceRef(_graph6(g), source, params)
     return TheoremReport(theorem_id, instance, *spec.body(g, oracle, budget, params))
-
-
-def report_or_abort(
-    validator: Callable[..., TheoremReport],
-    theorem_id: str,
-    g: Graph,
-    kwargs: Mapping[str, int | None],
-    *,
-    oracle: SubsetMatchingOracle,
-    limits: tuple[float | None, int | None],
-    source: str | None,
-    graph6: str,
-    params: dict,
-) -> TheoremReport:
-    """``validator``'s report under a fresh Budget of ``limits`` (timeout, pair cap),
-    or an ABORTED row with the same params once that budget runs out.
-    ``graph6`` is g's graph6 string, shared by all reports on g; ``params``
-    are the entry's params of ``kwargs``."""
-    try:
-        return validator(
-            g, **kwargs, oracle=oracle, budget=Budget.from_limits(*limits),
-            source=source, graph6=graph6, params=params,
-        )
-    except BudgetExceededError:
-        instance = InstanceRef(graph6, source, params)
-        return TheoremReport(theorem_id, instance, TheoremStatus.ABORTED, {"reason": "budget exceeded"})
 
 
 # --- Shared checks ----------------------------------------------------------
@@ -353,7 +333,7 @@ _T4_NEEDS = "a 1-factor, and n + 2k <= |V| - 4 with |V| - n even unless n = k = 
 
 
 # --- Public validators --------------------------------------------------------
-# Each passes its ``oracle``, ``budget``, ``source`` and ``graph6`` keywords to run_theorem.
+# Each passes its ``oracle``, ``budget`` and ``source`` keywords to run_theorem.
 
 
 def verify_theorem1(g: Graph, k: int, **context: Any) -> TheoremReport:

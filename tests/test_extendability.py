@@ -68,6 +68,11 @@ class TestVerdicts:
     def test_k4_is_1_extendable(self):
         assert is_k_extendable(complete_graph(4), 1).holds
 
+    def test_foreign_oracle_is_refused(self):
+        oracle = SubsetMatchingOracle(Graph(4, [(0, 1), (2, 3)]))
+        with pytest.raises(ValueError, match="another graph"):
+            is_nk_extendable(complete_graph(4), 0, 1, oracle=oracle)
+
     def test_star_plus_isolated_is_not_0_extendable(self):
         # K_{1,3} with two isolated vertices: even order, no 1-factor.
         g = disjoint_union([star_graph(3), complete_graph(1), complete_graph(1)])

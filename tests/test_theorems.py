@@ -530,17 +530,32 @@ class TestReportShape:
         assert report.instance.source == "unit"
         assert report.instance.params == {"n": 0, "k": 0}
 
-    @pytest.mark.parametrize("pair_cap, status", [(None, TheoremStatus.CONFIRMED), (0, TheoremStatus.ABORTED)])
-    def test_report_or_abort_keeps_the_given_params(self, pair_cap, status):
-        # The census builds each row's params once and hands them down.
+    @pytest.mark.parametrize("context", [{"params": {"n": 2, "k": 0}}, {"graph6": "A_"}])
+    def test_report_fields_are_not_overridable(self, context):
+        # graph6 and params follow from g and the validator's own arguments,
+        # so a report cannot name another graph or other parameters.
+        with pytest.raises(TypeError):
+            verify_theorem2(complete_graph(6), 0, 0, **context)
+
+    @pytest.mark.parametrize("tid, kwargs", [("T2", {"n": 0, "k": 1}), ("TC", {"k": 1}), ("TC", {"n": 2})])
+    def test_aborted_row_has_the_confirmed_rows_instance(self, tid, kwargs):
         g = complete_graph(6)
-        params = THEOREMS["T2"].params(n=0, k=1)
-        report = theorems.report_or_abort(
-            verify_theorem2, "T2", g, {"n": 0, "k": 1}, oracle=SubsetMatchingOracle(g),
-            limits=(None, pair_cap), source=None, graph6="E~~w", params=params,
-        )
-        assert report.status is status
-        assert report.instance.params is params
+        reports = [
+            census.report_or_abort(
+                tid, g, kwargs, oracle=SubsetMatchingOracle(g), limits=(None, pair_cap), source="unit"
+            )
+            for pair_cap in (None, 0)
+        ]
+        assert [r.status for r in reports] == [TheoremStatus.CONFIRMED, TheoremStatus.ABORTED]
+        assert reports[1].instance == reports[0].instance
+        assert reports[1].instance.params == THEOREMS[tid].params(**kwargs)
+
+    def test_foreign_oracle_is_refused(self):
+        # An oracle of three disjoint edges would make K6 read VACUOUS.
+        oracle = SubsetMatchingOracle(Graph(6, [(0, 1), (2, 3), (4, 5)]))
+        with pytest.raises(ValueError, match="another graph"):
+            verify_theorem2(complete_graph(6), 0, 1, oracle=oracle)
+        assert verify_theorem2(complete_graph(6), 0, 1).status is CONFIRMED
 
     def test_counterexample_payload_machinery_reverifies(self):
         # Genuine counterexamples cannot occur (the statements are proved),
