@@ -41,7 +41,7 @@ def main() -> int:
     bad = result.count(TheoremStatus.COUNTEREXAMPLE)
     print(f"\n{elapsed:.1f}s, counterexamples: {bad}")
     for r in result.reports[:5]:
-        print("  !!", r.theorem_id, r.instance.graph6, dict(r.instance.params))
+        print("  !!", r.theorem_id, r.graph6, dict(r.params))
     return 1 if bad else 0
 
 

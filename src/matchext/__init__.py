@@ -74,7 +74,6 @@ from .matching import (
 )
 from .theorems import (
     THEOREM_IDS,
-    InstanceRef,
     TheoremReport,
     TheoremStatus,
     verify_lemma1,

@@ -22,7 +22,6 @@ from functools import partial
 from multiprocessing import Pool
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError
 from .extendability import Budget
 from .families import resolve_family_ref
 from .generate import Mapper, exhaustive_count, exhaustive_graphs, random_graphs
@@ -157,15 +156,11 @@ def report_or_abort(
     oracle: SubsetMatchingOracle, limits: tuple[float | None, int | None], source: str | None,
 ) -> th.TheoremReport:
     """The report of ``theorem_id``'s validator under a fresh Budget of ``limits``
-    (timeout, pair cap), or an ABORTED row once that budget runs out. Every
-    census and ``verify`` row runs here."""
-    try:
-        return _VALIDATORS[theorem_id](
-            g, **kwargs, oracle=oracle, budget=Budget.from_limits(*limits), source=source
-        )
-    except BudgetExceededError:
-        instance = th.InstanceRef(th._graph6(g), source, th.THEOREMS[theorem_id].params(**kwargs))
-        return th.TheoremReport(theorem_id, instance, th.TheoremStatus.ABORTED, {"reason": "budget exceeded"})
+    (timeout, pair cap), ABORTED once that budget runs out. Every census and
+    ``verify`` row runs here."""
+    return _VALIDATORS[theorem_id](
+        g, **kwargs, oracle=oracle, budget=Budget.from_limits(*limits), source=source
+    )
 
 
 def _census_item(

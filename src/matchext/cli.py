@@ -354,9 +354,6 @@ def main(argv: list[str] | None = None) -> int:
         if config.command == "verify":
             return _run_verify(config)
         return _run_census(config)  # argparse admits no other command
-    except BudgetExceededError as exc:
-        print(f"matchext: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
     except (MatchextError, ValueError, OSError) as exc:
         print(f"matchext: {exc}", file=sys.stderr)
         return EXIT_USAGE

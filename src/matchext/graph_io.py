@@ -129,8 +129,8 @@ def parse_edge_list(text: str) -> Graph:
         count = int(parts[1])
     except ValueError:
         raise ParseError(f"invalid vertex count {parts[1]!r}", header_line) from None
-    if count < 0:
-        raise ParseError("vertex count must be non-negative", header_line)
+    if not 0 <= count <= _MAX_LONG_N:
+        raise ParseError(f"vertex count must be in 0..{_MAX_LONG_N}; got {count}", header_line)
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for idx in range(header_line, len(lines)):

@@ -102,9 +102,9 @@ def verdict_document(
 def report_to_dict(report: TheoremReport) -> dict[str, Any]:
     return {
         "theorem": report.theorem_id,
-        "graph6": report.instance.graph6,
-        "source": report.instance.source,
-        "params": _jsonable(dict(report.instance.params)),
+        "graph6": report.graph6,
+        "source": report.source,
+        "params": _jsonable(dict(report.params)),
         "status": report.status.value,
         "hypothesis": _jsonable(dict(report.hypothesis_detail)),
         "counterexample": None

@@ -17,7 +17,8 @@ A COUNTEREXAMPLE status means the hypothesis clauses all verified true and
 the conclusion failed with a re-verifiable witness; since the statements
 are proved, any counterexample exposes an implementation bug. VACUOUS means
 some hypothesis clause failed, and is never folded into CONFIRMED so census
-statistics stay honest about coverage.
+statistics stay honest about coverage. ABORTED means the instance's budget
+ran out before the check finished; the row still names the instance.
 
 The table THEOREMS holds one TheoremSpec per statement: its census grid,
 its admissibility rule, the verify flags it reads and its body. The
@@ -31,7 +32,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Any, Callable, Mapping
 
-from .errors import InadmissibleParametersError, MatchextError, NoOneFactorError
+from .errors import BudgetExceededError, InadmissibleParametersError, MatchextError, NoOneFactorError
 from .extendability import (
     Budget,
     _holds_on_mask,
@@ -59,18 +60,14 @@ class TheoremStatus(Enum):
 
 
 @dataclass(frozen=True)
-class InstanceRef:
-    """What was checked: the graph (as graph6), its provenance, parameters."""
+class TheoremReport:
+    """One row: the statement, what was checked (the graph as graph6, its
+    provenance, the params), the status, and its evidence."""
 
+    theorem_id: str
     graph6: str
     source: str | None
     params: Mapping[str, object]
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    theorem_id: str
-    instance: InstanceRef
     status: TheoremStatus
     hypothesis_detail: Mapping[str, object]
     counterexample: Mapping[str, object] | None = None
@@ -117,6 +114,7 @@ def run_theorem(
     """Check one statement on one graph; what every ``verify_*`` does.
 
     The report's params come from ``kwargs`` through the entry's ``params``.
+    Once ``budget`` runs out the report is ABORTED, on the same instance.
     Raises ValueError when ``oracle`` was built on another graph,
     NoOneFactorError (for entries that need a 1-factor) or
     InadmissibleParametersError when the entry's admissibility fails.
@@ -132,8 +130,11 @@ def run_theorem(
         raise InadmissibleParametersError(
             f"theorem {theorem_id} needs {spec.needs}; got {shown}, |V|={g.vertex_count}"
         )
-    instance = InstanceRef(_graph6(g), source, params)
-    return TheoremReport(theorem_id, instance, *spec.body(g, oracle, budget, params))
+    try:
+        outcome = spec.body(g, oracle, budget, params)
+    except BudgetExceededError:
+        outcome = TheoremStatus.ABORTED, {"reason": "budget exceeded"}, None
+    return TheoremReport(theorem_id, _graph6(g), source, params, *outcome)
 
 
 # --- Shared checks ----------------------------------------------------------

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "CorpusFilters", "CorpusSpec", "DuplicateEdgeError", "ExhaustiveSource",
     "ExtendabilityVerdict", "Failure", "FailureKind", "FamilyInstance",
     "FileSource", "Graph", "GraphFormat", "InadmissibleParametersError",
-    "InstanceRef", "InvalidParametersError",
+    "InvalidParametersError",
     "MalformedGraph6Error", "MatchextError", "Matching", "NoOneFactorError",
     "NotAMatchingError", "OutOfRangeError", "ParamRanges", "ParameterCheck",
     "ParseError", "RandomSource", "SearchStats", "SelfLoopError",

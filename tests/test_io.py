@@ -122,6 +122,14 @@ class TestEdgeList:
         with pytest.raises(ParseError):
             parse_edge_list("   \n  ")
 
+    def test_vertex_count_capped_at_the_graph6_limit(self):
+        # The bound parse_graph6 enforces, so one header line cannot ask for
+        # an arbitrarily large graph.
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list("n 258048")
+        assert exc.value.line == 1
+        assert parse_edge_list("n 258047").vertex_count == 258047
+
 
 class TestResolution:
     def test_family_ref(self):

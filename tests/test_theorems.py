@@ -5,7 +5,6 @@ import pytest
 
 from matchext import (
     Budget,
-    BudgetExceededError,
     CorpusFilters,
     CorpusSpec,
     ExhaustiveSource,
@@ -174,8 +173,8 @@ class TestTheorem4:
         g = complete_graph(8)
         oracle = SubsetMatchingOracle(g)
         assert verify_theorem4(g, 0, 1, oracle=oracle).status is CONFIRMED
-        with pytest.raises(BudgetExceededError):
-            verify_theorem4(g, 0, 1, oracle=oracle, budget=Budget(pair_cap=0))
+        capped = verify_theorem4(g, 0, 1, oracle=oracle, budget=Budget(pair_cap=0))
+        assert capped.status is TheoremStatus.ABORTED
 
 
 def _one_factor_rows():
@@ -310,7 +309,7 @@ class TestCensus:
         spec = CorpusSpec(FileSource(("h1:2:0",)))
         result = run_census(spec, theorems=("T2",), ranges=ParamRanges(2, 0))
         rows = {
-            (r.instance.params["n"], r.instance.params["k"]): r.status
+            (r.params["n"], r.params["k"]): r.status
             for r in result.reports
         }
         assert rows[(2, 0)] is CONFIRMED
@@ -461,8 +460,8 @@ class TestCensus:
         for report in result.reports:
             if report.status is not CONFIRMED or sampled >= 25:
                 continue
-            g = parse_graph6(report.instance.graph6)
-            n, k = report.instance.params["n"], report.instance.params["k"]
+            g = parse_graph6(report.graph6)
+            n, k = report.params["n"], report.params["k"]
             if report.theorem_id == "L1":
                 assert naive_is_nk_extendable(g, n, k)
                 assert naive_is_nk_extendable(g, n - 2, k + 1)
@@ -520,15 +519,15 @@ class TestRegistry:
         capped = run_census(spec, pair_cap=1, **kwargs)
         full = run_census(spec, **kwargs)
         assert capped.summary["TC"]["ABORTED"] > 0
-        assert [r.instance.params for r in capped.reports] == [r.instance.params for r in full.reports]
+        assert [r.params for r in capped.reports] == [r.params for r in full.reports]
 
 
 class TestReportShape:
     def test_instance_carries_graph6_and_params(self):
         report = verify_theorem2(complete_graph(6), 0, 0, source="unit")
-        assert report.instance.graph6 == "E~~w"
-        assert report.instance.source == "unit"
-        assert report.instance.params == {"n": 0, "k": 0}
+        assert report.graph6 == "E~~w"
+        assert report.source == "unit"
+        assert report.params == {"n": 0, "k": 0}
 
     @pytest.mark.parametrize("context", [{"params": {"n": 2, "k": 0}}, {"graph6": "A_"}])
     def test_report_fields_are_not_overridable(self, context):
@@ -537,18 +536,33 @@ class TestReportShape:
         with pytest.raises(TypeError):
             verify_theorem2(complete_graph(6), 0, 0, **context)
 
-    @pytest.mark.parametrize("tid, kwargs", [("T2", {"n": 0, "k": 1}), ("TC", {"k": 1}), ("TC", {"n": 2})])
+    @pytest.mark.parametrize("tid, kwargs", [
+        ("T2", {"n": 0, "k": 1}), ("TC", {"k": 1}), ("TC", {"n": 2}), ("T1", {"k": 1}),
+        ("T3", {"n": 2, "k": 0}), ("T4", {"n": 0, "k": 1}), ("TA", {"k": 1}), ("TB", {"k": 1, "i": 1}),
+        ("L1", {"n": 2, "k": 0}), ("L2", {"n": 0, "k": 1}),
+    ])
     def test_aborted_row_has_the_confirmed_rows_instance(self, tid, kwargs):
+        # Every validator returns ABORTED once its budget runs out, on the
+        # instance the uncapped row names, whether or not report_or_abort
+        # runs it.
         g = complete_graph(6)
-        reports = [
+        confirmed, aborted = [
             census.report_or_abort(
                 tid, g, kwargs, oracle=SubsetMatchingOracle(g), limits=(None, pair_cap), source="unit"
             )
             for pair_cap in (None, 0)
         ]
-        assert [r.status for r in reports] == [TheoremStatus.CONFIRMED, TheoremStatus.ABORTED]
-        assert reports[1].instance == reports[0].instance
-        assert reports[1].instance.params == THEOREMS[tid].params(**kwargs)
+        direct = THEOREMS[tid].validator(
+            g, **kwargs, oracle=SubsetMatchingOracle(g), budget=Budget(pair_cap=0), source="unit"
+        )
+        assert confirmed.status is CONFIRMED
+        assert confirmed.params == THEOREMS[tid].params(**kwargs)
+        for report in (aborted, direct):
+            assert report.status is TheoremStatus.ABORTED
+            assert report.hypothesis_detail == {"reason": "budget exceeded"}
+            assert (report.graph6, report.source, report.params) == (
+                confirmed.graph6, confirmed.source, confirmed.params
+            )
 
     def test_foreign_oracle_is_refused(self):
         # An oracle of three disjoint edges would make K6 read VACUOUS.
