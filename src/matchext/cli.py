@@ -282,9 +282,9 @@ def _run_family(config: RunConfig) -> int:
         "vertices": family.graph.vertex_count,
         "edges": family.graph.edge_count,
         "parts": {
-            "clique_blocks": [list(b.members) for b in family.clique_blocks],
-            "core": list(family.core.members),
-            "pendant_matching": [[u, v] for u, v in family.pendant_matching.edges],
+            "clique_blocks": family.clique_blocks,
+            "core": family.core,
+            "pendant_matching": family.pendant_matching,
         },
     }
     _emit(to_json(doc), config.out)

@@ -33,14 +33,13 @@ class FamilyInstance:
 
     clique_blocks are the two (2n+1)-cliques, core is the K_n (H1) or
     K_{n+2} (H2) part, pendant_matching the (k+2) (H1) or k (H2) pendant
-    edges. params is the defining (n, k).
+    edges.
     """
 
     graph: Graph
     clique_blocks: tuple[VertexSet, VertexSet]
     core: VertexSet
     pendant_matching: Matching
-    params: tuple[int, int]
     ref: str
 
 
@@ -68,7 +67,6 @@ def _build(family: str, n: int, k: int, core_size: int, pendant_count: int) -> F
         clique_blocks=(VertexSet(b0), VertexSet(b1)),
         core=VertexSet(core),
         pendant_matching=Matching(pendants),
-        params=(n, k),
         ref=f"{family}:{n}:{k}",
     )
 

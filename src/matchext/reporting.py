@@ -4,6 +4,11 @@ Every document carries schema "matchext/1". Keys are emitted in a fixed
 construction order and no timing data is embedded, so equal inputs (and
 seeds) produce byte-identical output.
 
+Documents and rows hold matchext's value objects (``Failure``,
+``TutteCertificate``, ``VertexSet``, ``Matching``, ``SearchStats``) as they
+are; ``to_json`` writes each one as its JSON shape in ``_SHAPES`` while it
+walks the document.
+
 Theorem report rows, in ``verify`` and ``census`` documents alike, are
 written by one function, ``render_row``, at the indent their list gives
 them. A census hands it to its pool workers, so a row becomes text in the
@@ -15,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .census import CensusResult, CorpusSpec
-from .extendability import ExtendabilityVerdict, Failure
+from .extendability import ExtendabilityVerdict, Failure, SearchStats
 from .graph import Graph, VertexSet
 from .matching import Matching, TutteCertificate
 from .theorems import TheoremReport
@@ -26,41 +31,19 @@ from .theorems import TheoremReport
 SCHEMA = "matchext/1"
 
 
-def _vertexset(s: VertexSet) -> list[int]:
-    return list(s.members)
-
-
-def _matching(m: Matching) -> list[list[int]]:
-    return [[u, v] for u, v in m.edges]
-
-
-def _tutte(t: TutteCertificate) -> dict[str, Any]:
-    return {
-        "s_prime": _vertexset(t.s_prime),
+# The JSON shape of each value object a verdict or row holds; ``_write``
+# renders the shape in place of the object.
+_SHAPES: dict[type, Callable[[Any], Any]] = {
+    Failure: lambda f: {"kind": f.kind.value, "s": f.s, "m": f.m, "tutte": f.tutte},
+    TutteCertificate: lambda t: {
+        "s_prime": t.s_prime,
         "excess": t.deficiency_excess,
-        "odd_components": [_vertexset(c) for c in t.odd_components],
-    }
-
-
-def _failure(f: Failure) -> dict[str, Any]:
-    return {
-        "kind": f.kind.value,
-        "s": _vertexset(f.s),
-        "m": None if f.m is None else _matching(f.m),
-        "tutte": None if f.tutte is None else _tutte(f.tutte),
-    }
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, Failure):
-        return _failure(value)
-    if isinstance(value, Matching):
-        return _matching(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        "odd_components": t.odd_components,
+    },
+    VertexSet: lambda s: s.members,
+    Matching: lambda m: m.edges,
+    SearchStats: asdict,
+}
 
 
 def graph_info(g: Graph, source: str | None = None) -> dict[str, Any]:
@@ -88,11 +71,8 @@ def verdict_document(
         "n": n,
         "k": k,
         "holds": verdict.holds,
-        "failure": None if verdict.failure is None else _failure(verdict.failure),
-        "stats": {
-            "subsets_examined": verdict.stats.subsets_examined,
-            "pairs_examined": verdict.stats.pairs_examined,
-        },
+        "failure": verdict.failure,
+        "stats": verdict.stats,
     }
     if verification is not None:
         doc["verification"] = verification
@@ -104,12 +84,10 @@ def report_to_dict(report: TheoremReport) -> dict[str, Any]:
         "theorem": report.theorem_id,
         "graph6": report.graph6,
         "source": report.source,
-        "params": _jsonable(dict(report.params)),
+        "params": report.params,
         "status": report.status.value,
-        "hypothesis": _jsonable(dict(report.hypothesis_detail)),
-        "counterexample": None
-        if report.counterexample is None
-        else _jsonable(dict(report.counterexample)),
+        "hypothesis": report.hypothesis_detail,
+        "counterexample": report.counterexample,
     }
 
 
@@ -212,13 +190,16 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
             sep = "," + inner
             _write(item, inner, out)
         out.append(indent + "]")
+    elif type(value) in _SHAPES:
+        _write(_SHAPES[type(value)](value), indent, out)
     else:
         out.append(_scalar(value))
 
 
 def to_json(document: dict[str, Any]) -> str:
     """``json.dumps(document, indent=2)`` plus a newline, byte for byte,
-    where a ``RenderedRows`` list counts as the dicts its rows were written from.
+    where a value object counts as its shape in ``_SHAPES`` and a
+    ``RenderedRows`` list as the dicts its rows were written from.
 
     json takes its pure-Python encoder whenever it indents; this writer
     builds the same text in one pass, with json's own string escaping and

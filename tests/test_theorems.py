@@ -35,7 +35,7 @@ from matchext.census import clamp_jobs, normalize_theorems
 from matchext.matching import SubsetMatchingOracle
 from matchext.theorems import THEOREM_IDS, THEOREMS
 from matchext.families import build_h2
-from matchext.reporting import census_document, render_row, report_to_dict, to_json
+from matchext.reporting import census_document, render_row, report_to_dict, reports_document, to_json
 
 from conftest import cycle_graph, path_graph, star_graph
 from oracles import reference_one_factor_body
@@ -248,7 +248,8 @@ class TestTheoremB:
         with pytest.raises(InadmissibleParametersError):
             verify_theoremB(complete_graph(6), 1, 2)
 
-    def test_lhs_true_rhs_false_payload(self, monkeypatch):
+    @staticmethod
+    def _lhs_true_rhs_false(monkeypatch):
         # The statement is proved, so force the left side: on P4 the first
         # 1-matching whose deletion leaves no 1-factor is {12}, and the
         # subgraph failure is decided on the vertices {0, 3} it leaves.
@@ -258,13 +259,42 @@ class TestTheoremB:
             return mask == oracle.full_mask or real(oracle, mask, n, k, budget)
 
         monkeypatch.setattr(theorems, "_holds_on_mask", forced)
-        report = verify_theoremB(path_graph(4), 1, 1)
+        return verify_theoremB(path_graph(4), 1, 1)
+
+    def test_lhs_true_rhs_false_payload(self, monkeypatch):
+        report = self._lhs_true_rhs_false(monkeypatch)
         assert report.status is TheoremStatus.COUNTEREXAMPLE
         payload = report.counterexample
         assert payload["direction"] == "lhs_true_rhs_false"
         assert payload["witness_matching"].edges == ((1, 2),)
         odd = payload["subgraph_failure"].tutte.odd_components
         assert sorted(c.members for c in odd) == [(0,), (3,)]
+
+    def test_counterexample_row_renders_its_value_objects(self, monkeypatch):
+        # The payload holds a Matching and a Failure with its Tutte set,
+        # whose vertex sets and edges are tuples; the row is written by hand.
+        report = self._lhs_true_rhs_false(monkeypatch)
+        failure = {
+            "kind": "STUCK_MATCHING",
+            "s": [],
+            "m": [],
+            "tutte": {"s_prime": [], "excess": 2, "odd_components": [[0], [3]]},
+        }
+        row = {
+            "theorem": "TB",
+            "graph6": "Ch",
+            "source": None,
+            "params": {"k": 1, "i": 1},
+            "status": "COUNTEREXAMPLE",
+            "hypothesis": {"lhs_k_extendable": True, "has_i_matching": True, "rhs_all_deletions": False},
+            "counterexample": {
+                "direction": "lhs_true_rhs_false",
+                "witness_matching": [[1, 2]],
+                "subgraph_failure": failure,
+            },
+        }
+        doc = {"schema": "matchext/1", "command": "verify", "reports": [row]}
+        assert to_json(reports_document([report])) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestTheoremC:
