@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--pair-cap",
             type=int,
             help="per-instance cap on work: vertex sets looked up, for a decision or a witness, "
-            "and i-matchings (TB) or edges (T4, TC) tried",
+            "and 2i-vertex sets TB looks up or edges T4 and TC try",
         )
 
     def add_out(p: argparse.ArgumentParser) -> None:

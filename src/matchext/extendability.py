@@ -126,9 +126,9 @@ class Budget:
 
     pair_cap bounds the work charged: one unit per vertex set looked up,
     in a decision or while finding the stuck k-matching of a witness, and
-    in the theorem validators one per i-matching (TB) or edge (T4, TC)
-    tried. deadline is an absolute time.monotonic() cutoff, checked on
-    entry to every search and then every 256 charges.
+    in the theorem validators one per 2i-vertex set TB looks up or edge
+    T4 and TC try. deadline is an absolute time.monotonic() cutoff, checked
+    on entry to every search and then every 256 charges.
     """
 
     deadline: float | None = None
@@ -267,15 +267,16 @@ def _stuck_matching(
     k: int,
     budget: Budget | None,
     stats: SearchStats,
+    k_left: int = 0,
 ) -> tuple[tuple[tuple[int, int], ...], int]:
-    """First k-matching of G[rem] that does not extend to a 1-factor of G[rem].
+    """First k-matching M of G[rem], in lexicographic order of canonical edge
+    tuples, with G[rem] - V(M) not (0, k_left)-extendable ((0, 0): no 1-factor).
 
-    "First" is in the lexicographic order of _matchings_in_mask, which
-    extends a prefix only by edges (a, b) with a above its last edge's lower
-    endpoint. The search descends through that order without listing
+    That order extends a prefix only by edges (a, b) with a above its last
+    edge's lower endpoint. The search descends through it without listing
     matchings: at each level it takes the first such edge whose completions
-    include a stuck one (see _has_stuck_completion). G[rem] must have a
-    k-matching that does not extend. Returns the edges and their vertex mask.
+    include a stuck one (see _has_stuck_completion). G[rem] must have such a
+    k-matching. Returns the edges and their vertex mask.
     """
     masks = oracle.masks
     chosen: tuple[tuple[int, int], ...] = ()
@@ -287,7 +288,7 @@ def _stuck_matching(
             (a, b)
             for a in _bits(free >> start << start)
             for b in _bits(masks[a] & (free >> (a + 1) << (a + 1)))
-            if _has_stuck_completion(oracle, free ^ (1 << a) ^ (1 << b), a, j, budget, stats)
+            if _has_stuck_completion(oracle, free ^ (1 << a) ^ (1 << b), a, j, budget, stats, k_left)
         )
         chosen += ((a, b),)
         used |= (1 << a) | (1 << b)
@@ -302,18 +303,21 @@ def _has_stuck_completion(
     j: int,
     budget: Budget | None,
     stats: SearchStats,
+    k_left: int = 0,
 ) -> bool:
     """True iff some j-matching M of G[H], H = rest minus the vertices <= a,
-    leaves G[rest] - V(M) without a 1-factor.
+    leaves G[rest] - V(M) not (0, k_left)-extendable ((0, 0): no 1-factor).
 
     Such an M exists iff some 2j-set T of H has a 1-factor while G[rest] - T
-    has none. Swapping two twins of G[rest] that both lie in H maps rest and
-    H onto themselves, so T ranges over the twin-prefix sets of G[rest]'s
-    twin classes cut to H. At j = 0, T is empty. G[T] has at most 2k - 2
-    vertices, so its 1-factor is looked for by _one_factors_in_mask, not the
-    oracle: on sparse graphs most T have none, and a memoized blossom run per
-    T made the search slower than listing the k-matchings. Each set looked up
-    is charged and counted as one pair.
+    fails that test. Swapping two twins of G[rest] that both lie in H maps
+    rest and H onto themselves, so T ranges over the twin-prefix sets of
+    G[rest]'s twin classes cut to H; a = -1 cuts nothing, and at j = 0 T is
+    empty. G[T] has only 2j vertices, so its 1-factor is looked for by
+    _one_factors_in_mask, not the oracle: on sparse graphs most T have none,
+    and a memoized blossom run per T made the search slower than listing the
+    k-matchings. G[rest] - T costs one oracle lookup at k_left = 0 and a
+    cached decision otherwise. Each set looked up is charged and counted as
+    one pair.
     """
     masks = oracle.masks
     if j == 0:
@@ -328,7 +332,11 @@ def _has_stuck_completion(
         if budget is not None:
             budget.charge_pairs()
         stats.pairs_examined += 1
-        if next(_one_factors_in_mask(masks, tmask), None) is not None and size(rest ^ tmask) != half:
+        if next(_one_factors_in_mask(masks, tmask), None) is None:
+            continue
+        if not k_left and size(rest ^ tmask) != half:
+            return True
+        if k_left and not _holds_on_mask(oracle, rest ^ tmask, 0, k_left, budget):
             return True
     return False
 

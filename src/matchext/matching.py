@@ -201,35 +201,6 @@ def has_one_factor(g: Graph) -> bool:
     return n % 2 == 0 and maximum_matching(g).size * 2 == n
 
 
-def _matchings_in_mask(
-    masks: Sequence[int], mask: int, k: int
-) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
-    """Exactly-k matchings inside the induced subgraph on ``mask``.
-
-    Yields (canonical edge tuple, vertex mask) pairs in lexicographic order
-    of the edge tuples.
-    """
-    edges: list[tuple[int, int, int]] = []
-    for u in _bits(mask):
-        above = mask & ~((1 << (u + 1)) - 1)
-        for v in _bits(masks[u] & above):
-            edges.append((u, v, (1 << u) | (1 << v)))
-    total = len(edges)
-
-    def rec(start: int, used: int, chosen: tuple) -> Iterator:
-        if len(chosen) == k:
-            yield chosen, used
-            return
-        need = k - len(chosen)
-        for i in range(start, total - need + 1):
-            u, v, bits = edges[i]
-            if bits & used:
-                continue
-            yield from rec(i + 1, used | bits, chosen + ((u, v),))
-
-    yield from rec(0, 0, ())
-
-
 def _one_factors_in_mask(
     masks: Sequence[int], mask: int
 ) -> Iterator[tuple[tuple[int, int], ...]]:

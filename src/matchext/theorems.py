@@ -35,8 +35,11 @@ from typing import Any, Callable, Mapping
 from .errors import BudgetExceededError, InadmissibleParametersError, MatchextError, NoOneFactorError
 from .extendability import (
     Budget,
+    SearchStats,
+    _has_stuck_completion,
     _holds_on_mask,
     _oracle_for,
+    _stuck_matching,
     _verdict_on_mask,
     admissible,
 )
@@ -46,7 +49,6 @@ from .matching import (
     Matching,
     SubsetMatchingOracle,
     _blossom_size,
-    _matchings_in_mask,
     _one_factors_in_mask,
 )
 
@@ -241,29 +243,24 @@ def _theoremB_body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | None
 
     The right-hand side includes "an i-matching exists": the left side's own
     definition demands a k-matching, and without the existence clause an
-    i-matching-free graph would fail the biconditional vacuously.
+    i-matching-free graph would fail the biconditional vacuously. It is decided
+    in set form over 2i-vertex sets; only a counterexample names its first
+    failing i-matching.
     """
     k, i = p["k"], p["i"]
     full = oracle.full_mask
     lhs = _holds_on_mask(oracle, full, 0, k, budget)
     has_i_matching = oracle.size(full) >= i
+    stuck = has_i_matching and _has_stuck_completion(oracle, full, -1, i, budget, SearchStats(), k - i)
+    rhs = has_i_matching and not stuck
     detail: dict[str, object] = {"lhs_k_extendable": lhs, "has_i_matching": has_i_matching}
-    witness = None  # the first i-matching (edges, vertex mask) whose deletion fails
-    if has_i_matching:
-        for chosen, used in _matchings_in_mask(oracle.masks, full, i):
-            if budget is not None:
-                budget.charge_pairs()
-            if not _holds_on_mask(oracle, full ^ used, 0, k - i, budget):
-                witness = chosen, used
-                break
-    rhs = has_i_matching and witness is None
     detail["rhs_all_deletions"] = rhs if has_i_matching else None
     if lhs == rhs:
         return TheoremStatus.CONFIRMED, detail, None
     if lhs:
         payload: dict[str, object] = {"direction": "lhs_true_rhs_false"}
-        if witness is not None:
-            chosen, used = witness
+        if stuck:
+            chosen, used = _stuck_matching(oracle, full, i, budget, SearchStats(), k - i)
             payload["witness_matching"] = Matching(chosen)
             payload["subgraph_failure"] = _verdict_on_mask(oracle, full ^ used, 0, k - i, None).failure
     else:

@@ -9,6 +9,9 @@ has_one_factor. Expected values frozen into tests were computed with these.
 Some references are exceptions. reference_search_failure walks every
 (S, M) pair in lexicographic order over the package's subset oracle, and
 the set-form engine must report exactly its first failure.
+reference_theoremB_matching walks every i-matching M in the same order and
+decides G - V(M) with the package's cached decision, and TB's set-form
+right side and witness descent must agree with it.
 reference_blossom_mates is the package's earlier blossom kernel, on
 neighbour lists of a relabelled subgraph, and the mask kernel must return
 the same mate array.
@@ -22,12 +25,13 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from matchext import Graph, VertexSet, delete_vertices, has_one_factor, theorems
-from matchext.extendability import FailureKind
+from matchext.extendability import FailureKind, SearchStats, _holds_on_mask, _stuck_matching, admissible
 from matchext.graph import _bits
-from matchext.matching import Matching, SubsetMatchingOracle, _matchings_in_mask, _one_factors_in_mask
+from matchext.graph_io import serialize_graph6
+from matchext.matching import Matching, SubsetMatchingOracle, _one_factors_in_mask
 from matchext.theorems import TheoremStatus
 
 
@@ -161,6 +165,36 @@ def matchings_by_combinations(g: Graph, k: int) -> list[tuple[tuple[int, int], .
     return out
 
 
+def matchings_in_mask(
+    masks: Sequence[int], mask: int, k: int
+) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """Exactly-k matchings inside the induced subgraph on ``mask``, listed.
+
+    Yields (canonical edge tuple, vertex mask) pairs in lexicographic order
+    of the edge tuples: the order the package's witness descent and TB's
+    set-form right side must reproduce without listing.
+    """
+    edges: list[tuple[int, int, int]] = []
+    for u in _bits(mask):
+        above = mask & ~((1 << (u + 1)) - 1)
+        for v in _bits(masks[u] & above):
+            edges.append((u, v, (1 << u) | (1 << v)))
+    total = len(edges)
+
+    def rec(start: int, used: int, chosen: tuple) -> Iterator:
+        if len(chosen) == k:
+            yield chosen, used
+            return
+        need = k - len(chosen)
+        for i in range(start, total - need + 1):
+            u, v, bits = edges[i]
+            if bits & used:
+                continue
+            yield from rec(i + 1, used | bits, chosen + ((u, v),))
+
+    yield from rec(0, 0, ())
+
+
 def brute_has_one_factor(g: Graph) -> bool:
     n = g.vertex_count
     return n % 2 == 0 and brute_max_matching_size(g) * 2 == n
@@ -225,10 +259,51 @@ def reference_search_failure(
         rem = mask ^ smask
         if oracle.size(rem) < k:
             return (FailureKind.NO_K_MATCHING, s_tuple, None)
-        for chosen, used in _matchings_in_mask(oracle.masks, rem, k):
+        for chosen, used in matchings_in_mask(oracle.masks, rem, k):
             if not oracle.is_perfectable(rem ^ used):
                 return (FailureKind.STUCK_MATCHING, s_tuple, chosen)
     return None
+
+
+def reference_theoremB_matching(oracle: SubsetMatchingOracle, k: int, i: int) -> tuple[tuple[int, int], ...] | None:
+    """First i-matching M of G, in lexicographic canonical order, with
+    G - V(M) not (0, k - i)-extendable; None when there is none."""
+    full = oracle.full_mask
+    for chosen, used in matchings_in_mask(oracle.masks, full, i):
+        if not _holds_on_mask(oracle, full ^ used, 0, k - i):
+            return chosen
+    return None
+
+
+def theoremB_mismatches(graphs: Iterable[Graph], k_max: int) -> tuple[int, int, list[tuple[str, int, int]]]:
+    """TB's set-form right side and its witness descent against the lex walk.
+
+    For every admissible (k <= k_max, 1 <= i <= k) of each graph, the row's
+    rhs_all_deletions must say that no i-matching fails, and on a failing
+    row _stuck_matching must return reference_theoremB_matching's matching.
+    Returns the rows compared, how many have a failing i-matching, and the
+    (graph6, k, i) of every row that disagrees.
+    """
+    rows, failing, bad = 0, 0, []
+    for g in graphs:
+        oracle = SubsetMatchingOracle(g)
+        full = oracle.full_mask
+        for k in range(1, k_max + 1):
+            if not admissible(g.vertex_count, 0, k):
+                continue
+            for i in range(1, k + 1):
+                expected = reference_theoremB_matching(oracle, k, i)
+                report = theorems.verify_theoremB(g, k, i, oracle=oracle)
+                # rhs_all_deletions is None when G has no i-matching.
+                want = expected is None if oracle.size(full) >= i else None
+                ok = report.hypothesis_detail["rhs_all_deletions"] is want
+                if expected is not None:
+                    failing += 1
+                    ok = ok and _stuck_matching(oracle, full, i, None, SearchStats(), k - i)[0] == expected
+                rows += 1
+                if not ok:
+                    bad.append((serialize_graph6(g), k, i))
+    return rows, failing, bad
 
 
 def reference_one_factor_body(g: Graph, oracle: SubsetMatchingOracle, p: dict) -> tuple:

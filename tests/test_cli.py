@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -246,6 +247,12 @@ class TestVerify:
         doc = json.loads(out)
         assert [r["params"]["i"] for r in doc["reports"]] == [1, 2]
 
+    def test_empty_theorem_list_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--theorems", ",", "--graph", "C~")
+        assert code == 2
+        assert out == ""
+        assert "--theorems must name at least one validator" in err
+
     def test_tb_without_i_needs_positive_k(self, capsys):
         # An empty sweep of i over 1..0 would check nothing and exit 0.
         code, out, err = run_cli(capsys, "verify", "--theorems", "TB", "--k", "0", "--graph", "E~~w")
@@ -294,6 +301,17 @@ class TestVerify:
 
 
 class TestCensus:
+    def test_capped_census_bytes_are_pinned(self, capsys):
+        # The pair cap aborts rows of every validator, so these bytes pin
+        # what each one charges (the CI runs the same census at --jobs 2).
+        code, out, _ = run_cli(
+            capsys, "census", "--random", "20", "--vertices", "8..11", "--edge-prob", "0.7",
+            "--seed", "3", "--full", "--pair-cap", "40", "--jobs", "1",
+        )
+        assert code == 3
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "00a960eeb11e9621dd30d3a66a11e16d12fd5fdb6c102d2dcb2b635076c827e3"
+
     def test_small_exhaustive_summary(self, capsys):
         code, out, _ = run_cli(
             capsys, "census", "--max-vertices", "6",

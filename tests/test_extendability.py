@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import pytest
@@ -461,6 +462,26 @@ class TestBudget:
             is_nk_extendable(g, 8, 0, budget=budget, oracle=oracle)
         assert not oracle.table_built and oracle.prefix_cache == {}
         assert budget.pairs_charged == len(pulled) == 11
+
+    def test_pair_cap_stops_the_witness_descent(self):
+        # One set below the uncapped run's charges: the failing decision and
+        # the walk to S finish, and the cap fires in the stuck-matching search.
+        g = build_h1(2, 0).graph
+        spent = Budget()
+        is_nk_extendable(g, 2, 2, budget=spent)
+        oracle = SubsetMatchingOracle(g)
+        with pytest.raises(BudgetExceededError) as raised:
+            is_nk_extendable(g, 2, 2, budget=Budget(pair_cap=spent.pairs_charged - 1), oracle=oracle)
+        assert oracle.nk_cache[(oracle.full_mask, 2, 2)] is False
+        assert raised.traceback[-2].name == "_has_stuck_completion"
+
+    def test_deadline_read_every_256_charges(self):
+        budget = Budget(deadline=time.monotonic() - 1)
+        for _ in range(255):
+            budget.charge_pairs()
+        with pytest.raises(BudgetExceededError, match="timeout"):
+            budget.charge_pairs()
+        assert budget.pairs_charged == 256
 
     def test_zero_timeout_aborts(self):
         budget = Budget.from_limits(0.0, None)

@@ -19,13 +19,14 @@ from matchext import (
     maximum_matching,
 )
 from matchext.graph import components_of_mask
-from matchext.matching import _blossom_size, _matchings_in_mask, _one_factors_in_mask
+from matchext.matching import _blossom_size, _one_factors_in_mask
 
 from conftest import cycle_graph, graphs, path_graph, petersen_graph, star_graph
 from oracles import (
     brute_max_deficiency,
     brute_max_matching_size,
     matchings_by_combinations,
+    matchings_in_mask,
     reference_blossom_mates,
 )
 
@@ -112,9 +113,9 @@ class TestFactorPredicates:
 
 
 def k_matchings(g, k):
-    """Edge tuples of ``_matchings_in_mask`` on the whole of g, checking each mask."""
+    """Edge tuples of ``matchings_in_mask`` on the whole of g, checking each mask."""
     out = []
-    for edges, used in _matchings_in_mask(g.adjacency_masks, (1 << g.vertex_count) - 1, k):
+    for edges, used in matchings_in_mask(g.adjacency_masks, (1 << g.vertex_count) - 1, k):
         assert used == sum(1 << v for edge in edges for v in edge)
         out.append(edges)
     return out
@@ -125,7 +126,7 @@ def one_factors(g):
 
 
 class TestEnumeration:
-    """The generators behind the witness loop, TB and the T4/TC factor."""
+    """The reference k-matching enumerator and the package's T4/TC 1-factor generator."""
 
     def test_k4_single_edges(self):
         assert k_matchings(complete_graph(4), 1) == [

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -18,6 +19,8 @@ from matchext import (
     complete_graph,
     corpus_graphs,
     disjoint_union,
+    exhaustive_graphs,
+    random_graphs,
     run_census,
     verify_failure_witness,
     verify_lemma1,
@@ -34,11 +37,11 @@ from matchext import census, cli, theorems
 from matchext.census import clamp_jobs, normalize_theorems
 from matchext.matching import SubsetMatchingOracle
 from matchext.theorems import THEOREM_IDS, THEOREMS
-from matchext.families import build_h2
+from matchext.families import build_h2, resolve_family_ref
 from matchext.reporting import census_document, render_row, report_to_dict, reports_document, to_json
 
 from conftest import cycle_graph, path_graph, star_graph
-from oracles import reference_one_factor_body
+from oracles import reference_one_factor_body, theoremB_mismatches
 
 CONFIRMED = TheoremStatus.CONFIRMED
 VACUOUS = TheoremStatus.VACUOUS
@@ -176,6 +179,17 @@ class TestTheorem4:
         capped = verify_theorem4(g, 0, 1, oracle=oracle, budget=Budget(pair_cap=0))
         assert capped.status is TheoremStatus.ABORTED
 
+    def test_deadline_read_per_edge_on_a_warm_oracle(self):
+        # Cached decisions never read the clock, and one charge per edge is
+        # far below the 256 between reads in charge_pairs, so only the loop's
+        # own check_time can see that the deadline has passed.
+        g = complete_graph(8)
+        oracle = SubsetMatchingOracle(g)
+        assert verify_theorem4(g, 0, 1, oracle=oracle).status is CONFIRMED
+        expired = Budget(deadline=time.monotonic() - 1)
+        assert verify_theorem4(g, 0, 1, oracle=oracle, budget=expired).status is TheoremStatus.ABORTED
+        assert expired.pairs_charged == 1
+
 
 def _one_factor_rows():
     """(g, oracle, params) for every admissible T4 and TC census row at
@@ -247,6 +261,28 @@ class TestTheoremB:
     def test_i_range_enforced(self):
         with pytest.raises(InadmissibleParametersError):
             verify_theoremB(complete_graph(6), 1, 2)
+
+    def test_set_form_matches_the_lex_walk_up_to_7_vertices(self):
+        # Every admissible (k <= 2, 1 <= i <= k) row; the 429 failing rows
+        # also check the witness descent's matching.
+        assert theoremB_mismatches(exhaustive_graphs(7), 2) == (479, 429, [])
+
+    def test_set_form_matches_the_lex_walk_on_random_graphs(self):
+        # k = 3 needs 8 vertices, and an i of 2 or 3 on 10-12 vertices
+        # reaches past the exhaustive corpus.
+        graphs = [g for p in (0.5, 0.7, 0.9) for g in random_graphs(50, 8, 12, p, 0)]
+        assert theoremB_mismatches(graphs, 3) == (522, 331, [])
+
+    @pytest.mark.parametrize("ref, k, i, charged", [("k6", 2, 1, 5), ("h1:2:1", 2, 1, 400), ("h1:2:1", 2, 2, 205)])
+    def test_pairs_charged_by_one_row(self, ref, k, i, charged):
+        # K6 is one twin class: the (0, 2) decision looks up the empty set
+        # and one 4-set, the right side one 2-set, and the K4 it leaves
+        # decides (0, 1) on two more sets. Charging per i-matching tried
+        # instead costs 47 here (15 edges, each deletion decided on 2 sets).
+        g = complete_graph(6) if ref == "k6" else resolve_family_ref(ref).graph
+        budget = Budget()
+        assert verify_theoremB(g, k, i, budget=budget).status is CONFIRMED
+        assert budget.pairs_charged == charged
 
     @staticmethod
     def _lhs_true_rhs_false(monkeypatch):
