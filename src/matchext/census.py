@@ -19,7 +19,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import Pool
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .extendability import Budget
@@ -252,5 +251,7 @@ def _ordered_map(jobs: int) -> Iterator[Mapper]:
     if jobs == 1:
         yield map
         return
+    from multiprocessing import Pool  # loaded only by a census that starts workers
+
     with Pool(processes=jobs) as pool:
         yield lambda fn, items: pool.imap(fn, items, chunksize=max(1, len(items) // (jobs * 8)))

@@ -9,6 +9,7 @@ counterexample, 2 usage or parse errors, 3 aborted by limits.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -125,12 +126,15 @@ def _parse_vertex_range(text: str | None) -> tuple[int, int]:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("MATCHEXT_LOG", "warning").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    level = logging.getLevelName(os.environ.get("MATCHEXT_LOG", "warning").upper())
+    if not isinstance(level, int):  # an unknown name maps to the string "Level <name>"
+        level = logging.WARNING
     logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s %(levelname)s %(message)s")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="matchext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -461,3 +461,68 @@ class TestGenerateLog:
             f"matchext.generate INFO level {t}" for t in range(2, 7)
         ]
         assert levels["2"] == levels["1"]
+
+
+SRC = str(Path(matchext.__file__).resolve().parents[1])
+
+
+def fresh_cli(*argv, log="warning"):
+    """Run the CLI in a new interpreter, started with -S so no site hook loads modules."""
+    env = dict(os.environ, PYTHONPATH=SRC, MATCHEXT_LOG=log)
+    return subprocess.run(
+        [sys.executable, "-S", "-m", "matchext", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value", ["basic_format", "_styles", "no-such-level"])
+    def test_bad_value_falls_back_to_warning(self, value):
+        # Any upper-cased logging attribute used to pass as a level, and
+        # basicConfig then died on BASIC_FORMAT's text or the _STYLES dict,
+        # exiting 1 on an extendable graph.
+        run = fresh_cli("check", "--graph", "h1:1:0", "--n", "1", "--k", "0", log=value)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert json.loads(run.stdout)["holds"] is True
+
+
+class TestOneParserPerProcess:
+    def test_reused_parser_leaks_no_state(self, capsys):
+        # main parses every call with one parser; census's --graph lists
+        # must start empty each time, as in a fresh process.
+        runs = [
+            ("census", "--graph", "h1:1:0", "--graph", "h1:2:0", "--theorems", "L2"),
+            ("check", "--n", "1"),
+            ("census", "--max-vertices", "4", "--theorems", "L2"),
+        ]
+        assert build_parser() is build_parser()
+        codes = []
+        for argv in runs:
+            code, out, _ = run_cli(capsys, *argv)
+            fresh = fresh_cli(*argv)
+            assert (code, out) == (fresh.returncode, fresh.stdout)
+            codes.append(code)
+        assert codes == [0, 2, 0]
+        args = build_parser().parse_args(["census", "--max-vertices", "4"])
+        assert (args.graph, args.graph_file) == ([], [])
+
+
+class TestLazyPoolImport:
+    def test_multiprocessing_loaded_only_by_workers(self):
+        script = "\n".join([
+            "import os, sys",
+            "import matchext, matchext.cli as cli",
+            "loaded = lambda: 'multiprocessing' in sys.modules",
+            "assert not loaded()",
+            "assert cli.main(['certify', '--graph', 'h1:1:0', '--n', '1', '--k', '0']) == 0",
+            "assert not loaded()",
+            "assert cli.main(['census', '--max-vertices', '4', '--jobs', '1']) == 0",
+            "assert not loaded()",
+            "if os.cpu_count() >= 2:",
+            "    assert cli.main(['census', '--max-vertices', '4', '--jobs', '2']) == 0",
+            "    assert loaded()",
+        ])
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", script], env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr

@@ -411,13 +411,14 @@ class TestCensus:
     def test_no_pool_when_the_clamp_gives_one_job(self, monkeypatch, capsys):
         # clamp_jobs takes an exhaustive corpus's size from its class count,
         # since the pool starts before generation does.
+        # census imports Pool from multiprocessing only when it starts one.
         class PoolStarted(Exception):
             pass
 
         def refuse(*args, **kwargs):
             raise PoolStarted
 
-        monkeypatch.setattr(census, "Pool", refuse)
+        monkeypatch.setattr("multiprocessing.Pool", refuse)
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         kwargs = dict(theorems=("L2",), ranges=ParamRanges(1, 1), jobs=2)
         result = run_census(CorpusSpec(FileSource(("h1:1:0",))), **kwargs)
