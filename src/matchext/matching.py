@@ -1,12 +1,15 @@
 """Maximum matchings, Tutte certificates, and the subset oracle.
 
-One blossom kernel, _blossom_mates, serves every caller. It works on the
-host graph's adjacency masks and a vertex mask, so an induced subgraph needs
-no relabelling: a greedy pass over bitmasks, then Edmonds' search only when
+One blossom kernel serves every caller. It works on the host graph's
+adjacency masks and a vertex mask, so an induced subgraph needs no
+relabelling: a greedy pass over bitmasks, then Edmonds' search only when
 that leaves two exposed vertices with neighbours. Vertices are scanned in
 ascending order and every tie breaks toward the smaller index, so a fixed
-graph always yields the same matching. The extendability search layers a
-per-graph subset oracle on top (see SubsetMatchingOracle), which answers
+graph always yields the same matching (_blossom_mates). Callers that need
+only the size (_blossom_size) first augment along paths of length 3, which
+leave most subsets without a second exposed vertex, so Edmonds' search
+rarely runs for them. The extendability search layers a per-graph subset
+oracle on top (see SubsetMatchingOracle), which answers
 maximum-matching sizes for arbitrary induced subgraphs. It starts with one
 memoized blossom run per queried subset and switches to a table over all
 2^n subsets after 2^n / 32 runs (see the constants below), and graphs of at
@@ -79,16 +82,15 @@ class TutteCertificate:
     deficiency_excess: int
 
 
-def _blossom_mates(masks: Sequence[int], mask: int) -> list[int]:
-    """Deterministic blossom search on G[mask]; returns the mate array.
+def _greedy_mates(masks: Sequence[int], mask: int) -> tuple[list[int], int]:
+    """Greedy maximal matching of G[mask]: its mate array and its roots.
 
     ``masks`` are the host graph's adjacency masks, and the array is indexed
-    by host vertex: -1 marks an exposed vertex or one outside ``mask``. A
-    greedy pass first matches each vertex, in ascending order, to its lowest
-    free neighbour. An augmenting path joins two exposed vertices that have
-    neighbours in ``mask``, so when at most one such vertex is left the
-    matching is maximum. Otherwise Edmonds' search runs from each of them in
-    ascending order, scanning neighbours in ascending order.
+    by host vertex: -1 marks an exposed vertex or one outside ``mask``. Each
+    vertex, in ascending order, is matched to its lowest free neighbour. The
+    roots are the exposed vertices with neighbours in ``mask`` (all of them
+    matched). An augmenting path joins two roots, so when at most one is
+    left the matching is maximum.
     """
     mate = [-1] * len(masks)
     free = mask
@@ -105,8 +107,17 @@ def _blossom_mates(masks: Sequence[int], mask: int) -> list[int]:
             mate[v], mate[u] = u, v
         elif masks[v] & mask:
             roots |= low
-    if roots & (roots - 1) == 0:
-        return mate
+    return mate, roots
+
+
+def _edmonds_augment(masks: Sequence[int], mask: int, mate: list[int], roots: int) -> None:
+    """Edmonds' search, in place: makes the matching ``mate`` of G[mask] maximum.
+
+    ``roots`` are its exposed vertices with neighbours in ``mask``. The
+    search runs once from each still exposed root in ascending order,
+    scanning neighbours in ascending order; a root with no augmenting path
+    never gains one after later augmentations.
+    """
     verts = list(_bits(mask))
     size = len(masks)
     parent = [-1] * size
@@ -179,12 +190,42 @@ def _blossom_mates(masks: Sequence[int], mask: int) -> list[int]:
             mate[end] = prev
             mate[prev] = end
             end = before
+
+
+def _blossom_mates(masks: Sequence[int], mask: int) -> list[int]:
+    """Deterministic maximum matching of G[mask]: greedy, then Edmonds; the mate array."""
+    mate, roots = _greedy_mates(masks, mask)
+    if roots & (roots - 1):
+        _edmonds_augment(masks, mask, mate, roots)
     return mate
 
 
 def _blossom_size(masks: Sequence[int], mask: int) -> int:
-    """Maximum matching size of the induced subgraph on ``mask``, uncached."""
-    mate = _blossom_mates(masks, mask)
+    """Maximum matching size of the induced subgraph on ``mask``, uncached.
+
+    Before Edmonds' search, each root v in ascending order takes the first
+    augmenting path v-u-w-x of length 3: u a neighbour of v, w its mate, x
+    another root next to w. Edmonds then runs only if two roots are left.
+    The matching may differ from ``_blossom_mates``'s; its size cannot.
+    """
+    mate, roots = _greedy_mates(masks, mask)
+    left = roots
+    while left and roots & (roots - 1):
+        low = left & -left
+        left ^= low
+        v = low.bit_length() - 1
+        for u in _bits(masks[v] & mask):
+            w = mate[u]
+            ends = masks[w] & roots & ~low
+            if ends:
+                xb = ends & -ends
+                x = xb.bit_length() - 1
+                mate[v], mate[u], mate[w], mate[x] = u, v, x, w
+                roots ^= low | xb
+                left &= ~xb
+                break
+    if roots & (roots - 1):
+        _edmonds_augment(masks, mask, mate, roots)
     return (len(mate) - mate.count(-1)) // 2
 
 
@@ -217,13 +258,14 @@ def _one_factors_in_mask(
 
 # Measured on a 2-core x86 box (Python 3.11) over the misses of the verdicts
 # on the H1/H2 family instances of 14 to 21 vertices: one table entry costs
-# 0.3-0.45 us and one blossom miss 4-13 us, a ratio of 11 to 41 (most near
-# 16). So the table has paid for itself after about 2^n / 11 to 2^n / 41
+# 0.21-0.42 us and one blossom miss 1.6-4.0 us, a ratio of 7 to 11 (most
+# near 10). So the table has paid for itself after about 2^n / 7 to 2^n / 11
 # misses. The budget of 2^n / 32 misses was set when a miss cost 18 to 35
-# entries; it still lies in the range, near its top, so the table tends to
-# come early rather than late. Up to 12 vertices the table costs at most a
-# few ms; a census asks thousands of queries of each such graph and a single
-# decision loses at most those few ms, so it is built at once.
+# entries; it now lies below the range, so the table comes early: when it
+# is built, the misses have cost a quarter to a third of it. Up to 12
+# vertices the table costs at most a few ms; a census asks thousands of
+# queries of each such graph and a single decision loses at most those few
+# ms, so it is built at once.
 _EAGER_VERTICES = 12
 _MISS_SHIFT = 5
 
@@ -238,7 +280,8 @@ class SubsetMatchingOracle:
     stays exposed or is matched to a neighbor. Graphs of at most 12 vertices
     build the table at once. Larger ones start lazy and build the table once
     the misses reach ``miss_budget`` = 2^n / 32, when their blossom runs have
-    cost about as much as the table would (see the constants above). From
+    cost a quarter to a third of what the table does (see the constants
+    above). From
     then on ``size`` is the table's own ``__getitem__``, so callers that
     read ``oracle.size`` afterwards do a bare index. The memo stays as it
     was, so it never holds more than ``miss_budget`` entries and its length

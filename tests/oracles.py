@@ -14,7 +14,9 @@ decides G - V(M) with the package's cached decision, and TB's set-form
 right side and witness descent must agree with it.
 reference_blossom_mates is the package's earlier blossom kernel, on
 neighbour lists of a relabelled subgraph, and the mask kernel must return
-the same mate array.
+the same mate array. blossom_size_mismatches checks the blossom kernel's
+sizes against the subset oracle's table, whose recurrence over the lowest
+vertex shares no step with an augmenting-path search.
 reference_one_factor_body walks every 1-factor of G for T4/TC, and the
 theorem body must give exactly its report. reference_canonical_form is
 the canonical form without twin pruning: it branches on every vertex of
@@ -31,7 +33,7 @@ from matchext import Graph, VertexSet, delete_vertices, has_one_factor, theorems
 from matchext.extendability import FailureKind, SearchStats, _holds_on_mask, _stuck_matching, admissible
 from matchext.graph import _bits
 from matchext.graph_io import serialize_graph6
-from matchext.matching import Matching, SubsetMatchingOracle, _one_factors_in_mask
+from matchext.matching import Matching, SubsetMatchingOracle, _blossom_size, _one_factors_in_mask
 from matchext.theorems import TheoremStatus
 
 
@@ -304,6 +306,22 @@ def theoremB_mismatches(graphs: Iterable[Graph], k_max: int) -> tuple[int, int, 
                 if not ok:
                     bad.append((serialize_graph6(g), k, i))
     return rows, failing, bad
+
+
+def blossom_size_mismatches(graphs: Iterable[Graph]) -> tuple[int, list[tuple[str, int]]]:
+    """_blossom_size against SubsetMatchingOracle._build_table on every mask.
+
+    Returns the masks compared and the (graph6, mask) of every disagreement.
+    """
+    compared, bad = 0, []
+    for g in graphs:
+        masks = g.adjacency_masks
+        table = SubsetMatchingOracle(g)._build_table()
+        for mask in range(1 << g.vertex_count):
+            if _blossom_size(masks, mask) != table[mask]:
+                bad.append((serialize_graph6(g), mask))
+        compared += len(table)
+    return compared, bad
 
 
 def reference_one_factor_body(g: Graph, oracle: SubsetMatchingOracle, p: dict) -> tuple:

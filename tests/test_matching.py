@@ -17,12 +17,15 @@ from matchext import (
     find_tutte_certificate,
     has_one_factor,
     maximum_matching,
+    random_graphs,
 )
+from matchext import matching
 from matchext.graph import components_of_mask
-from matchext.matching import _blossom_size, _one_factors_in_mask
+from matchext.matching import _blossom_size, _greedy_mates, _one_factors_in_mask
 
 from conftest import cycle_graph, graphs, path_graph, petersen_graph, star_graph
 from oracles import (
+    blossom_size_mismatches,
     brute_max_deficiency,
     brute_max_matching_size,
     matchings_by_combinations,
@@ -79,7 +82,9 @@ class TestMaximumMatching:
 
     def test_same_matching_as_reference_blossom(self):
         # The mask kernel must reproduce the neighbour-list blossom exactly,
-        # not only its size: witnesses and goldens depend on which matching.
+        # not only its size: the public maximum_matching returns this
+        # matching. Witnesses and goldens take only sizes from the kernel
+        # (a witness's M comes from _stuck_matching, Tutte sets from sizes).
         rng = random.Random(0)
         corpus = list(exhaustive_graphs(7))
         for _ in range(1000):
@@ -102,6 +107,43 @@ class TestMaximumMatching:
     def test_tutte_berge_formula(self, g):
         deficiency = g.vertex_count - 2 * maximum_matching(g).size
         assert deficiency == brute_max_deficiency(g)
+
+
+class TestBlossomSize:
+    """_blossom_size against the oracle's table recurrence, and its three phases."""
+
+    def test_agrees_with_the_table_up_to_7_vertices(self):
+        assert blossom_size_mismatches(exhaustive_graphs(7)) == (144922, [])
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_agrees_with_the_table_on_random_12_vertex_graphs(self, p):
+        assert blossom_size_mismatches(random_graphs(5, 12, 12, p, 0)) == (5 << 12, [])
+
+    @pytest.mark.parametrize(
+        "n, edges, greedy, size, edmonds_runs",
+        [
+            # P4 in path order: the greedy pass matches it perfectly.
+            (4, [(0, 1), (1, 2), (2, 3)], 2, 2, 0),
+            # Paths 2-0-1-3 and 6-4-5-7: greedy takes each middle edge and
+            # leaves 2, 3, 6 and 7 exposed; each path is one length-3
+            # augmentation, and no root is left for Edmonds.
+            (8, [(0, 1), (0, 2), (1, 3), (4, 5), (4, 6), (5, 7)], 2, 4, 0),
+            # Greedy matches 0-1, 2-3 and 4-5 and leaves 6 and 7 exposed. The
+            # only augmenting path, 6-3-2-1-0-4-5-7, runs the long way round
+            # the pentagon 6-0-1-2-3, a blossom with base 6.
+            (8, [(0, 1), (0, 4), (0, 6), (1, 2), (2, 3), (3, 6), (4, 5), (5, 7)], 3, 4, 1),
+        ],
+    )
+    def test_each_phase(self, monkeypatch, n, edges, greedy, size, edmonds_runs):
+        g = Graph(n, edges)
+        full = (1 << n) - 1
+        mate, _ = _greedy_mates(g.adjacency_masks, full)
+        assert (n - mate.count(-1)) // 2 == greedy
+        runs = []
+        augment = matching._edmonds_augment
+        monkeypatch.setattr(matching, "_edmonds_augment", lambda *args: runs.append(1) or augment(*args))
+        assert _blossom_size(g.adjacency_masks, full) == size == brute_max_matching_size(g)
+        assert len(runs) == edmonds_runs
 
 
 class TestFactorPredicates:
