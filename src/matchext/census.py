@@ -14,13 +14,13 @@ The same workers generate an exhaustive corpus before they sweep it.
 
 from __future__ import annotations
 
-import logging
 import os
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 
+from .errors import log_info
 from .extendability import Budget
 from .families import resolve_family_ref
 from .generate import Mapper, exhaustive_count, exhaustive_graphs, random_graphs
@@ -28,8 +28,6 @@ from .graph import Graph, components_of_mask
 from .graph_io import GraphFormat, load_graph_file
 from .matching import SubsetMatchingOracle
 from . import theorems as th
-
-log = logging.getLogger("matchext.census")
 
 STATUS_ORDER = tuple(s.value for s in th.TheoremStatus)
 _STATUS_INDEX = {status: index for index, status in enumerate(th.TheoremStatus)}
@@ -39,7 +37,7 @@ _STATUS_INDEX = {status: index for index, status in enumerate(th.TheoremStatus)}
 class ExhaustiveSource:
     """All isomorphism classes on 1..max_vertices vertices."""
 
-    kind: ClassVar[str] = "exhaustive"
+    kind = "exhaustive"
     max_vertices: int
 
 
@@ -47,7 +45,7 @@ class ExhaustiveSource:
 class RandomSource:
     """Seeded G(n, p) sample, n uniform in [min_vertices, max_vertices]."""
 
-    kind: ClassVar[str] = "random"
+    kind = "random"
     count: int
     min_vertices: int
     max_vertices: int
@@ -59,7 +57,7 @@ class RandomSource:
 class FileSource:
     """graph6 files (one graph per line) and/or family refs like h1:2:0."""
 
-    kind: ClassVar[str] = "files"
+    kind = "files"
     items: tuple[str, ...]
 
 
@@ -238,7 +236,7 @@ def run_census(
             for tid, per in counts.items():
                 totals[tid] = [total + count for total, count in zip(totals[tid], per)]
             if done % 500 == 0:
-                log.info("census progress: %d/%d graphs", done, len(items))
+                log_info("matchext.census", "census progress: %d/%d graphs", done, len(items))
     summary = {tid: dict(zip(STATUS_ORDER, per)) for tid, per in totals.items()}
     return CensusResult(
         reports=reports, summary=summary, spec=spec, theorems=chosen, ranges=ranges

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import logging
 import os
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from .census import (
     report_or_abort,
     run_census,
 )
-from .errors import BudgetExceededError, MatchextError
+from .errors import BudgetExceededError, MatchextError, log_info
 from .extendability import Budget, is_nk_extendable, verify_failure_witness
 from .families import resolve_family_ref
 from .graph import Graph
@@ -46,8 +45,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_ABORTED = 3
-
-log = logging.getLogger("matchext.cli")
 
 
 class RunConfig(argparse.Namespace):
@@ -126,7 +123,10 @@ def _parse_vertex_range(text: str | None) -> tuple[int, int]:
 
 
 def _configure_logging() -> None:
-    level = logging.getLevelName(os.environ.get("MATCHEXT_LOG", "warning").upper())
+    if "MATCHEXT_LOG" not in os.environ:  # logging stays unloaded, and log_info silent
+        return
+    import logging
+    level = logging.getLevelName(os.environ["MATCHEXT_LOG"].upper())
     if not isinstance(level, int):  # an unknown name maps to the string "Level <name>"
         level = logging.WARNING
     logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s %(levelname)s %(message)s")
@@ -244,8 +244,8 @@ def _run_check(config: RunConfig, with_certificate: bool) -> int:
         _emit(to_json(doc), config.out)
         return EXIT_ABORTED
     finally:
-        log.info(
-            "subset oracle: %d vertices, %d blossom misses, table %s",
+        log_info(
+            "matchext.cli", "subset oracle: %d vertices, %d blossom misses, table %s",
             g.vertex_count, oracle.misses, "built" if oracle.table_built else "not built",
         )
     verification = None

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one log call, shared across the package."""
+
+import sys
+
+
+def log_info(logger: str, message: str, *args: object) -> None:
+    """Log at INFO on ``logger`` if ``logging`` is loaded; if not, no handler exists to show it."""
+    if "logging" in sys.modules:
+        sys.modules["logging"].getLogger(logger).info(message, *args)
 
 
 class MatchextError(Exception):

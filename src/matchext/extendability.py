@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import time
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 from .errors import BudgetExceededError, InvalidParametersError
 from .graph import (

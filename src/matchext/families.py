@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import Graph, VertexSet, complete_graph, disjoint_union, join
+from .graph import EDGE_LIMIT, Graph, VertexSet, complete_graph, disjoint_union, join
 from .matching import Matching
 
 _FAMILY_RE = re.compile(r"^(h1|h2):(\d+):(\d+)$")
@@ -47,10 +47,12 @@ def _build(family: str, n: int, k: int, core_size: int, pendant_count: int) -> F
     if n < 0 or k < 0:
         raise ValueError("n and k must be non-negative")
     block_size = 2 * n + 1
+    right_size = core_size + 2 * pendant_count
+    edges = block_size * (block_size - 1 + 2 * right_size) + core_size * (core_size - 1) // 2 + pendant_count
+    if edges > EDGE_LIMIT:
+        raise ValueError(f"{family}:{n}:{k} would have {edges} edges; the limit is {EDGE_LIMIT}")
     blocks = disjoint_union([complete_graph(block_size), complete_graph(block_size)])
-    right = disjoint_union(
-        [complete_graph(core_size)] + [complete_graph(2)] * pendant_count
-    )
+    right = disjoint_union([complete_graph(core_size)] + [complete_graph(2)] * pendant_count)
     g = join(blocks, right)
 
     b0 = tuple(range(block_size))
@@ -58,9 +60,7 @@ def _build(family: str, n: int, k: int, core_size: int, pendant_count: int) -> F
     core_start = 2 * block_size
     core = tuple(range(core_start, core_start + core_size))
     pendant_start = core_start + core_size
-    pendants = tuple(
-        (pendant_start + 2 * i, pendant_start + 2 * i + 1) for i in range(pendant_count)
-    )
+    pendants = tuple((pendant_start + 2 * i, pendant_start + 2 * i + 1) for i in range(pendant_count))
 
     return FamilyInstance(
         graph=g,

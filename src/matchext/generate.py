@@ -51,14 +51,12 @@ mapper.
 
 from __future__ import annotations
 
-import logging
 import random
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial
-from typing import Callable, Iterable, Sequence
 
-from .graph import Graph, _bits, twin_classes, twin_prefix_sets
-
-log = logging.getLogger("matchext.generate")
+from .errors import log_info
+from .graph import EDGE_LIMIT, Graph, _bits, twin_classes, twin_prefix_sets
 
 EXHAUSTIVE_LIMIT = 8
 
@@ -235,7 +233,7 @@ def _exhaustive_level(t: int, mapper: Mapper = map) -> Level:
             if cert not in seen:
                 seen.add(cert)
                 reps.append((Graph(t, base_edges + [(u, t - 1) for u in _bits(nbmask)]), generators))
-    log.info("level %d: %d extensions tried, %d classes", t, tried, len(reps))
+    log_info("matchext.generate", "level %d: %d extensions tried, %d classes", t, tried, len(reps))
     return _LEVELS.setdefault(t, tuple(reps))
 
 
@@ -279,6 +277,8 @@ def random_graphs(
         raise ValueError("need 0 <= min_vertices <= max_vertices")
     if not (0.0 <= edge_probability <= 1.0):
         raise ValueError("edge_probability must be in [0, 1]")
+    if (pairs := max_vertices * (max_vertices - 1) // 2) > EDGE_LIMIT:
+        raise ValueError(f"{max_vertices} vertices have {pairs} vertex pairs; the limit is {EDGE_LIMIT}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -9,11 +9,14 @@ whole structure hashable and shareable across worker processes.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from typing import Iterable, Iterator, Sequence
 
 from .errors import OutOfRangeError
+
+# Most edges (vertex pairs, for G(n, p)) a graph built from a short argument may have.
+EDGE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ most 12 vertices, whose table takes a few milliseconds, get it at once.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NotAMatchingError
 from .graph import Graph, VertexSet, _bits, components_of_mask

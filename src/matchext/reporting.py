@@ -18,9 +18,9 @@ and ``to_json`` splices their text in.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Callable, Iterable
 
 from .census import CensusResult, CorpusSpec
 from .extendability import ExtendabilityVerdict, Failure, SearchStats
@@ -33,7 +33,7 @@ SCHEMA = "matchext/1"
 
 # The JSON shape of each value object a verdict or row holds; ``_write``
 # renders the shape in place of the object.
-_SHAPES: dict[type, Callable[[Any], Any]] = {
+_SHAPES: dict[type, Callable[[object], object]] = {
     Failure: lambda f: {"kind": f.kind.value, "s": f.s, "m": f.m, "tutte": f.tutte},
     TutteCertificate: lambda t: {
         "s_prime": t.s_prime,
@@ -46,8 +46,8 @@ _SHAPES: dict[type, Callable[[Any], Any]] = {
 }
 
 
-def graph_info(g: Graph, source: str | None = None) -> dict[str, Any]:
-    info: dict[str, Any] = {}
+def graph_info(g: Graph, source: str | None = None) -> dict[str, object]:
+    info: dict[str, object] = {}
     if source is not None:
         info["source"] = source
     info["vertices"] = g.vertex_count
@@ -60,11 +60,11 @@ def verdict_document(
     *,
     n: int,
     k: int,
-    graph: dict[str, Any],
+    graph: dict[str, object],
     command: str,
-    verification: dict[str, Any] | None = None,
-) -> dict[str, Any]:
-    doc: dict[str, Any] = {
+    verification: dict[str, object] | None = None,
+) -> dict[str, object]:
+    doc: dict[str, object] = {
         "schema": SCHEMA,
         "command": command,
         "graph": graph,
@@ -79,7 +79,7 @@ def verdict_document(
     return doc
 
 
-def report_to_dict(report: TheoremReport) -> dict[str, Any]:
+def report_to_dict(report: TheoremReport) -> dict[str, object]:
     return {
         "theorem": report.theorem_id,
         "graph6": report.graph6,
@@ -112,7 +112,7 @@ def _rows(reports: Iterable[TheoremReport | str]) -> RenderedRows:
     return RenderedRows(r if isinstance(r, str) else render_row(r) for r in reports)
 
 
-def reports_document(reports: Iterable[TheoremReport]) -> dict[str, Any]:
+def reports_document(reports: Iterable[TheoremReport]) -> dict[str, object]:
     return {
         "schema": SCHEMA,
         "command": "verify",
@@ -120,14 +120,14 @@ def reports_document(reports: Iterable[TheoremReport]) -> dict[str, Any]:
     }
 
 
-def _corpus_dict(spec: CorpusSpec) -> dict[str, Any]:
+def _corpus_dict(spec: CorpusSpec) -> dict[str, object]:
     return {
         "source": {"kind": spec.source.kind, **asdict(spec.source)},
         "filters": asdict(spec.filters),
     }
 
 
-def census_document(result: CensusResult) -> dict[str, Any]:
+def census_document(result: CensusResult) -> dict[str, object]:
     return {
         "schema": SCHEMA,
         "command": "census",
@@ -142,7 +142,7 @@ def census_document(result: CensusResult) -> dict[str, Any]:
 _INF = float("inf")
 
 
-def _scalar(value: Any) -> str:
+def _scalar(value: object) -> str:
     if value is None:
         return "null"
     if value is True:
@@ -162,7 +162,7 @@ def _scalar(value: Any) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write(value: Any, indent: str, out: list[str]) -> None:
+def _write(value: object, indent: str, out: list[str]) -> None:
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif isinstance(value, dict):
@@ -196,7 +196,7 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
         out.append(_scalar(value))
 
 
-def to_json(document: dict[str, Any]) -> str:
+def to_json(document: dict[str, object]) -> str:
     """``json.dumps(document, indent=2)`` plus a newline, byte for byte,
     where a value object counts as its shape in ``_SHAPES`` and a
     ``RenderedRows`` list as the dicts its rows were written from.

@@ -27,10 +27,10 @@ validators, the census sweep and the verify command all run from it.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, Mapping
 
 from .errors import BudgetExceededError, InadmissibleParametersError, MatchextError, NoOneFactorError
 from .extendability import (
@@ -334,47 +334,47 @@ _T4_NEEDS = "a 1-factor, and n + 2k <= |V| - 4 with |V| - n even unless n = k = 
 # Each passes its ``oracle``, ``budget`` and ``source`` keywords to run_theorem.
 
 
-def verify_theorem1(g: Graph, k: int, **context: Any) -> TheoremReport:
+def verify_theorem1(g: Graph, k: int, **context: object) -> TheoremReport:
     """Every G - V(e) k-extendable (with |V| >= 2k+4) makes G (k+1)-extendable."""
     return run_theorem("T1", g, {"k": k}, **context)
 
 
-def verify_theorem2(g: Graph, n: int, k: int, **context: Any) -> TheoremReport:
+def verify_theorem2(g: Graph, n: int, k: int, **context: object) -> TheoremReport:
     """Every G - V(e) (n, k)-extendable makes G (n, k+1)-extendable."""
     return run_theorem("T2", g, {"n": n, "k": k}, **context)
 
 
-def verify_theorem3(g: Graph, n: int, k: int, **context: Any) -> TheoremReport:
+def verify_theorem3(g: Graph, n: int, k: int, **context: object) -> TheoremReport:
     """T2 hypothesis plus |V| <= 2k + 3n + 4 gives (n+2, k)-extendability."""
     return run_theorem("T3", g, {"n": n, "k": k}, **context)
 
 
-def verify_theorem4(g: Graph, n: int, k: int, **context: Any) -> TheoremReport:
+def verify_theorem4(g: Graph, n: int, k: int, **context: object) -> TheoremReport:
     """Some 1-factor whose edge deletions are all (n, k)-extendable forces G to be."""
     return run_theorem("T4", g, {"n": n, "k": k}, **context)
 
 
-def verify_theoremA(g: Graph, k: int, **context: Any) -> TheoremReport:
+def verify_theoremA(g: Graph, k: int, **context: object) -> TheoremReport:
     """T2 at n=0 with the conclusion weakened to (0, k)-extendability."""
     return run_theorem("TA", g, {"k": k}, **context)
 
 
-def verify_theoremB(g: Graph, k: int, i: int, **context: Any) -> TheoremReport:
+def verify_theoremB(g: Graph, k: int, i: int, **context: object) -> TheoremReport:
     """k-extendable iff every i-matching deletion leaves a (k-i)-extendable graph."""
     return run_theorem("TB", g, {"k": k, "i": i}, **context)
 
 
-def verify_theoremC(g: Graph, *, k: int | None = None, n: int | None = None, **context: Any) -> TheoremReport:
+def verify_theoremC(g: Graph, *, k: int | None = None, n: int | None = None, **context: object) -> TheoremReport:
     """T4 specialized: mode K_EXT checks (0, k), mode CRITICAL checks (n, 0)."""
     return run_theorem("TC", g, {"k": k, "n": n}, **context)
 
 
-def verify_lemma1(g: Graph, n: int, k: int, **context: Any) -> TheoremReport:
+def verify_lemma1(g: Graph, n: int, k: int, **context: object) -> TheoremReport:
     """(n, k)-extendable implies (n-2, k+1)-extendable."""
     return run_theorem("L1", g, {"n": n, "k": k}, **context)
 
 
-def verify_lemma2(g: Graph, n: int, k: int, **context: Any) -> TheoremReport:
+def verify_lemma2(g: Graph, n: int, k: int, **context: object) -> TheoremReport:
     """(n, k)-extendable implies (n-2, k)- and (n, k-1)-extendable."""
     return run_theorem("L2", g, {"n": n, "k": k}, **context)
 

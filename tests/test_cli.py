@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -508,21 +510,56 @@ class TestOneParserPerProcess:
 
 class TestLazyPoolImport:
     def test_multiprocessing_loaded_only_by_workers(self):
+        # Without MATCHEXT_LOG nothing loads logging; no module loads typing,
+        # and the corpus sources' ``kind`` stays a class attribute without it.
         script = "\n".join([
-            "import os, sys",
+            "import dataclasses, os, sys",
             "import matchext, matchext.cli as cli",
+            "from matchext import ExhaustiveSource",
             "loaded = lambda: 'multiprocessing' in sys.modules",
-            "assert not loaded()",
+            "unneeded = lambda: [m for m in ('logging', 'typing') if m in sys.modules]",
+            "assert not loaded() and unneeded() == [], unneeded()",
+            "assert ExhaustiveSource(4).kind == 'exhaustive'",
+            "assert [f.name for f in dataclasses.fields(ExhaustiveSource)] == ['max_vertices']",
             "assert cli.main(['certify', '--graph', 'h1:1:0', '--n', '1', '--k', '0']) == 0",
-            "assert not loaded()",
+            "assert not loaded() and unneeded() == [], unneeded()",
             "assert cli.main(['census', '--max-vertices', '4', '--jobs', '1']) == 0",
-            "assert not loaded()",
+            "assert not loaded() and unneeded() == [], unneeded()",
             "if os.cpu_count() >= 2:",
             "    assert cli.main(['census', '--max-vertices', '4', '--jobs', '2']) == 0",
             "    assert loaded()",
         ])
+        env = {name: value for name, value in os.environ.items() if name != "MATCHEXT_LOG"}
         run = subprocess.run(
-            [sys.executable, "-S", "-c", script], env=dict(os.environ, PYTHONPATH=SRC),
+            [sys.executable, "-S", "-c", script], env=dict(env, PYTHONPATH=SRC),
             capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr
+
+
+class TestShortArgumentBounds:
+    # A few characters must not build a graph with millions of edges before
+    # any --timeout applies: such arguments are usage errors.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("family", "--graph", "h1:100000:0"),
+            ("check", "--graph", "h1:100000:0", "--n", "1", "--k", "0"),
+            ("certify", "--graph", "h2:100000:0", "--n", "1", "--k", "0"),
+            ("verify", "--theorems", "T1", "--k", "0", "--graph", "h1:100000:0"),
+            ("census", "--graph", "h1:100000:0"),
+            ("census", "--random", "1", "--vertices", "5..100000"),
+        ],
+    )
+    def test_refused_within_a_second(self, argv):
+        # In a fresh interpreter with 1 GiB of address space, so a build
+        # that is not refused dies of MemoryError instead of filling the host.
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-S", "-m", "matchext", *argv], env=dict(os.environ, PYTHONPATH=SRC),
+            preexec_fn=cap, capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr.startswith("matchext: ") and run.stderr.endswith(" the limit is 1000000\n")

@@ -11,6 +11,7 @@ from matchext import (
     verify_failure_witness,
     verify_theorem2,
 )
+from matchext import families
 from matchext.families import build_h1, build_h2, resolve_family_ref
 from matchext.matching import TutteCertificate
 
@@ -82,6 +83,18 @@ class TestConstruction:
     def test_negative_params_rejected(self):
         with pytest.raises(ValueError):
             build_h1(-1, 0)
+
+    @pytest.mark.parametrize("n,k", [(0, 0), (1, 2), (3, 1)])
+    def test_edge_limit_counts_before_building(self, monkeypatch, n, k):
+        # The refusal names the edge count the member would have, computed
+        # from n and k alone; an h1/h2 ref of a few digits cannot build more.
+        built = {build: build(n, k).graph.edge_count for build in (build_h1, build_h2)}
+        monkeypatch.setattr(families, "EDGE_LIMIT", 0)
+        for build, edges in built.items():
+            with pytest.raises(ValueError, match=f" would have {edges} edges; the limit is 0$"):
+                build(n, k)
+        with pytest.raises(ValueError, match="the limit is 0"):
+            resolve_family_ref("h1:0:0")
 
 
 def canonical_failure(fam, extra_core: int = 0) -> Failure:

@@ -242,3 +242,7 @@ class TestRandom:
             random_graphs(1, 5, 4, 0.5, seed=0)
         with pytest.raises(ValueError):
             random_graphs(1, 2, 4, 1.5, seed=0)
+        # C(1414, 2) vertex pairs are within the edge limit, C(1415, 2) are not.
+        assert random_graphs(0, 5, 1414, 0.5, seed=0) == []
+        with pytest.raises(ValueError, match="1415 vertices have 1000405 vertex pairs; the limit is 1000000"):
+            random_graphs(0, 5, 1415, 0.5, seed=0)
