@@ -15,6 +15,7 @@ The same workers generate an exhaustive corpus before they sweep it.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .matching import SubsetMatchingOracle
 from . import theorems as th
 
 STATUS_ORDER = tuple(s.value for s in th.TheoremStatus)
-_STATUS_INDEX = {status: index for index, status in enumerate(th.TheoremStatus)}
+_MAX_PAIRS = 10_000  # (n, k) pairs in range; about the admissible grid of a 200-vertex graph
 
 
 @dataclass(frozen=True)
@@ -166,16 +167,15 @@ def _census_item(
     limits: tuple[float | None, int | None],
     keep: frozenset[th.TheoremStatus] | None,
     render: Callable[[th.TheoremReport], str] | None = None,
-) -> tuple[list[th.TheoremReport] | list[str], dict[str, list[int]]]:
+) -> tuple[list[th.TheoremReport] | list[str], Counter[tuple[str, str]]]:
     """One corpus graph's result over ``rows`` (theorem id, kwargs, params): the
     reports ``keep`` keeps (all when None), in row order, each passed through
-    ``render`` when given, and per theorem the number of rows in each status,
-    indexed as STATUS_ORDER."""
+    ``render`` when given, and the number of rows per (theorem id, status value)."""
     source, g = item
     oracle = SubsetMatchingOracle(g)
     has_factor = oracle.is_perfectable(oracle.full_mask)
     kept: list = []
-    counts = {tid: [0] * len(STATUS_ORDER) for tid, _, _ in rows}
+    counts: Counter[tuple[str, str]] = Counter()
     for tid, kwargs, params in rows:
         status = th.TheoremStatus.INADMISSIBLE
         if th.THEOREMS[tid].admissible(g.vertex_count, has_factor, params):
@@ -183,7 +183,7 @@ def _census_item(
             status = report.status
             if keep is None or status in keep:
                 kept.append(report if render is None else render(report))
-        counts[tid][_STATUS_INDEX[status]] += 1
+        counts[tid, status.value] += 1
     return kept, counts
 
 
@@ -217,12 +217,14 @@ def run_census(
     for name, value in (("n_max", ranges.n_max), ("k_max", ranges.k_max)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative; got {value}")
+    if (ranges.n_max + 1) * (ranges.k_max + 1) > _MAX_PAIRS:
+        raise ValueError(f"n_max={ranges.n_max}, k_max={ranges.k_max}: more than {_MAX_PAIRS} (n, k) pairs")
     grid = [(tid, kwargs) for tid in chosen for kwargs in th.THEOREMS[tid].grid(ranges.n_max, ranges.k_max)]
     rows = [(tid, kwargs, th.THEOREMS[tid].params(**kwargs)) for tid, kwargs in grid]
     keep = None if keep_statuses is None else frozenset(keep_statuses)
     worker = partial(_census_item, rows=rows, limits=(timeout, pair_cap), keep=keep, render=render)
     reports: list = []
-    totals = {tid: [0] * len(STATUS_ORDER) for tid in chosen}
+    totals: Counter[tuple[str, str]] = Counter()
     # An exhaustive corpus is generated in the pool, so the pool starts first
     # and its size is clamped by the class count; other corpora are built first.
     source = spec.source
@@ -233,11 +235,10 @@ def run_census(
             items = corpus_graphs(spec, mapper)
         for done, (kept, counts) in enumerate(mapper(worker, items), 1):
             reports.extend(kept)
-            for tid, per in counts.items():
-                totals[tid] = [total + count for total, count in zip(totals[tid], per)]
+            totals.update(counts)
             if done % 500 == 0:
                 log_info("matchext.census", "census progress: %d/%d graphs", done, len(items))
-    summary = {tid: dict(zip(STATUS_ORDER, per)) for tid, per in totals.items()}
+    summary = {tid: {s: totals[tid, s] for s in STATUS_ORDER} for tid in chosen}
     return CensusResult(
         reports=reports, summary=summary, spec=spec, theorems=chosen, ranges=ranges
     )

@@ -2,18 +2,18 @@
 
 One blossom kernel serves every caller. It works on the host graph's
 adjacency masks and a vertex mask, so an induced subgraph needs no
-relabelling: a greedy pass over bitmasks, then Edmonds' search only when
-that leaves two exposed vertices with neighbours. Vertices are scanned in
-ascending order and every tie breaks toward the smaller index, so a fixed
-graph always yields the same matching (_blossom_mates). Callers that need
-only the size (_blossom_size) first augment along paths of length 3, which
-leave most subsets without a second exposed vertex, so Edmonds' search
-rarely runs for them. The extendability search layers a per-graph subset
-oracle on top (see SubsetMatchingOracle), which answers
-maximum-matching sizes for arbitrary induced subgraphs. It starts with one
-memoized blossom run per queried subset and switches to a table over all
-2^n subsets after 2^n / 32 runs (see the constants below), and graphs of at
-most 12 vertices, whose table takes a few milliseconds, get it at once.
+relabelling: a greedy pass over bitmasks, then augmentations along paths
+of length 3, then Edmonds' search only when two exposed vertices with
+neighbours are left (_blossom_mates). The length-3 pass leaves most subsets
+without a second exposed vertex, so Edmonds' search rarely runs. Vertices
+are scanned in ascending order and every tie breaks toward the smaller
+index, so a fixed graph always yields the same matching. The
+extendability search layers a per-graph subset oracle on top (see
+SubsetMatchingOracle), which answers maximum-matching sizes for arbitrary
+induced subgraphs. It starts with one memoized blossom run per queried
+subset and switches to a table over all 2^n subsets after 2^n / 32 runs
+(see the constants below), and graphs of at most 12 vertices, whose table
+takes a few milliseconds, get it at once.
 """
 
 from __future__ import annotations
@@ -193,20 +193,11 @@ def _edmonds_augment(masks: Sequence[int], mask: int, mate: list[int], roots: in
 
 
 def _blossom_mates(masks: Sequence[int], mask: int) -> list[int]:
-    """Deterministic maximum matching of G[mask]: greedy, then Edmonds; the mate array."""
-    mate, roots = _greedy_mates(masks, mask)
-    if roots & (roots - 1):
-        _edmonds_augment(masks, mask, mate, roots)
-    return mate
+    """Deterministic maximum matching of G[mask], uncached: its mate array.
 
-
-def _blossom_size(masks: Sequence[int], mask: int) -> int:
-    """Maximum matching size of the induced subgraph on ``mask``, uncached.
-
-    Before Edmonds' search, each root v in ascending order takes the first
-    augmenting path v-u-w-x of length 3: u a neighbour of v, w its mate, x
-    another root next to w. Edmonds then runs only if two roots are left.
-    The matching may differ from ``_blossom_mates``'s; its size cannot.
+    After the greedy pass, each root v in ascending order takes the first
+    augmenting path v-u-w-x of length 3 (u a neighbour of v, w its mate, x
+    another root next to w); Edmonds' search runs only if two roots are left.
     """
     mate, roots = _greedy_mates(masks, mask)
     left = roots
@@ -226,7 +217,12 @@ def _blossom_size(masks: Sequence[int], mask: int) -> int:
                 break
     if roots & (roots - 1):
         _edmonds_augment(masks, mask, mate, roots)
-    return (len(mate) - mate.count(-1)) // 2
+    return mate
+
+
+def _blossom_size(masks: Sequence[int], mask: int) -> int:
+    """Maximum matching size of the induced subgraph on ``mask``, uncached."""
+    return (len(masks) - _blossom_mates(masks, mask).count(-1)) // 2
 
 
 def maximum_matching(g: Graph) -> Matching:

@@ -27,7 +27,7 @@ validators, the census sweep and the verify command all run from it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -93,7 +93,7 @@ class TheoremSpec:
     admissible: Callable[[int, bool, dict], bool]  # (|V|, has a 1-factor, params)
     needs: str  # the admissibility rule, for the error message
     needs_factor: bool  # a missing 1-factor raises NoOneFactorError
-    flags: Callable[[int | None, int | None, int | None], list[dict]]  # verify kwargs from --n, --k, --i
+    flags: Callable[[int | None, int | None, int | None], Iterable[dict]]  # verify kwargs from --n, --k, --i
     body: Callable[[Graph, SubsetMatchingOracle, Budget | None, dict], Outcome]
     params: Callable[..., dict] = dict
 
@@ -301,12 +301,12 @@ def _flags(*names: str) -> Callable[..., list[dict]]:
     return lambda n, k, i: [{name: {"n": n, "k": k, "i": i}[name] for name in names}]
 
 
-def _tb_flags(n: int | None, k: int | None, i: int | None) -> list[dict]:
-    """--i alone, or every i in 1..k when it is absent."""
+def _tb_flags(n: int | None, k: int | None, i: int | None) -> Iterable[dict]:
+    """--i alone, or every i in 1..k when it is absent, one row at a time."""
     if i is None and k is not None and k < 1:
         raise MatchextError(f"TB needs --k >= 1 to sweep i over 1..k; got --k {k}")
     splits = [i] if i is not None or k is None else range(1, k + 1)
-    return [{"k": k, "i": j} for j in splits]
+    return ({"k": k, "i": j} for j in splits)
 
 
 def _tc_flags(n: int | None, k: int | None, i: int | None) -> list[dict]:

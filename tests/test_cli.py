@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,14 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--n", "0", "--k", "0", "--graph", "C")
         assert code == 2
 
+    @pytest.mark.parametrize("lines", [0, 2])
+    def test_graph_file_without_exactly_one_graph_exit_2(self, capsys, tmp_path, lines):
+        path = tmp_path / "graphs.g6"
+        path.write_text("A_\n" * lines)
+        code, out, err = run_cli(capsys, "check", "--n", "0", "--k", "0", "--graph-file", str(path))
+        assert (code, out) == (2, "")
+        assert f"holds {lines} graphs; check/verify need exactly one" in err
+
     def test_missing_graph_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "--n", "0", "--k", "0")
         assert code == 2
@@ -261,6 +270,24 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "TB needs --k >= 1" in err
+
+    def test_tb_sweep_refused_at_its_first_row(self, capsys):
+        # The i-sweep yields one row at a time, so the refused first row ends
+        # it before the others exist; a list of all 10^6 rows takes ~200 MB.
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "verify", "--theorems", "TB", "--k", "1000000", "--graph", "E~~w")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "theorem TB needs 1 <= i <= k and admissible (0, k); got k=1000000, i=1" in err
+        assert peak < 5 << 20
+
+    def test_tc_needs_a_mode(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--theorems", "TC", "--graph", "E~~w")
+        assert (code, out) == (2, "")
+        assert "TC needs --k (K_EXT mode) or --n (CRITICAL mode)" in err
 
     def test_tc_both_modes(self, capsys):
         code, out, _ = run_cli(
@@ -376,6 +403,13 @@ class TestCensus:
         assert out == ""
         assert "checked no admissible row" in err
 
+    def test_parameter_grid_over_the_limit_exit_2(self):
+        # Unbounded, the (n, k) grid would hold 10^12 rows before any graph.
+        run, seconds = run_capped("census", "--max-vertices", "4", "--n-max", "1000000", "--k-max", "1000000")
+        assert seconds < 1.0
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == "matchext: n_max=1000000, k_max=1000000: more than 10000 (n, k) pairs\n"
+
     def test_needs_exactly_one_corpus(self, capsys):
         code, _, err = run_cli(capsys, "census", "--theorems", "L1")
         assert code == 2
@@ -468,6 +502,19 @@ class TestGenerateLog:
 SRC = str(Path(matchext.__file__).resolve().parents[1])
 
 
+def run_capped(*argv):
+    """``python -S -m matchext *argv`` and its seconds, in a fresh interpreter
+    with 1 GiB of address space, so a build that is not refused dies of
+    MemoryError instead of filling the host."""
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-S", "-m", "matchext", *argv], env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=cap, capture_output=True, text=True, timeout=60,
+    )
+    return run, time.perf_counter() - start
+
+
 def fresh_cli(*argv, log="warning"):
     """Run the CLI in a new interpreter, started with -S so no site hook loads modules."""
     env = dict(os.environ, PYTHONPATH=SRC, MATCHEXT_LOG=log)
@@ -552,14 +599,7 @@ class TestShortArgumentBounds:
         ],
     )
     def test_refused_within_a_second(self, argv):
-        # In a fresh interpreter with 1 GiB of address space, so a build
-        # that is not refused dies of MemoryError instead of filling the host.
-        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        start = time.perf_counter()
-        run = subprocess.run(
-            [sys.executable, "-S", "-m", "matchext", *argv], env=dict(os.environ, PYTHONPATH=SRC),
-            preexec_fn=cap, capture_output=True, text=True, timeout=60,
-        )
-        assert time.perf_counter() - start < 1.0
+        run, seconds = run_capped(*argv)
+        assert seconds < 1.0
         assert (run.returncode, run.stdout) == (2, "")
         assert run.stderr.startswith("matchext: ") and run.stderr.endswith(" the limit is 1000000\n")

@@ -33,7 +33,7 @@ from matchext import (
     verify_theoremB,
     verify_theoremC,
 )
-from matchext import census, cli, theorems
+from matchext import census, cli, reporting, theorems
 from matchext.census import clamp_jobs, normalize_theorems
 from matchext.matching import SubsetMatchingOracle
 from matchext.theorems import THEOREM_IDS, THEOREMS
@@ -61,6 +61,22 @@ def delete_for_edge(g, u, v):
 def no_factor_graph_with_edges():
     # K_{1,3} plus two isolated vertices: even order, edges, no 1-factor.
     return disjoint_union([star_graph(3), Graph(1), Graph(1)])
+
+
+def force_holds(monkeypatch, forced):
+    """Decide (n, k) on ``mask`` as true where ``forced(oracle, mask, n, k)`` is, else as it is."""
+    real = theorems._holds_on_mask
+    monkeypatch.setattr(
+        theorems, "_holds_on_mask",
+        lambda oracle, mask, n, k, budget: forced(oracle, mask, n, k) or real(oracle, mask, n, k, budget),
+    )
+
+
+def renders_as_json_dumps(report):
+    """The verify document of ``report`` is the bytes json.dumps gives for its report dict."""
+    doc = {**reports_document([report]), "reports": [report_to_dict(report)]}
+    shape = lambda value: reporting._SHAPES[type(value)](value)
+    return to_json(reports_document([report])) == json.dumps(doc, indent=2, default=shape) + "\n"
 
 
 class TestLemmas:
@@ -289,12 +305,7 @@ class TestTheoremB:
         # The statement is proved, so force the left side: on P4 the first
         # 1-matching whose deletion leaves no 1-factor is {12}, and the
         # subgraph failure is decided on the vertices {0, 3} it leaves.
-        real = theorems._holds_on_mask
-
-        def forced(oracle, mask, n, k, budget):
-            return mask == oracle.full_mask or real(oracle, mask, n, k, budget)
-
-        monkeypatch.setattr(theorems, "_holds_on_mask", forced)
+        force_holds(monkeypatch, lambda oracle, mask, n, k: mask == oracle.full_mask)
         return verify_theoremB(path_graph(4), 1, 1)
 
     def test_lhs_true_rhs_false_payload(self, monkeypatch):
@@ -331,6 +342,50 @@ class TestTheoremB:
         }
         doc = {"schema": "matchext/1", "command": "verify", "reports": [row]}
         assert to_json(reports_document([report])) == json.dumps(doc, indent=2) + "\n"
+
+    def test_lhs_false_rhs_true_payload(self, monkeypatch):
+        # P4 is not 1-extendable; force the right side by letting no
+        # 1-matching deletion get stuck. The payload names the left side's
+        # failure, which re-verifies from scratch.
+        monkeypatch.setattr(theorems, "_has_stuck_completion", lambda *args: False)
+        g = path_graph(4)
+        report = verify_theoremB(g, 1, 1)
+        assert report.status is TheoremStatus.COUNTEREXAMPLE
+        assert report.hypothesis_detail == {
+            "lhs_k_extendable": False, "has_i_matching": True, "rhs_all_deletions": True,
+        }
+        assert report.counterexample["direction"] == "lhs_false_rhs_true"
+        assert verify_failure_witness(g, 0, 1, report.counterexample["lhs_failure"])
+        assert renders_as_json_dumps(report)
+
+
+class TestForcedCounterexamples:
+    """_conclude's COUNTEREXAMPLE path, which the proved statements never take
+    unforced: the hypothesis is forced true on a graph whose conclusion fails."""
+
+    def test_theorem2_conclusion_fails(self, monkeypatch):
+        # Every edge deletion of h1:1:0 is forced (1, 1)-extendable; the
+        # graph itself is not (1, 2)-extendable.
+        force_holds(monkeypatch, lambda oracle, mask, n, k: mask != oracle.full_mask)
+        g = resolve_family_ref("h1:1:0").graph
+        report = verify_theorem2(g, 1, 1)
+        assert report.status is TheoremStatus.COUNTEREXAMPLE
+        assert report.counterexample["params"] == {"n": 1, "k": 2}
+        assert verify_failure_witness(g, 1, 2, report.counterexample["conclusion_failure"])
+        assert renders_as_json_dumps(report)
+
+    def test_lemma2_names_the_first_failing_clause(self, monkeypatch):
+        # P6 forced (2, 1)-extendable is neither (0, 1)- nor (2, 0)-extendable.
+        force_holds(monkeypatch, lambda oracle, mask, n, k: mask == oracle.full_mask and (n, k) == (2, 1))
+        g = path_graph(6)
+        report = verify_lemma2(g, 2, 1)
+        assert report.status is TheoremStatus.COUNTEREXAMPLE
+        assert report.hypothesis_detail == {
+            "extendable_n_k": True, "clause_fewer_vertices": False, "clause_smaller_matching": False,
+        }
+        assert report.counterexample["params"] == {"n": 0, "k": 1}
+        assert verify_failure_witness(g, 0, 1, report.counterexample["conclusion_failure"])
+        assert renders_as_json_dumps(report)
 
 
 class TestTheoremC:
@@ -407,6 +462,17 @@ class TestCensus:
         )
         with pytest.raises(ValueError, match="must be non-negative"):
             run_census(CorpusSpec(ExhaustiveSource(4)), theorems=["L1"], **limits)
+
+    def test_parameter_grid_bounded(self, monkeypatch):
+        # 100 x 100 (n, k) pairs is the most a census sweeps; one more
+        # n_max is refused before any row or corpus is built.
+        spec = CorpusSpec(FileSource(("h1:1:0",)))
+        assert run_census(spec, theorems=["L1"], ranges=ParamRanges(99, 99)).summary["L1"]["CONFIRMED"] > 0
+        monkeypatch.setattr(
+            census, "corpus_graphs", lambda spec: pytest.fail("corpus built before the grid was checked")
+        )
+        with pytest.raises(ValueError, match="n_max=100, k_max=99: more than 10000"):
+            run_census(spec, theorems=["L1"], ranges=ParamRanges(100, 99))
 
     def test_no_pool_when_the_clamp_gives_one_job(self, monkeypatch, capsys):
         # clamp_jobs takes an exhaustive corpus's size from its class count,
