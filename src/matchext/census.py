@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Sized
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -24,7 +24,7 @@ from functools import partial
 from .errors import log_info
 from .extendability import Budget
 from .families import resolve_family_ref
-from .generate import Mapper, exhaustive_count, exhaustive_graphs, random_graphs
+from .generate import Mapper, exhaustive_count, exhaustive_graphs, random_graph_stream
 from .graph import Graph, components_of_mask
 from .graph_io import GraphFormat, load_graph_file
 from .matching import SubsetMatchingOracle
@@ -32,6 +32,7 @@ from . import theorems as th
 
 STATUS_ORDER = tuple(s.value for s in th.TheoremStatus)
 _MAX_PAIRS = 10_000  # (n, k) pairs in range; about the admissible grid of a 200-vertex graph
+_CHUNK_LIMIT = 1_000  # work items per pool chunk; the <= 8 census sends 849
 
 
 @dataclass(frozen=True)
@@ -106,25 +107,31 @@ def _passes_filters(g: Graph, filters: CorpusFilters) -> bool:
     return True
 
 
-def corpus_graphs(spec: CorpusSpec, mapper: Mapper = map) -> list[tuple[str, Graph]]:
-    """Materialize the corpus as (source descriptor, graph) pairs; ``mapper``
-    runs exhaustive generation's work per parent graph."""
+def corpus_graphs(spec: CorpusSpec, mapper: Mapper = map) -> Iterable[tuple[str, Graph]]:
+    """The corpus as (source descriptor, graph) pairs; ``mapper`` runs
+    exhaustive generation's work per parent graph.
+
+    Exhaustive and file corpora come as a list. A random corpus comes as a
+    stream that draws and filters one graph at a time, so no more than one
+    of its graphs need be held at once; its arguments are checked by the
+    call, before any graph is drawn.
+    """
     source = spec.source
     items: list[tuple[str, Graph]]
-    if isinstance(source, ExhaustiveSource):
-        items = [
-            (f"exhaustive:{i}", g)
-            for i, g in enumerate(exhaustive_graphs(source.max_vertices, mapper))
-        ]
-    elif isinstance(source, RandomSource):
-        graphs = random_graphs(
+    if isinstance(source, RandomSource):
+        graphs = random_graph_stream(
             source.count,
             source.min_vertices,
             source.max_vertices,
             source.edge_probability,
             source.seed,
         )
-        items = [(f"random:{i}", g) for i, g in enumerate(graphs)]
+        return ((f"random:{i}", g) for i, g in enumerate(graphs) if _passes_filters(g, spec.filters))
+    if isinstance(source, ExhaustiveSource):
+        items = [
+            (f"exhaustive:{i}", g)
+            for i, g in enumerate(exhaustive_graphs(source.max_vertices, mapper))
+        ]
     elif isinstance(source, FileSource):
         items = []
         for item in source.items:
@@ -226,18 +233,24 @@ def run_census(
     reports: list = []
     totals: Counter[tuple[str, str]] = Counter()
     # An exhaustive corpus is generated in the pool, so the pool starts first
-    # and its size is clamped by the class count; other corpora are built first.
+    # and its size is clamped by the class count; a random corpus streams, so
+    # its size is the count drawn; file corpora are read first. Filters can
+    # leave fewer graphs than the first two sizes.
     source = spec.source
-    items = None if isinstance(source, ExhaustiveSource) else corpus_graphs(spec)
-    size = exhaustive_count(source.max_vertices) if items is None else len(items)
-    with _ordered_map(clamp_jobs(jobs, size)) as mapper:
+    if isinstance(source, ExhaustiveSource):
+        items, size = None, exhaustive_count(source.max_vertices)
+    else:
+        items = corpus_graphs(spec)
+        size = source.count if isinstance(source, RandomSource) else len(items)
+    with _ordered_map(clamp_jobs(jobs, size), size) as mapper:
         if items is None:
             items = corpus_graphs(spec, mapper)
+            size = len(items)
         for done, (kept, counts) in enumerate(mapper(worker, items), 1):
             reports.extend(kept)
             totals.update(counts)
             if done % 500 == 0:
-                log_info("matchext.census", "census progress: %d/%d graphs", done, len(items))
+                log_info("matchext.census", "census progress: %d/%d graphs", done, size)
     summary = {tid: {s: totals[tid, s] for s in STATUS_ORDER} for tid in chosen}
     return CensusResult(
         reports=reports, summary=summary, spec=spec, theorems=chosen, ranges=ranges
@@ -245,12 +258,22 @@ def run_census(
 
 
 @contextmanager
-def _ordered_map(jobs: int) -> Iterator[Mapper]:
-    """An ordered map over ``jobs`` worker processes, or the builtin map when jobs is 1."""
+def _ordered_map(jobs: int, stream_size: int = 0) -> Iterator[Mapper]:
+    """An ordered map over ``jobs`` worker processes, or the builtin map when jobs is 1.
+
+    Work is sent in chunks of about 1/8 of each worker's share, of a list's
+    length or of ``stream_size`` for items without one, and of at most
+    _CHUNK_LIMIT items: a chunk is held whole in both processes, so a
+    larger one would let a streamed corpus's memory grow with its size.
+    """
     if jobs == 1:
         yield map
         return
     from multiprocessing import Pool  # loaded only by a census that starts workers
 
+    def mapper(fn, items):
+        size = len(items) if isinstance(items, Sized) else stream_size
+        return pool.imap(fn, items, chunksize=max(1, min(size // (jobs * 8), _CHUNK_LIMIT)))
+
     with Pool(processes=jobs) as pool:
-        yield lambda fn, items: pool.imap(fn, items, chunksize=max(1, len(items) // (jobs * 8)))
+        yield mapper

@@ -33,6 +33,15 @@ takes, edge by edge, the first next edge after which some completion does
 not extend, and each such question is a loop over twin-prefix sets of at
 most 2k - 2 vertices, with one oracle lookup for each set that has a
 1-factor.
+
+The theorem validators ask the same question of every edge deletion
+G - V(e). _qualifying_edges answers it for all edges of G at one (n, k)
+from one scan of the set form over all vertex sets of G, with S u V(e)
+and T u V(e) as the sets: e fails (i) exactly when it lies in an
+(n+2)-set U with nu(G - U) < k (at k = 0: G - U has no 1-factor), and
+(ii) exactly when it lies in an (n+2k+2)-set W such that G - W has no
+1-factor and nu(G[W - V(e)]) >= k. The scan uses neither twins nor any
+theorem.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .errors import BudgetExceededError, InvalidParametersError
 from .graph import (
@@ -53,6 +63,7 @@ from .graph import (
     twin_prefix_sets,
 )
 from .matching import (
+    _EAGER_VERTICES,
     Matching,
     SubsetMatchingOracle,
     TutteCertificate,
@@ -125,10 +136,11 @@ class Budget:
     """Work limits for one search instance.
 
     pair_cap bounds the work charged: one unit per vertex set looked up,
-    in a decision or while finding the stuck k-matching of a witness, and
-    in the theorem validators one per 2i-vertex set TB looks up or edge
-    T4 and TC try. deadline is an absolute time.monotonic() cutoff, checked
-    on entry to every search and then every 256 charges.
+    in a decision, in the scan that decides every edge deletion at once or
+    while finding the stuck k-matching of a witness, and in the theorem
+    validators one per 2i-vertex set TB looks up or edge of G that T4 and
+    TC read. deadline is an absolute time.monotonic() cutoff, checked on
+    entry to every search and then every 256 charges.
     """
 
     deadline: float | None = None
@@ -259,6 +271,85 @@ def _holds_on_mask(
     result = _decide(oracle, mask, n, k, budget, stats)
     oracle.nk_cache[key] = result
     return result
+
+
+@lru_cache(maxsize=None)
+def _sets_by_size(vertex_count: int) -> tuple[array, ...]:
+    """Every vertex mask on ``vertex_count`` vertices, in ascending order per size.
+
+    Asked only for at most _EAGER_VERTICES vertices, so it holds at most
+    2^13 masks in all.
+    """
+    buckets = tuple(array("Q") for _ in range(vertex_count + 1))
+    for mask in range(1 << vertex_count):
+        buckets[mask.bit_count()].append(mask)
+    return buckets
+
+
+def _qualifying_edges(
+    oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | None = None
+) -> list[int]:
+    """Adjacency masks of the edges e of G with G - V(e) (n, k)-extendable.
+
+    Cached on the oracle per (n, k); a call cut short by the budget caches
+    nothing. On graphs of at most _EAGER_VERTICES vertices one scan (see
+    the module docstring) decides every edge, charges one pair per set it
+    looks up and stops once every edge has failed. Larger graphs decide
+    each G - V(e) on its own: the scan reads the oracle's table, which a
+    lazy oracle may never build, and a list of all 2^|V| vertex masks.
+    """
+    qualifying = oracle.edge_cache.get((n, k))
+    if qualifying is not None:
+        return qualifying
+    count, masks, full = oracle.n, oracle.masks, oracle.full_mask
+    if not admissible(count - 2, n, k):
+        raise InvalidParametersError(_parameter_check(count - 2, n, k))
+    if count > _EAGER_VERTICES:
+        qualifying = [0] * count
+        for u in range(count):
+            for v in _bits(masks[u] >> (u + 1) << (u + 1)):
+                if _holds_on_mask(oracle, full ^ (1 << u) ^ (1 << v), n, k, budget):
+                    qualifying[u] |= 1 << v
+                    qualifying[v] |= 1 << u
+    else:
+        qualifying = _edge_scan(oracle, n, k, budget)
+    oracle.edge_cache[n, k] = qualifying
+    return qualifying
+
+
+def _edge_scan(oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | None) -> list[int]:
+    """The scan of _qualifying_edges; oracle.size is its table's index."""
+    if budget is not None:
+        budget.check_time()
+    size, full, count = oracle.size, oracle.full_mask, oracle.n
+    alive = list(oracle.masks)
+    sets = _sets_by_size(count)
+    rest = count - n - 2
+    for u_set in sets[n + 2]:
+        if budget is not None:
+            budget.charge_pairs()
+        nu = size(full ^ u_set)
+        if nu < k or (k == 0 and 2 * nu != rest):
+            for v in _bits(u_set):
+                alive[v] &= ~u_set
+            if not any(alive):
+                return alive
+    if k == 0:
+        return alive
+    half = rest // 2 - k
+    for w_set in sets[n + 2 * k + 2]:
+        if budget is not None:
+            budget.charge_pairs()
+        if size(full ^ w_set) == half or size(w_set) <= k:
+            continue  # G - W has a 1-factor, or no edge of W leaves a k-matching
+        for a in _bits(w_set):
+            for b in _bits(alive[a] & w_set >> (a + 1) << (a + 1)):
+                if size(w_set ^ (1 << a) ^ (1 << b)) >= k:
+                    alive[a] ^= 1 << b
+                    alive[b] ^= 1 << a
+        if not any(alive):
+            break
+    return alive
 
 
 def _stuck_matching(

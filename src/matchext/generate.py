@@ -52,7 +52,7 @@ mapper.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 
 from .errors import log_info
@@ -61,7 +61,7 @@ from .graph import EDGE_LIMIT, Graph, _bits, twin_classes, twin_prefix_sets
 EXHAUSTIVE_LIMIT = 8
 
 # An ordered map: the builtin ``map`` or a worker pool's ``imap``.
-Mapper = Callable[[Callable, Sequence], Iterable]
+Mapper = Callable[[Callable, Iterable], Iterable]
 
 # Isomorphism class counts for n = 0..8; the tests check the generator against them.
 KNOWN_GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -273,6 +273,18 @@ def random_graphs(
 
     Fully reproducible: the same arguments always produce the same list.
     """
+    return list(random_graph_stream(count, min_vertices, max_vertices, edge_probability, seed))
+
+
+def random_graph_stream(
+    count: int,
+    min_vertices: int,
+    max_vertices: int,
+    edge_probability: float,
+    seed: int,
+) -> Iterator[Graph]:
+    """The graphs of random_graphs, drawn one at a time; the arguments are
+    checked by the call itself, before any graph is drawn."""
     if min_vertices < 0 or max_vertices < min_vertices:
         raise ValueError("need 0 <= min_vertices <= max_vertices")
     if not (0.0 <= edge_probability <= 1.0):
@@ -280,14 +292,16 @@ def random_graphs(
     if (pairs := max_vertices * (max_vertices - 1) // 2) > EDGE_LIMIT:
         raise ValueError(f"{max_vertices} vertices have {pairs} vertex pairs; the limit is {EDGE_LIMIT}")
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        nv = rng.randrange(min_vertices, max_vertices + 1)
-        edges = [
-            (u, v)
-            for u in range(nv)
-            for v in range(u + 1, nv)
-            if rng.random() < edge_probability
-        ]
-        out.append(Graph(nv, edges))
-    return out
+
+    def draw() -> Iterator[Graph]:
+        for _ in range(count):
+            nv = rng.randrange(min_vertices, max_vertices + 1)
+            edges = [
+                (u, v)
+                for u in range(nv)
+                for v in range(u + 1, nv)
+                if rng.random() < edge_probability
+            ]
+            yield Graph(nv, edges)
+
+    return draw()

@@ -283,11 +283,12 @@ class SubsetMatchingOracle:
     was, so it never holds more than ``miss_budget`` entries and its length
     is the number of misses.
 
-    Also carries two caches for the extendability decisions (see
-    extendability._holds_on_mask and extendability._prefix_sets):
-    ``nk_cache``, the verdict per (mask, n, k), shared by the theorem
-    validators; and, once the table is built, ``prefix_cache``, the
-    twin-prefix sets per (mask, size).
+    Also carries three caches for the extendability decisions (see
+    extendability._holds_on_mask, extendability._qualifying_edges and
+    extendability._prefix_sets): ``nk_cache``, the verdict per
+    (mask, n, k), shared by the theorem validators; ``edge_cache``, per
+    (n, k), the edges e whose G - V(e) is (n, k)-extendable; and, once the
+    table is built, ``prefix_cache``, the twin-prefix sets per (mask, size).
     """
 
     def __init__(self, graph: Graph):
@@ -295,6 +296,7 @@ class SubsetMatchingOracle:
         self.n = graph.vertex_count
         self.full_mask = (1 << self.n) - 1
         self.nk_cache: dict[tuple[int, int, int], bool] = {}
+        self.edge_cache: dict[tuple[int, int], list[int]] = {}
         self.prefix_cache: dict[tuple[int, int], Sequence[int]] = {}
         self._lazy: dict[int, int] = {}
         self._table: bytearray | None = None

@@ -20,6 +20,11 @@ some hypothesis clause failed, and is never folded into CONFIRMED so census
 statistics stay honest about coverage. ABORTED means the instance's budget
 ran out before the check finished; the row still names the instance.
 
+The edge-deletion hypotheses of T1-T4, TA and TC read the edges e whose
+G - V(e) is (n, k)-extendable from extendability._qualifying_edges, which
+decides all of them at once and keeps them per (n, k) on the oracle, so
+the validators that share an (n, k) on one graph share that work.
+
 The table THEOREMS holds one TheoremSpec per statement: its census grid,
 its admissibility rule, the verify flags it reads and its body. The
 validators, the census sweep and the verify command all run from it.
@@ -39,6 +44,7 @@ from .extendability import (
     _has_stuck_completion,
     _holds_on_mask,
     _oracle_for,
+    _qualifying_edges,
     _stuck_matching,
     _verdict_on_mask,
     admissible,
@@ -178,7 +184,9 @@ def _edge_deletion(
     """Body of T1/T2/TA/T3: every G - V(e) (n, k)-extendable => G (n, k) + shift.
 
     ``lead`` gives the detail entries recorded first; unless all are true
-    the row is VACUOUS without deleting any edge.
+    the row is VACUOUS without deleting any edge. The lexicographically
+    first edge is decided alone, since on most rows it is the first that
+    fails; only when it holds are all edges read from _qualifying_edges.
     """
 
     def body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | None, p: dict) -> Outcome:
@@ -187,12 +195,11 @@ def _edge_deletion(
         if not all(detail.values()):
             detail[key] = None
             return TheoremStatus.VACUOUS, detail, None
-        full = oracle.full_mask
-        edges = (
-            (u, v) for u, v in g.edges()
-            if not _holds_on_mask(oracle, full ^ (1 << u) ^ (1 << v), n, k, budget)
-        )
-        failing = next(edges, None)  # the first edge whose deletion breaks the hypothesis
+        edges = g.edges()
+        u, v = failing = edges[0]  # the first edge whose deletion breaks the hypothesis
+        if _holds_on_mask(oracle, oracle.full_mask ^ (1 << u) ^ (1 << v), n, k, budget):
+            qualifying = _qualifying_edges(oracle, n, k, budget)
+            failing = next(((u, v) for u, v in edges if not qualifying[u] >> v & 1), None)
         detail[key] = failing is None
         if failing is not None:
             detail["failing_edge"] = failing
@@ -206,10 +213,11 @@ def _one_factor_body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | No
     """Body of T4/TC: quantify the edge-deletion hypothesis over 1-factors.
 
     Some 1-factor has every G - V(e) (n, k)-extendable exactly when the
-    spanning subgraph of the edges e that qualify has a 1-factor, and the
-    counterexample's factor is that subgraph's lexicographically first one.
-    One unit of the pair cap is charged per edge tried, because the cached
-    decisions inside the loop charge nothing on a warm oracle.
+    spanning subgraph of the edges e that qualify (_qualifying_edges) has a
+    1-factor, and the counterexample's factor is that subgraph's
+    lexicographically first one. One unit of the pair cap is charged, and
+    the clock read, per edge, because a cached answer charges nothing on a
+    warm oracle.
     """
     n, k = p.get("n", 0), p.get("k", 0)
     detail: dict[str, object] = {"mode": p["mode"]} if "mode" in p else {}
@@ -220,14 +228,11 @@ def _one_factor_body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | No
         return TheoremStatus.CONFIRMED, detail, None
     full = oracle.full_mask
     conclusion = _holds_on_mask(oracle, full, n, k, budget)
-    qualifying = [0] * oracle.n
-    for u, v in g.edges():
-        if budget is not None:
+    if budget is not None:
+        for _ in range(g.edge_count):
             budget.charge_pairs()
             budget.check_time()
-        if _holds_on_mask(oracle, full ^ (1 << u) ^ (1 << v), n, k, budget):
-            qualifying[u] |= 1 << v
-            qualifying[v] |= 1 << u
+    qualifying = _qualifying_edges(oracle, n, k, budget)
     detail["some_factor_hypothesis"] = 2 * _blossom_size(qualifying, full) == oracle.n
     if not detail["some_factor_hypothesis"]:
         return TheoremStatus.VACUOUS, detail, None

@@ -18,9 +18,12 @@ the same mate array. blossom_size_mismatches checks the blossom kernel's
 sizes against the subset oracle's table, whose recurrence over the lowest
 vertex shares no step with an augmenting-path search.
 reference_one_factor_body walks every 1-factor of G for T4/TC, and the
-theorem body must give exactly its report. reference_canonical_form is
-the canonical form without twin pruning: it branches on every vertex of
-the target cell, and the pruned search must return the same integer.
+theorem body must give exactly its report. qualifying_edge_mismatches
+decides every G - V(e) on its own, twin-pruned, and the one scan over all
+vertex sets that _qualifying_edges runs must agree with it edge by edge.
+reference_canonical_form is the canonical form without twin pruning: it
+branches on every vertex of the target cell, and the pruned search must
+return the same integer.
 """
 
 from __future__ import annotations
@@ -30,7 +33,14 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from matchext import Graph, VertexSet, delete_vertices, has_one_factor, theorems
-from matchext.extendability import FailureKind, SearchStats, _holds_on_mask, _stuck_matching, admissible
+from matchext.extendability import (
+    FailureKind,
+    SearchStats,
+    _holds_on_mask,
+    _qualifying_edges,
+    _stuck_matching,
+    admissible,
+)
 from matchext.graph import _bits
 from matchext.graph_io import serialize_graph6
 from matchext.matching import Matching, SubsetMatchingOracle, _blossom_size, _one_factors_in_mask
@@ -306,6 +316,32 @@ def theoremB_mismatches(graphs: Iterable[Graph], k_max: int) -> tuple[int, int, 
                 if not ok:
                     bad.append((serialize_graph6(g), k, i))
     return rows, failing, bad
+
+
+def qualifying_edge_mismatches(
+    graphs: Iterable[Graph], n_max: int = 3, k_max: int = 2
+) -> tuple[int, list[tuple[str, int, int, tuple[int, int]]]]:
+    """_qualifying_edges against one _holds_on_mask per edge, on separate oracles.
+
+    For every (n <= n_max, k <= k_max) admissible on G - V(e), every edge
+    is a cell. Returns the cells compared and the (graph6, n, k, edge) of
+    every cell where they disagree.
+    """
+    cells, bad = 0, []
+    for g in graphs:
+        scanned, reference = SubsetMatchingOracle(g), SubsetMatchingOracle(g)
+        edges = g.edges()
+        for n in range(n_max + 1):
+            for k in range(k_max + 1):
+                if not edges or not admissible(g.vertex_count - 2, n, k):
+                    continue
+                qualifying = _qualifying_edges(scanned, n, k)
+                for u, v in edges:
+                    holds = _holds_on_mask(reference, reference.full_mask ^ (1 << u) ^ (1 << v), n, k)
+                    if bool(qualifying[u] >> v & 1) != holds:
+                        bad.append((serialize_graph6(g), n, k, (u, v)))
+                cells += len(edges)
+    return cells, bad
 
 
 def blossom_size_mismatches(graphs: Iterable[Graph]) -> tuple[int, list[tuple[str, int]]]:

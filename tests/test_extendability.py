@@ -25,12 +25,12 @@ from matchext import (
     verify_failure_witness,
 )
 from matchext import SubsetMatchingOracle, exhaustive_graphs, extendability, random_graphs
-from matchext.extendability import _holds_on_mask, _prefix_sets, _verdict_on_mask, admissible
+from matchext.extendability import _holds_on_mask, _prefix_sets, _qualifying_edges, _verdict_on_mask, admissible
 from matchext.families import build_h1, resolve_family_ref
 from matchext.graph import twin_classes, twin_prefix_sets
 
 from conftest import cycle_graph, graphs, star_graph, twin_heavy_graphs
-from oracles import naive_is_nk_extendable, reference_search_failure
+from oracles import naive_is_nk_extendable, qualifying_edge_mismatches, reference_search_failure
 
 
 class TestParameterCheck:
@@ -291,6 +291,43 @@ class TestReferenceSearch:
         expected = reference_search_failure(oracle, oracle.full_mask, n, k)
         assert expected is not None and expected[0] is FailureKind.STUCK_MATCHING
         assert _reported_failure(oracle, oracle.full_mask, n, k) == expected
+
+
+class TestQualifyingEdges:
+    """The one scan of _qualifying_edges against a decision per G - V(e)."""
+
+    def test_exhaustive_up_to_7_vertices(self):
+        assert qualifying_edge_mismatches(exhaustive_graphs(7)) == (36599, [])
+
+    def test_dense_random_graphs(self):
+        assert qualifying_edge_mismatches(random_graphs(200, 9, 12, 0.8, 5)) == (48302, [])
+
+    def test_graph_past_the_scan_limit(self):
+        # 14 vertices: each G - V(e) is decided on its own.
+        g = random_graphs(1, 14, 14, 0.8, 0)[0]
+        assert qualifying_edge_mismatches([g], 1, 1) == (2 * g.edge_count, [])
+
+    def test_capped_scan_is_not_cached(self):
+        g = random_graphs(1, 12, 12, 0.7, 3)[0]  # 27 of its 48 edges qualify at (2, 1)
+        oracle = SubsetMatchingOracle(g)
+        with pytest.raises(BudgetExceededError):
+            _qualifying_edges(oracle, 2, 1, Budget(pair_cap=10))
+        assert oracle.edge_cache == {}
+        budget = Budget(pair_cap=10**6)
+        qualifying = _qualifying_edges(oracle, 2, 1, budget)
+        # One charge per set scanned: at most C(12, 4) 4-sets and C(12, 6) 6-sets.
+        assert 10 < budget.pairs_charged <= 495 + 924
+        assert oracle.edge_cache == {(2, 1): qualifying}
+        reference = SubsetMatchingOracle(g)
+        assert qualifying == [
+            sum(1 << v for v in g.neighbors(u)
+                if _holds_on_mask(reference, reference.full_mask ^ (1 << u) ^ (1 << v), 2, 1))
+            for u in g.vertices()
+        ]
+
+    def test_inadmissible_deletion_refused(self):
+        with pytest.raises(InvalidParametersError):
+            _qualifying_edges(SubsetMatchingOracle(complete_graph(6)), 0, 2)
 
 
 class TestRelabelling:

@@ -1,6 +1,8 @@
 import json
 import os
 import time
+import tracemalloc
+from itertools import chain, islice
 
 import pytest
 
@@ -195,6 +197,21 @@ class TestTheorem4:
         capped = verify_theorem4(g, 0, 1, oracle=oracle, budget=Budget(pair_cap=0))
         assert capped.status is TheoremStatus.ABORTED
 
+    def test_profile_cut_by_the_cap_is_not_kept(self):
+        # The conclusion is decided first, so a cap of the edge count plus
+        # five stops the row inside the scan of _qualifying_edges.
+        g = random_graphs(1, 12, 12, 0.7, 3)[0]
+        oracle = SubsetMatchingOracle(g)
+        assert theorems._holds_on_mask(oracle, oracle.full_mask, 2, 1, None)
+        capped = verify_theorem4(g, 2, 1, oracle=oracle, budget=Budget(pair_cap=g.edge_count + 5))
+        assert capped.status is TheoremStatus.ABORTED
+        assert oracle.edge_cache == {}
+        fresh = SubsetMatchingOracle(g)
+        assert verify_theorem4(g, 2, 1, oracle=oracle) == verify_theorem4(g, 2, 1, oracle=fresh)
+        assert theorems._one_factor_body(g, oracle, None, {"n": 2, "k": 1}) == reference_one_factor_body(
+            g, SubsetMatchingOracle(g), {"n": 2, "k": 1}
+        )
+
     def test_deadline_read_per_edge_on_a_warm_oracle(self):
         # Cached decisions never read the clock, and one charge per edge is
         # far below the 256 between reads in charge_pairs, so only the loop's
@@ -213,8 +230,8 @@ def _one_factor_rows():
     graphs of the dense sample G(10..12, 0.8), seed 0, that
     test_golden's census_dense60_full digest pins."""
     small = corpus_graphs(CorpusSpec(ExhaustiveSource(6)))
-    dense = corpus_graphs(CorpusSpec(RandomSource(60, 10, 12, 0.8, 0)))[:10]
-    for _, g in small + dense:
+    dense = islice(corpus_graphs(CorpusSpec(RandomSource(60, 10, 12, 0.8, 0))), 10)
+    for _, g in chain(small, dense):
         oracle = SubsetMatchingOracle(g)
         has_factor = oracle.is_perfectable(oracle.full_mask)
         for spec in (THEOREMS["T4"], THEOREMS["TC"]):
@@ -364,9 +381,11 @@ class TestForcedCounterexamples:
     unforced: the hypothesis is forced true on a graph whose conclusion fails."""
 
     def test_theorem2_conclusion_fails(self, monkeypatch):
-        # Every edge deletion of h1:1:0 is forced (1, 1)-extendable; the
-        # graph itself is not (1, 2)-extendable.
-        force_holds(monkeypatch, lambda oracle, mask, n, k: mask != oracle.full_mask)
+        # Every edge deletion of h1:1:0 is forced (1, 1)-extendable through
+        # _qualifying_edges, which decides all of them on an 11-vertex graph
+        # (its first edge, decided alone, holds unforced); the graph itself
+        # is not (1, 2)-extendable.
+        monkeypatch.setattr(theorems, "_qualifying_edges", lambda oracle, n, k, budget: list(oracle.masks))
         g = resolve_family_ref("h1:1:0").graph
         report = verify_theorem2(g, 1, 1)
         assert report.status is TheoremStatus.COUNTEREXAMPLE
@@ -448,6 +467,36 @@ class TestCensus:
         assert all(g.vertex_count % 2 == 0 for _, g in corpus_graphs(spec))
         spec = CorpusSpec(ExhaustiveSource(4), CorpusFilters(connected=True))
         assert len(corpus_graphs(spec)) == 1 + 1 + 2 + 6
+
+    def test_random_corpus_streams_through_its_filters(self):
+        spec = CorpusSpec(RandomSource(50, 3, 6, 0.5, 0), CorpusFilters(parity="even"))
+        stream = corpus_graphs(spec)
+        assert iter(stream) is stream
+        drawn = random_graphs(50, 3, 6, 0.5, 0)
+        expected = [(f"random:{i}", g) for i, g in enumerate(drawn) if g.vertex_count % 2 == 0]
+        assert list(stream) == expected
+        with pytest.raises(ValueError, match="edge_probability"):
+            corpus_graphs(CorpusSpec(RandomSource(5, 3, 6, 1.5, 0)))
+
+    def test_random_census_memory_does_not_grow_with_the_count(self):
+        # No row is kept, so a census that draws its graphs one at a time
+        # peaks at the same memory for 200 graphs and for 4 000. Holding
+        # the 4 000 graphs in a list before the first row took about 1.2 MB more.
+        def peak(count: int) -> int:
+            tracemalloc.start()
+            try:
+                result = run_census(
+                    CorpusSpec(RandomSource(count, 6, 6, 0.5, 0)), theorems=("TA",),
+                    ranges=ParamRanges(0, 0), keep_statuses=(),
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(result.summary["TA"].values()) == count
+            return peak
+
+        small, large = peak(200), peak(4000)
+        assert large < small + (100 << 10)
 
     @pytest.mark.parametrize("limits", [
         {"pair_cap": -1}, {"timeout": -1.0}, {"timeout": float("nan")},
