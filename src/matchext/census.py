@@ -20,6 +20,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Siz
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 from .errors import log_info
 from .extendability import Budget
@@ -224,10 +225,15 @@ def run_census(
     for name, value in (("n_max", ranges.n_max), ("k_max", ranges.k_max)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative; got {value}")
+    bounds = f"n_max={ranges.n_max}, k_max={ranges.k_max}"
     if (ranges.n_max + 1) * (ranges.k_max + 1) > _MAX_PAIRS:
-        raise ValueError(f"n_max={ranges.n_max}, k_max={ranges.k_max}: more than {_MAX_PAIRS} (n, k) pairs")
-    grid = [(tid, kwargs) for tid in chosen for kwargs in th.THEOREMS[tid].grid(ranges.n_max, ranges.k_max)]
-    rows = [(tid, kwargs, th.THEOREMS[tid].params(**kwargs)) for tid, kwargs in grid]
+        raise ValueError(f"{bounds}: more than {_MAX_PAIRS} (n, k) pairs")
+    rows = []
+    for tid in chosen:
+        grid = list(islice(th.THEOREMS[tid].grid(ranges.n_max, ranges.k_max), _MAX_PAIRS + 1))
+        if len(grid) > _MAX_PAIRS:  # TB's grid has k_max(k_max + 1)/2 rows
+            raise ValueError(f"{tid}: {bounds}: more than {_MAX_PAIRS} rows per graph")
+        rows += [(tid, kwargs, th.THEOREMS[tid].params(**kwargs)) for kwargs in grid]
     keep = None if keep_statuses is None else frozenset(keep_statuses)
     worker = partial(_census_item, rows=rows, limits=(timeout, pair_cap), keep=keep, render=render)
     reports: list = []

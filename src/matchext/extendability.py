@@ -15,24 +15,29 @@ since a k-matching M of G - S gives T = S u V(M), and a k-matching M of
 G[T] gives S = T - V(M). When k = 0, (ii) asks for a 1-factor of G - S for
 every n-set S. Every term is a lookup in the subset oracle.
 
-Both conditions range only over twin-prefix sets. Twins are vertices with
-the same closed neighbourhood (true twins) or the same open neighbourhood
-(false twins); swapping two twins is an automorphism, so a set may be
-replaced by the one that takes, from each twin class in ascending order, as
-many members as it had. Isomorphism invariance of the definition is the
-only pruning argument used.
+The oracle decides which sets the conditions range over (_prefix_sets).
+On a graph of at most 12 vertices, whose oracle holds the whole table, they
+range over every vertex set, from lists shared by all graphs of that order.
+On a larger graph such lists would hold 2^|V| masks, so they range only over
+twin-prefix sets. Twins are vertices with the same closed neighbourhood
+(true twins) or the same open neighbourhood (false twins); swapping two
+twins is an automorphism, so a set may be replaced by the one that takes,
+from each twin class in ascending order, as many members as it had.
+Isomorphism invariance of the definition is the only pruning argument
+used, so both walks give the same verdicts.
 
 On failure the verdict reports the lexicographically least witness of the
 definition's double loop: the least failing n-set S (always in twin-prefix
-form, because the map to prefix form never increases a vertex; S fails
-exactly when G - S is not (0, k)-extendable, which is decided as above),
-and the first k-matching of G - S, in lexicographic canonical order, that
-does not extend. That matching is found in set form too, without listing
-the k-matchings of G - S: a descent through their lexicographic order
-takes, edge by edge, the first next edge after which some completion does
-not extend, and each such question is a loop over twin-prefix sets of at
-most 2k - 2 vertices, with one oracle lookup for each set that has a
-1-factor.
+form, because the map to prefix form never increases a vertex, so both
+walks find it; S fails exactly when G - S is not (0, k)-extendable, which
+is decided as above), and the first k-matching of G - S, in lexicographic
+canonical order, that does not extend. That matching is found in set form
+too, without listing the k-matchings of G - S: a descent through their
+lexicographic order takes, edge by edge, the first next edge after which
+some completion does not extend, and each such question is a loop over
+sets of at most 2k - 2 vertices, with one oracle lookup for each set that
+has a 1-factor. The descent asks only whether such a set exists, so both
+walks find the same matching.
 
 The theorem validators ask the same question of every edge deletion
 G - V(e). _qualifying_edges answers it for all edges of G at one (n, k)
@@ -47,11 +52,9 @@ theorem.
 from __future__ import annotations
 
 import time
-from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 from .errors import BudgetExceededError, InvalidParametersError
 from .graph import (
@@ -63,7 +66,6 @@ from .graph import (
     twin_prefix_sets,
 )
 from .matching import (
-    _EAGER_VERTICES,
     Matching,
     SubsetMatchingOracle,
     TutteCertificate,
@@ -139,8 +141,11 @@ class Budget:
     in a decision, in the scan that decides every edge deletion at once or
     while finding the stuck k-matching of a witness, and in the theorem
     validators one per 2i-vertex set TB looks up or edge of G that T4 and
-    TC read. deadline is an absolute time.monotonic() cutoff, checked on
-    entry to every search and then every 256 charges.
+    TC read. The sets are those of _prefix_sets: on a graph of at most 12
+    vertices every vertex set, so each search charges the unit the scan
+    does; above 12 vertices the twin-prefix sets. deadline is an absolute
+    time.monotonic() cutoff, checked on entry to every search and then
+    every 256 charges.
     """
 
     deadline: float | None = None
@@ -191,30 +196,24 @@ def admissible(vertex_count: int, n: int, k: int) -> bool:
     return n >= 0 and k >= 0 and n + 2 * k <= vertex_count - 2 and (vertex_count - n) % 2 == 0
 
 
-_EMPTY_SET_ONLY = (0,)
+def _prefix_sets(oracle: SubsetMatchingOracle, mask: int, size: int, within: int | None = None) -> Iterable[int]:
+    """Masks of the ``size``-sets of ``within`` (default: mask) that a search walks.
 
-
-def _prefix_sets(oracle: SubsetMatchingOracle, mask: int, size: int) -> Iterable[int]:
-    """Masks of the twin-prefix ``size``-sets of G[mask].
-
-    Size 0 has the empty set alone, so it needs no twin classes. Until the
-    oracle has built its 2^n table the sets stream, so a Budget can stop a
-    decision after any set. Once the table exists each list is cached per
-    (mask, size) as an array of 64-bit words: it has no more entries than
-    the table, and no table is built anywhere near 64 vertices. Tuples of
-    ints instead raised the peak RSS of a census of 60 graphs of 10 to 12
-    vertices from 18.3 to 19.1 MB; the arrays left it where it was.
+    With ``oracle.sets`` (graphs of at most 12 vertices) these are all such
+    sets, in ascending order. Without it they are the twin-prefix sets of
+    G[mask]'s twin classes cut to ``within``, and size 0 has the empty set
+    alone, so it needs no twin classes. Either way the sets stream, so a
+    Budget can stop a search after any set.
     """
+    within = mask if within is None else within
+    if oracle.sets is not None:
+        outside = oracle.full_mask ^ within
+        sets = oracle.sets[size]
+        return (s for s in sets if not s & outside) if outside else sets
     if size == 0:
-        return _EMPTY_SET_ONLY
-    if not oracle.table_built:
-        return twin_prefix_sets(twin_classes(oracle.masks, mask), size)
-    key = (mask, size)
-    cached = oracle.prefix_cache.get(key)
-    if cached is None:
-        sets = twin_prefix_sets(twin_classes(oracle.masks, mask), size)
-        cached = oracle.prefix_cache[key] = array("Q", sets)
-    return cached
+        return (0,)
+    cut = ([v for v in c if within >> v & 1] for c in twin_classes(oracle.masks, mask))
+    return twin_prefix_sets([c for c in cut if c], size)
 
 
 def _decide(
@@ -225,7 +224,7 @@ def _decide(
     budget: Budget | None,
     stats: SearchStats | None,
 ) -> bool:
-    """Conditions (i) and (ii) over twin-prefix sets; see the module docstring."""
+    """Conditions (i) and (ii) over the sets of _prefix_sets; see the module docstring."""
     if budget is not None:
         budget.check_time()
     size = oracle.size
@@ -273,30 +272,18 @@ def _holds_on_mask(
     return result
 
 
-@lru_cache(maxsize=None)
-def _sets_by_size(vertex_count: int) -> tuple[array, ...]:
-    """Every vertex mask on ``vertex_count`` vertices, in ascending order per size.
-
-    Asked only for at most _EAGER_VERTICES vertices, so it holds at most
-    2^13 masks in all.
-    """
-    buckets = tuple(array("Q") for _ in range(vertex_count + 1))
-    for mask in range(1 << vertex_count):
-        buckets[mask.bit_count()].append(mask)
-    return buckets
-
-
 def _qualifying_edges(
     oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | None = None
 ) -> list[int]:
     """Adjacency masks of the edges e of G with G - V(e) (n, k)-extendable.
 
     Cached on the oracle per (n, k); a call cut short by the budget caches
-    nothing. On graphs of at most _EAGER_VERTICES vertices one scan (see
-    the module docstring) decides every edge, charges one pair per set it
-    looks up and stops once every edge has failed. Larger graphs decide
-    each G - V(e) on its own: the scan reads the oracle's table, which a
-    lazy oracle may never build, and a list of all 2^|V| vertex masks.
+    nothing. When the oracle lists every vertex set (graphs of at most 12
+    vertices) one scan (see the module docstring) decides every edge,
+    charges one pair per set it looks up and stops once every edge has
+    failed. Larger graphs decide each G - V(e) on its own: the scan reads
+    the oracle's table, which a lazy oracle may never build, and every
+    vertex set of two sizes, which only ``sets`` lists.
     """
     qualifying = oracle.edge_cache.get((n, k))
     if qualifying is not None:
@@ -304,7 +291,7 @@ def _qualifying_edges(
     count, masks, full = oracle.n, oracle.masks, oracle.full_mask
     if not admissible(count - 2, n, k):
         raise InvalidParametersError(_parameter_check(count - 2, n, k))
-    if count > _EAGER_VERTICES:
+    if oracle.sets is None:
         qualifying = [0] * count
         for u in range(count):
             for v in _bits(masks[u] >> (u + 1) << (u + 1)):
@@ -321,11 +308,10 @@ def _edge_scan(oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | No
     """The scan of _qualifying_edges; oracle.size is its table's index."""
     if budget is not None:
         budget.check_time()
-    size, full, count = oracle.size, oracle.full_mask, oracle.n
+    size, full = oracle.size, oracle.full_mask
     alive = list(oracle.masks)
-    sets = _sets_by_size(count)
-    rest = count - n - 2
-    for u_set in sets[n + 2]:
+    rest = oracle.n - n - 2
+    for u_set in _prefix_sets(oracle, full, n + 2):
         if budget is not None:
             budget.charge_pairs()
         nu = size(full ^ u_set)
@@ -337,7 +323,7 @@ def _edge_scan(oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | No
     if k == 0:
         return alive
     half = rest // 2 - k
-    for w_set in sets[n + 2 * k + 2]:
+    for w_set in _prefix_sets(oracle, full, n + 2 * k + 2):
         if budget is not None:
             budget.charge_pairs()
         if size(full ^ w_set) == half or size(w_set) <= k:
@@ -400,9 +386,10 @@ def _has_stuck_completion(
     leaves G[rest] - V(M) not (0, k_left)-extendable ((0, 0): no 1-factor).
 
     Such an M exists iff some 2j-set T of H has a 1-factor while G[rest] - T
-    fails that test. Swapping two twins of G[rest] that both lie in H maps
-    rest and H onto themselves, so T ranges over the twin-prefix sets of
-    G[rest]'s twin classes cut to H; a = -1 cuts nothing, and at j = 0 T is
+    fails that test. T ranges over the 2j-sets of H that _prefix_sets
+    gives: all of them, or the twin-prefix sets of G[rest]'s twin classes
+    cut to H, since swapping two twins of G[rest] that both lie in H maps
+    rest and H onto themselves. a = -1 cuts nothing, and at j = 0 T is
     empty. G[T] has only 2j vertices, so its 1-factor is looked for by
     _one_factors_in_mask, not the oracle: on sparse graphs most T have none,
     and a memoized blossom run per T made the search slower than listing the
@@ -410,16 +397,9 @@ def _has_stuck_completion(
     cached decision otherwise. Each set looked up is charged and counted as
     one pair.
     """
-    masks = oracle.masks
-    if j == 0:
-        sets: Iterable[int] = _EMPTY_SET_ONLY
-    else:
-        high = rest >> (a + 1) << (a + 1)
-        cut = ([v for v in c if high >> v & 1] for c in twin_classes(masks, rest))
-        sets = twin_prefix_sets([c for c in cut if c], 2 * j)
-    size = oracle.size
+    masks, size = oracle.masks, oracle.size
     half = rest.bit_count() // 2 - j
-    for tmask in sets:
+    for tmask in _prefix_sets(oracle, rest, 2 * j, rest >> (a + 1) << (a + 1)):
         if budget is not None:
             budget.charge_pairs()
         stats.pairs_examined += 1
@@ -441,8 +421,8 @@ def _verdict_on_mask(
 ) -> ExtendabilityVerdict:
     """Full verdict for G[mask], witness indices in the host graph numbering.
 
-    Decides first. Only on failure does it walk the twin-prefix n-sets S in
-    lex order to the first whose G[mask] - S fails (0, k), and on that S
+    Decides first. Only on failure does it walk the n-sets S of _prefix_sets
+    in lex order to the first whose G[mask] - S fails (0, k), and on that S
     alone finds the first k-matching that does not extend (_stuck_matching).
     """
     stats = SearchStats()

@@ -18,10 +18,11 @@ takes a few milliseconds, get it at once.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 from .errors import NotAMatchingError
 from .graph import Graph, VertexSet, _bits, components_of_mask
@@ -266,6 +267,15 @@ _EAGER_VERTICES = 12
 _MISS_SHIFT = 5
 
 
+@lru_cache(maxsize=None)
+def _sets_by_size(vertex_count: int) -> tuple[array, ...]:
+    """Every vertex mask on ``vertex_count`` <= _EAGER_VERTICES vertices, ascending per size."""
+    buckets = tuple(array("Q") for _ in range(vertex_count + 1))
+    for mask in range(1 << vertex_count):
+        buckets[mask.bit_count()].append(mask)
+    return buckets
+
+
 class SubsetMatchingOracle:
     """Maximum-matching sizes for every induced subgraph G[mask] of one graph.
 
@@ -277,18 +287,21 @@ class SubsetMatchingOracle:
     build the table at once. Larger ones start lazy and build the table once
     the misses reach ``miss_budget`` = 2^n / 32, when their blossom runs have
     cost a quarter to a third of what the table does (see the constants
-    above). From
-    then on ``size`` is the table's own ``__getitem__``, so callers that
-    read ``oracle.size`` afterwards do a bare index. The memo stays as it
-    was, so it never holds more than ``miss_budget`` entries and its length
-    is the number of misses.
+    above). From then on ``size`` is the table's own ``__getitem__``, so
+    callers that read ``oracle.size`` afterwards do a bare index. The memo
+    stays as it was, so it never holds more than ``miss_budget`` entries
+    and its length is the number of misses.
 
-    Also carries three caches for the extendability decisions (see
-    extendability._holds_on_mask, extendability._qualifying_edges and
-    extendability._prefix_sets): ``nk_cache``, the verdict per
-    (mask, n, k), shared by the theorem validators; ``edge_cache``, per
-    (n, k), the edges e whose G - V(e) is (n, k)-extendable; and, once the
-    table is built, ``prefix_cache``, the twin-prefix sets per (mask, size).
+    Also carries two caches for the extendability decisions (see
+    extendability._holds_on_mask and extendability._qualifying_edges):
+    ``nk_cache``, the verdict per (mask, n, k), shared by the theorem
+    validators; and ``edge_cache``, per (n, k), the edges e whose G - V(e)
+    is (n, k)-extendable. ``sets`` says which vertex sets those searches
+    walk (extendability._prefix_sets). On a graph of at most 12 vertices it
+    holds every vertex mask, one ascending list per size, shared by all
+    oracles on that many vertices. On a larger graph it is None, also once
+    the table is built: such lists would hold 2^n masks, so the searches
+    walk twin-prefix sets instead.
     """
 
     def __init__(self, graph: Graph):
@@ -297,10 +310,10 @@ class SubsetMatchingOracle:
         self.full_mask = (1 << self.n) - 1
         self.nk_cache: dict[tuple[int, int, int], bool] = {}
         self.edge_cache: dict[tuple[int, int], list[int]] = {}
-        self.prefix_cache: dict[tuple[int, int], Sequence[int]] = {}
         self._lazy: dict[int, int] = {}
         self._table: bytearray | None = None
-        if self.n <= _EAGER_VERTICES:
+        self.sets = _sets_by_size(self.n) if self.n <= _EAGER_VERTICES else None
+        if self.sets is not None:
             self._promote()
 
     @property

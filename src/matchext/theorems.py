@@ -95,7 +95,7 @@ class TheoremSpec:
 
     theorem_id: str
     validator: Callable[..., TheoremReport]  # the public verify_* wrapper
-    grid: Callable[[int, int], list[dict]]  # census kwargs for (n_max, k_max), in sweep order
+    grid: Callable[[int, int], Iterable[dict]]  # census kwargs for (n_max, k_max), in sweep order
     admissible: Callable[[int, bool, dict], bool]  # (|V|, has a 1-factor, params)
     needs: str  # the admissibility rule, for the error message
     needs_factor: bool  # a missing 1-factor raises NoOneFactorError
@@ -415,7 +415,7 @@ THEOREMS: dict[str, TheoremSpec] = {spec.theorem_id: spec for spec in (
     ),
     TheoremSpec(
         "TB", verify_theoremB,
-        lambda n_max, k_max: [{"k": k, "i": i} for k in range(1, k_max + 1) for i in range(1, k + 1)],
+        lambda n_max, k_max: ({"k": k, "i": i} for k in range(1, k_max + 1) for i in range(1, k + 1)),
         lambda nv, hf, p: 1 <= p["i"] <= p["k"] and admissible(nv, 0, p["k"]),
         "1 <= i <= k and admissible (0, k)", False, _tb_flags, _theoremB_body,
     ),

@@ -21,6 +21,9 @@ reference_one_factor_body walks every 1-factor of G for T4/TC, and the
 theorem body must give exactly its report. qualifying_edge_mismatches
 decides every G - V(e) on its own, twin-pruned, and the one scan over all
 vertex sets that _qualifying_edges runs must agree with it edge by edge.
+twin_path_mismatches runs each verdict twice on graphs of at most 12
+vertices, over every vertex set and over twin-prefix sets only, and the two
+must agree, witness included.
 reference_canonical_form is the canonical form without twin pruning: it
 branches on every vertex of the target cell, and the pruned search must
 return the same integer.
@@ -39,6 +42,7 @@ from matchext.extendability import (
     _holds_on_mask,
     _qualifying_edges,
     _stuck_matching,
+    _verdict_on_mask,
     admissible,
 )
 from matchext.graph import _bits
@@ -330,6 +334,7 @@ def qualifying_edge_mismatches(
     cells, bad = 0, []
     for g in graphs:
         scanned, reference = SubsetMatchingOracle(g), SubsetMatchingOracle(g)
+        reference.sets = None  # twin-prefix sets, as on graphs above 12 vertices
         edges = g.edges()
         for n in range(n_max + 1):
             for k in range(k_max + 1):
@@ -342,6 +347,34 @@ def qualifying_edge_mismatches(
                         bad.append((serialize_graph6(g), n, k, (u, v)))
                 cells += len(edges)
     return cells, bad
+
+
+def twin_path_mismatches(
+    graphs: Iterable[Graph], n_max: int = 3, k_max: int = 2
+) -> tuple[int, list[tuple[str, int, int]]]:
+    """_verdict_on_mask over twin-prefix sets against the same over every vertex set.
+
+    Each graph gets a default oracle, which lists every vertex set (at most
+    12 vertices), and one whose ``sets`` is None, which walks the twin-prefix
+    sets that graphs above 12 vertices walk. For every admissible
+    (n <= n_max, k <= k_max) the two verdicts must agree on ``holds`` and on
+    the failure, witness included. Returns the cases compared and the
+    (graph6, n, k) of every disagreement.
+    """
+    cases, bad = 0, []
+    for g in graphs:
+        listed, pruned = SubsetMatchingOracle(g), SubsetMatchingOracle(g)
+        pruned.sets = None
+        for n in range(n_max + 1):
+            for k in range(k_max + 1):
+                if not admissible(g.vertex_count, n, k):
+                    continue
+                every = _verdict_on_mask(listed, listed.full_mask, n, k, None)
+                twin = _verdict_on_mask(pruned, pruned.full_mask, n, k, None)
+                if (every.holds, every.failure) != (twin.holds, twin.failure):
+                    bad.append((serialize_graph6(g), n, k))
+                cases += 1
+    return cases, bad
 
 
 def blossom_size_mismatches(graphs: Iterable[Graph]) -> tuple[int, list[tuple[str, int]]]:

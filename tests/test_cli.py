@@ -333,15 +333,16 @@ class TestCensus:
     def test_capped_census_bytes_are_pinned(self, capsys):
         # The pair cap aborts rows of every validator, so these bytes pin
         # what each one charges (the CI runs the same census at --jobs 2).
-        # Edge deletions on these 8-11 vertex graphs are charged one unit per
-        # set of _qualifying_edges' scan (CHANGES.md lists the rows this moved).
+        # On these 8-11 vertex graphs every search is charged one unit per
+        # vertex set it looks up, with no twin reduction (CHANGES.md lists
+        # the rows each change of charges moved).
         code, out, _ = run_cli(
             capsys, "census", "--random", "20", "--vertices", "8..11", "--edge-prob", "0.7",
             "--seed", "3", "--full", "--pair-cap", "40", "--jobs", "1",
         )
         assert code == 3
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "5ba625bb1a6eef6478d7a4a610b8a815bb0985274be13c2c12fff2da31e82ac8"
+        assert digest == "77386047d1343ddd34f14ec54644df142343f0e034206522ae9dcaadbdc9c303"
 
     def test_small_exhaustive_summary(self, capsys):
         code, out, _ = run_cli(
@@ -411,6 +412,25 @@ class TestCensus:
         assert seconds < 1.0
         assert (run.returncode, run.stdout) == (2, "")
         assert run.stderr == "matchext: n_max=1000000, k_max=1000000: more than 10000 (n, k) pairs\n"
+
+    def test_tb_grid_over_the_limit_exit_2(self, capsys):
+        # TB sweeps k_max(k_max + 1)/2 rows per graph: 50 million here, from
+        # only 10 000 (n, k) pairs. Its grid streams and is refused at row
+        # 10 001, before any graph is built. At 184 bytes per kwargs dict, a
+        # list of all 50 million would take over 9 GB.
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run_cli(
+                capsys, "census", "--max-vertices", "3", "--theorems", "TB", "--n-max", "0", "--k-max", "9999"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "matchext: TB: n_max=0, k_max=9999: more than 10000 rows per graph\n"
+        assert peak < 5 << 20
 
     def test_needs_exactly_one_corpus(self, capsys):
         code, _, err = run_cli(capsys, "census", "--theorems", "L1")

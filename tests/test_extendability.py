@@ -30,7 +30,7 @@ from matchext.families import build_h1, resolve_family_ref
 from matchext.graph import twin_classes, twin_prefix_sets
 
 from conftest import cycle_graph, graphs, star_graph, twin_heavy_graphs
-from oracles import naive_is_nk_extendable, qualifying_edge_mismatches, reference_search_failure
+from oracles import naive_is_nk_extendable, qualifying_edge_mismatches, reference_search_failure, twin_path_mismatches
 
 
 class TestParameterCheck:
@@ -58,7 +58,14 @@ class TestVerdicts:
             assert is_nk_extendable(g, 0, 0).holds
 
     def test_k4_is_2_critical(self):
+        # At most 12 vertices: every 2-set of K4 is looked up.
         verdict = is_nk_extendable(complete_graph(4), 2, 0)
+        assert verdict.holds and verdict.failure is None
+        assert verdict.stats.subsets_examined == 6
+
+    def test_k14_is_2_critical_on_one_twin_prefix_set(self):
+        # Above 12 vertices the sets are twin-prefix ones: K14 is one twin class.
+        verdict = is_nk_extendable(complete_graph(14), 2, 0)
         assert verdict.holds and verdict.failure is None
         assert verdict.stats.subsets_examined == 1
 
@@ -154,20 +161,25 @@ class TestDecisionCaches:
         budget = Budget(pair_cap=1)
         stats = SearchStats()
         assert _holds_on_mask(oracle, oracle.full_mask, 0, 0, budget, stats) is holds
-        assert oracle.prefix_cache == {}
         assert budget.pairs_charged == 1
         assert (stats.subsets_examined, stats.pairs_examined) == (1, 0)
 
-    def test_prefix_sets_shared_across_grid_points(self):
-        # (2, 0) walks the 2-sets in condition (i), (0, 1) in condition (ii).
-        g = cycle_graph(6)
-        oracle = SubsetMatchingOracle(g)
+    def test_prefix_sets_are_all_sets_or_twin_prefix_sets(self):
+        # C6 has 6 vertices, so its oracle lists every set: all 15 two-sets
+        # in ascending order, and those of a cut-down ``within`` alike.
+        # Without the lists, the twin-prefix sets of G[mask]'s twin classes
+        # cut to ``within`` (C4's two classes of false twins, here).
+        oracle = SubsetMatchingOracle(cycle_graph(6))
         full = oracle.full_mask
-        _holds_on_mask(oracle, full, 2, 0)
-        _holds_on_mask(oracle, full, 0, 1)
-        assert list(oracle.prefix_cache) == [(full, 2)]
-        expected = list(twin_prefix_sets(twin_classes(g.adjacency_masks, full), 2))
-        assert list(_prefix_sets(oracle, full, 2)) == expected
+        two_sets = [m for m in range(1 << 6) if m.bit_count() == 2]
+        assert list(_prefix_sets(oracle, full, 2)) == two_sets and len(two_sets) == 15
+        assert list(_prefix_sets(oracle, full, 2, 0b111100)) == [m for m in two_sets if not m & 0b11]
+        oracle = SubsetMatchingOracle(cycle_graph(4))
+        oracle.sets = None
+        full, masks = oracle.full_mask, oracle.masks
+        assert twin_classes(masks, full) == [[0, 2], [1, 3]]
+        assert list(_prefix_sets(oracle, full, 2)) == list(twin_prefix_sets([[0, 2], [1, 3]], 2))
+        assert list(_prefix_sets(oracle, full, 2, 0b1110)) == list(twin_prefix_sets([[2], [1, 3]], 2))
 
     def test_more_than_64_vertices_with_big_twin_classes(self):
         # K_{35,35} is two classes of 35 false twins; its masks exceed a
@@ -328,6 +340,16 @@ class TestQualifyingEdges:
     def test_inadmissible_deletion_refused(self):
         with pytest.raises(InvalidParametersError):
             _qualifying_edges(SubsetMatchingOracle(complete_graph(6)), 0, 2)
+
+
+class TestTwinPrefixPath:
+    """Verdicts over twin-prefix sets against verdicts over every vertex set."""
+
+    def test_exhaustive_up_to_7_vertices(self):
+        # Graphs of at most 12 vertices walk every set, so an oracle without
+        # ``sets`` is what runs the twin-prefix path on them. The CI covers
+        # every graph of at most 8 vertices.
+        assert twin_path_mismatches(exhaustive_graphs(7)) == (6141, [])
 
 
 class TestRelabelling:
@@ -497,7 +519,7 @@ class TestBudget:
         budget = Budget(pair_cap=10)
         with pytest.raises(BudgetExceededError):
             is_nk_extendable(g, 8, 0, budget=budget, oracle=oracle)
-        assert not oracle.table_built and oracle.prefix_cache == {}
+        assert not oracle.table_built
         assert budget.pairs_charged == len(pulled) == 11
 
     def test_pair_cap_stops_the_witness_descent(self):
@@ -546,6 +568,13 @@ class TestBudget:
         assert Budget.from_limits(0.0, 0).pair_cap == 0
 
     def test_stats_are_counted(self):
+        # At most 12 vertices: condition (ii) looks up all C(6, 2) 2-sets of K6.
         verdict = is_nk_extendable(complete_graph(6), 0, 1)
+        assert verdict.stats.subsets_examined == 1
+        assert verdict.stats.pairs_examined == 15
+
+    def test_stats_are_counted_over_twin_prefix_sets(self):
+        # K14 is one twin class, so it has one twin-prefix 2-set.
+        verdict = is_nk_extendable(complete_graph(14), 0, 1)
         assert verdict.stats.subsets_examined == 1
         assert verdict.stats.pairs_examined == 1

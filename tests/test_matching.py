@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from matchext import (
     random_graphs,
 )
 from matchext import matching
+from matchext.families import resolve_family_ref
 from matchext.graph import components_of_mask
 from matchext.matching import _blossom_size, _greedy_mates, _one_factors_in_mask
 
@@ -351,6 +353,20 @@ class TestSubsetOracle:
         oracle = SubsetMatchingOracle(complete_graph(12))
         assert oracle.table_built and oracle.misses == 0
         assert oracle.size(oracle.full_mask) == 6
+
+    def test_only_graphs_of_at_most_12_vertices_list_their_sets(self):
+        # The searches walk every vertex set when the oracle has ``sets``.
+        # Above 12 vertices the lists would hold 2^n masks, and the 16-vertex
+        # h1:2:0 has 8 008 6-sets where 106 are twin-prefix ones, so they
+        # stay off also once the table is built.
+        sets = SubsetMatchingOracle(complete_graph(12)).sets
+        assert [len(masks) for masks in sets] == [math.comb(12, size) for size in range(13)]
+        assert SubsetMatchingOracle(cycle_graph(13)).sets is None
+        oracle = SubsetMatchingOracle(resolve_family_ref("h1:2:0").graph)
+        assert oracle.sets is None
+        for mask in range(oracle.miss_budget):
+            oracle.size(mask)
+        assert oracle.table_built and oracle.sets is None
 
     def test_lazy_fallback_above_dense_limit(self):
         # 20 vertices forces the per-mask blossom path.

@@ -306,13 +306,20 @@ class TestTheoremB:
         graphs = [g for p in (0.5, 0.7, 0.9) for g in random_graphs(50, 8, 12, p, 0)]
         assert theoremB_mismatches(graphs, 3) == (522, 331, [])
 
-    @pytest.mark.parametrize("ref, k, i, charged", [("k6", 2, 1, 5), ("h1:2:1", 2, 1, 400), ("h1:2:1", 2, 2, 205)])
+    @pytest.mark.parametrize(
+        "ref, k, i, charged",
+        [("k6", 2, 1, 136), ("k14", 2, 1, 5), ("h1:2:1", 2, 1, 400), ("h1:2:1", 2, 2, 205)],
+    )
     def test_pairs_charged_by_one_row(self, ref, k, i, charged):
-        # K6 is one twin class: the (0, 2) decision looks up the empty set
-        # and one 4-set, the right side one 2-set, and the K4 it leaves
-        # decides (0, 1) on two more sets. Charging per i-matching tried
-        # instead costs 47 here (15 edges, each deletion decided on 2 sets).
-        g = complete_graph(6) if ref == "k6" else resolve_family_ref(ref).graph
+        # K6 has at most 12 vertices, so every set is looked up: the (0, 2)
+        # decision charges the empty set and 15 4-sets, the right side 15
+        # 2-sets, and each K4 left decides (0, 1) on the empty set and its 6
+        # 2-sets: 16 + 15 + 15 * 7. K14 is one twin class: the decision looks
+        # up the empty set and one 4-set, the right side one 2-set, and the
+        # K12 it leaves decides (0, 1) on two more sets. Charging per
+        # i-matching tried instead costs 275 there (91 edges, each deletion
+        # decided on 2 sets).
+        g = complete_graph(int(ref[1:])) if ref[0] == "k" else resolve_family_ref(ref).graph
         budget = Budget()
         assert verify_theoremB(g, k, i, budget=budget).status is CONFIRMED
         assert budget.pairs_charged == charged
