@@ -153,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--pair-cap",
             type=int,
-            help="per-instance cap on work: vertex sets looked up, for a decision or a witness, "
-            "and 2i-vertex sets TB looks up or edges T4 and TC try",
+            help="per-instance cap on work: one unit per vertex set a search walks; "
+            "a cached answer is free",
         )
 
     def add_out(p: argparse.ArgumentParser) -> None:

@@ -35,9 +35,9 @@ canonical order, that does not extend. That matching is found in set form
 too, without listing the k-matchings of G - S: a descent through their
 lexicographic order takes, edge by edge, the first next edge after which
 some completion does not extend, and each such question is a loop over
-sets of at most 2k - 2 vertices, with one oracle lookup for each set that
-has a 1-factor. The descent asks only whether such a set exists, so both
-walks find the same matching.
+sets T of at most 2k - 2 vertices: one oracle lookup asks whether G[T] has
+a 1-factor, and one more, only if it has, asks about the rest. The descent
+asks only whether such a set exists, so both walks find the same matching.
 
 The theorem validators ask the same question of every edge deletion
 G - V(e). _qualifying_edges answers it for all edges of G at one (n, k)
@@ -52,7 +52,7 @@ theorem.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -71,7 +71,6 @@ from .matching import (
     TutteCertificate,
     _blossom_size,
     _gallai_edmonds_tutte,
-    _one_factors_in_mask,
 )
 
 
@@ -137,15 +136,10 @@ class ExtendabilityVerdict:
 class Budget:
     """Work limits for one search instance.
 
-    pair_cap bounds the work charged: one unit per vertex set looked up,
-    in a decision, in the scan that decides every edge deletion at once or
-    while finding the stuck k-matching of a witness, and in the theorem
-    validators one per 2i-vertex set TB looks up or edge of G that T4 and
-    TC read. The sets are those of _prefix_sets: on a graph of at most 12
-    vertices every vertex set, so each search charges the unit the scan
-    does; above 12 vertices the twin-prefix sets. deadline is an absolute
-    time.monotonic() cutoff, checked on entry to every search and then
-    every 256 charges.
+    pair_cap bounds the work charged: one unit per vertex set a search
+    walks (the sets of _prefix_sets, which alone spends a budget); a cached
+    answer is free. deadline is an absolute time.monotonic() cutoff, read
+    when a walk starts and then every 256 units.
     """
 
     deadline: float | None = None
@@ -174,6 +168,13 @@ class Budget:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("instance timeout exceeded")
 
+    def spend(self, sets: Iterable[int]) -> Iterator[int]:
+        """Yield ``sets``, charging one unit for each; the clock is read first."""
+        self.check_time()
+        for s in sets:
+            self.charge_pairs()
+            yield s
+
 
 def _parameter_check(vertex_count: int, n: int, k: int) -> ParameterCheck:
     return ParameterCheck(
@@ -196,24 +197,30 @@ def admissible(vertex_count: int, n: int, k: int) -> bool:
     return n >= 0 and k >= 0 and n + 2 * k <= vertex_count - 2 and (vertex_count - n) % 2 == 0
 
 
-def _prefix_sets(oracle: SubsetMatchingOracle, mask: int, size: int, within: int | None = None) -> Iterable[int]:
+def _prefix_sets(
+    oracle: SubsetMatchingOracle, mask: int, size: int, budget: Budget | None, within: int | None = None
+) -> Iterable[int]:
     """Masks of the ``size``-sets of ``within`` (default: mask) that a search walks.
 
     With ``oracle.sets`` (graphs of at most 12 vertices) these are all such
     sets, in ascending order. Without it they are the twin-prefix sets of
     G[mask]'s twin classes cut to ``within``, and size 0 has the empty set
-    alone, so it needs no twin classes. Either way the sets stream, so a
-    Budget can stop a search after any set.
+    alone, so it needs no twin classes. Either way the sets stream, and a
+    ``budget`` is charged for each set as it is yielded (Budget.spend), so
+    it can stop a search after any set.
     """
     within = mask if within is None else within
     if oracle.sets is not None:
         outside = oracle.full_mask ^ within
         sets = oracle.sets[size]
-        return (s for s in sets if not s & outside) if outside else sets
-    if size == 0:
-        return (0,)
-    cut = ([v for v in c if within >> v & 1] for c in twin_classes(oracle.masks, mask))
-    return twin_prefix_sets([c for c in cut if c], size)
+        if outside:
+            sets = (s for s in sets if not s & outside)
+    elif size == 0:
+        sets = (0,)
+    else:
+        cut = ([v for v in c if within >> v & 1] for c in twin_classes(oracle.masks, mask))
+        sets = twin_prefix_sets([c for c in cut if c], size)
+    return sets if budget is None else budget.spend(sets)
 
 
 def _decide(
@@ -225,13 +232,9 @@ def _decide(
     stats: SearchStats | None,
 ) -> bool:
     """Conditions (i) and (ii) over the sets of _prefix_sets; see the module docstring."""
-    if budget is not None:
-        budget.check_time()
     size = oracle.size
     half = (mask.bit_count() - n) // 2 - k
-    for smask in _prefix_sets(oracle, mask, n):
-        if budget is not None:
-            budget.charge_pairs()
+    for smask in _prefix_sets(oracle, mask, n, budget):
         if stats is not None:
             stats.subsets_examined += 1
         nu = size(mask ^ smask)
@@ -239,9 +242,7 @@ def _decide(
             return False
     if k == 0:
         return True
-    for tmask in _prefix_sets(oracle, mask, n + 2 * k):
-        if budget is not None:
-            budget.charge_pairs()
+    for tmask in _prefix_sets(oracle, mask, n + 2 * k, budget):
         if stats is not None:
             stats.pairs_examined += 1
         if size(tmask) >= k and size(mask ^ tmask) != half:
@@ -279,11 +280,11 @@ def _qualifying_edges(
 
     Cached on the oracle per (n, k); a call cut short by the budget caches
     nothing. When the oracle lists every vertex set (graphs of at most 12
-    vertices) one scan (see the module docstring) decides every edge,
-    charges one pair per set it looks up and stops once every edge has
-    failed. Larger graphs decide each G - V(e) on its own: the scan reads
-    the oracle's table, which a lazy oracle may never build, and every
-    vertex set of two sizes, which only ``sets`` lists.
+    vertices) one scan (see the module docstring) decides every edge and
+    stops once every edge has failed. Larger graphs decide each G - V(e)
+    on its own: the scan reads the oracle's table, which a lazy oracle may
+    never build, and every vertex set of two sizes, which only ``sets``
+    lists.
     """
     qualifying = oracle.edge_cache.get((n, k))
     if qualifying is not None:
@@ -306,14 +307,10 @@ def _qualifying_edges(
 
 def _edge_scan(oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | None) -> list[int]:
     """The scan of _qualifying_edges; oracle.size is its table's index."""
-    if budget is not None:
-        budget.check_time()
     size, full = oracle.size, oracle.full_mask
     alive = list(oracle.masks)
     rest = oracle.n - n - 2
-    for u_set in _prefix_sets(oracle, full, n + 2):
-        if budget is not None:
-            budget.charge_pairs()
+    for u_set in _prefix_sets(oracle, full, n + 2, budget):
         nu = size(full ^ u_set)
         if nu < k or (k == 0 and 2 * nu != rest):
             for v in _bits(u_set):
@@ -323,9 +320,7 @@ def _edge_scan(oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | No
     if k == 0:
         return alive
     half = rest // 2 - k
-    for w_set in _prefix_sets(oracle, full, n + 2 * k + 2):
-        if budget is not None:
-            budget.charge_pairs()
+    for w_set in _prefix_sets(oracle, full, n + 2 * k + 2, budget):
         if size(full ^ w_set) == half or size(w_set) <= k:
             continue  # G - W has a 1-factor, or no edge of W leaves a k-matching
         for a in _bits(w_set):
@@ -390,20 +385,15 @@ def _has_stuck_completion(
     gives: all of them, or the twin-prefix sets of G[rest]'s twin classes
     cut to H, since swapping two twins of G[rest] that both lie in H maps
     rest and H onto themselves. a = -1 cuts nothing, and at j = 0 T is
-    empty. G[T] has only 2j vertices, so its 1-factor is looked for by
-    _one_factors_in_mask, not the oracle: on sparse graphs most T have none,
-    and a memoized blossom run per T made the search slower than listing the
-    k-matchings. G[rest] - T costs one oracle lookup at k_left = 0 and a
-    cached decision otherwise. Each set looked up is charged and counted as
-    one pair.
+    empty. Whether G[T] has a 1-factor is one oracle lookup; G[rest] - T
+    costs one more at k_left = 0 and a cached decision otherwise. Each set
+    walked is counted as one pair.
     """
-    masks, size = oracle.masks, oracle.size
+    size = oracle.size
     half = rest.bit_count() // 2 - j
-    for tmask in _prefix_sets(oracle, rest, 2 * j, rest >> (a + 1) << (a + 1)):
-        if budget is not None:
-            budget.charge_pairs()
+    for tmask in _prefix_sets(oracle, rest, 2 * j, budget, rest >> (a + 1) << (a + 1)):
         stats.pairs_examined += 1
-        if next(_one_factors_in_mask(masks, tmask), None) is None:
+        if not oracle.is_perfectable(tmask):
             continue
         if not k_left and size(rest ^ tmask) != half:
             return True
@@ -430,7 +420,7 @@ def _verdict_on_mask(
         return ExtendabilityVerdict(holds=True, failure=None, stats=stats)
     # S fails exactly when G[mask] - S is not (0, k)-extendable, and (0, k)
     # is admissible there because (n, k) is admissible on G[mask].
-    walk = sorted(_prefix_sets(oracle, mask, n), key=lambda m: tuple(_bits(m)))
+    walk = sorted(_prefix_sets(oracle, mask, n, None), key=lambda m: tuple(_bits(m)))
     s_mask = next(m for m in walk if not _holds_on_mask(oracle, mask ^ m, 0, k, budget, stats))
     rem = mask ^ s_mask
     s = VertexSet(tuple(_bits(s_mask)))

@@ -215,9 +215,7 @@ def _one_factor_body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | No
     Some 1-factor has every G - V(e) (n, k)-extendable exactly when the
     spanning subgraph of the edges e that qualify (_qualifying_edges) has a
     1-factor, and the counterexample's factor is that subgraph's
-    lexicographically first one. One unit of the pair cap is charged, and
-    the clock read, per edge, because a cached answer charges nothing on a
-    warm oracle.
+    lexicographically first one.
     """
     n, k = p.get("n", 0), p.get("k", 0)
     detail: dict[str, object] = {"mode": p["mode"]} if "mode" in p else {}
@@ -228,10 +226,6 @@ def _one_factor_body(g: Graph, oracle: SubsetMatchingOracle, budget: Budget | No
         return TheoremStatus.CONFIRMED, detail, None
     full = oracle.full_mask
     conclusion = _holds_on_mask(oracle, full, n, k, budget)
-    if budget is not None:
-        for _ in range(g.edge_count):
-            budget.charge_pairs()
-            budget.check_time()
     qualifying = _qualifying_edges(oracle, n, k, budget)
     detail["some_factor_hypothesis"] = 2 * _blossom_size(qualifying, full) == oracle.n
     if not detail["some_factor_hypothesis"]:

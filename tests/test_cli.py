@@ -342,7 +342,7 @@ class TestCensus:
         )
         assert code == 3
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "77386047d1343ddd34f14ec54644df142343f0e034206522ae9dcaadbdc9c303"
+        assert digest == "c06b82576bc9fb91c3c2ec73aaa82cd3e9405c039f4362985c925676bae109aa"
 
     def test_small_exhaustive_summary(self, capsys):
         code, out, _ = run_cli(

@@ -172,14 +172,35 @@ class TestDecisionCaches:
         oracle = SubsetMatchingOracle(cycle_graph(6))
         full = oracle.full_mask
         two_sets = [m for m in range(1 << 6) if m.bit_count() == 2]
-        assert list(_prefix_sets(oracle, full, 2)) == two_sets and len(two_sets) == 15
-        assert list(_prefix_sets(oracle, full, 2, 0b111100)) == [m for m in two_sets if not m & 0b11]
+        assert list(_prefix_sets(oracle, full, 2, None)) == two_sets and len(two_sets) == 15
+        assert list(_prefix_sets(oracle, full, 2, None, 0b111100)) == [m for m in two_sets if not m & 0b11]
         oracle = SubsetMatchingOracle(cycle_graph(4))
         oracle.sets = None
         full, masks = oracle.full_mask, oracle.masks
         assert twin_classes(masks, full) == [[0, 2], [1, 3]]
-        assert list(_prefix_sets(oracle, full, 2)) == list(twin_prefix_sets([[0, 2], [1, 3]], 2))
-        assert list(_prefix_sets(oracle, full, 2, 0b1110)) == list(twin_prefix_sets([[2], [1, 3]], 2))
+        assert list(_prefix_sets(oracle, full, 2, None)) == list(twin_prefix_sets([[0, 2], [1, 3]], 2))
+        assert list(_prefix_sets(oracle, full, 2, None, 0b1110)) == list(twin_prefix_sets([[2], [1, 3]], 2))
+
+    def test_prefix_sets_charge_each_set_they_yield(self):
+        # A cap of 3 lets three sets through and raises as the 4th is
+        # charged, before it is yielded.
+        oracle = SubsetMatchingOracle(cycle_graph(6))
+        budget = Budget(pair_cap=3)
+        walked = []
+        with pytest.raises(BudgetExceededError, match="pair cap"):
+            walked.extend(_prefix_sets(oracle, oracle.full_mask, 2, budget))
+        assert walked == [0b11, 0b101, 0b110] and budget.pairs_charged == 4
+
+    @pytest.mark.parametrize("within", [None, 0b11], ids=["15-sets", "empty"])
+    def test_prefix_sets_read_the_clock_before_the_first_set(self, within):
+        # Cut to two vertices, the walk over 4-sets has no set at all; an
+        # expired deadline still stops it as it starts.
+        oracle = SubsetMatchingOracle(cycle_graph(6))
+        expired = Budget(deadline=time.monotonic() - 1)
+        walk = iter(_prefix_sets(oracle, oracle.full_mask, 4, expired, within))
+        with pytest.raises(BudgetExceededError, match="timeout"):
+            next(walk)
+        assert expired.pairs_charged == 0
 
     def test_more_than_64_vertices_with_big_twin_classes(self):
         # K_{35,35} is two classes of 35 false twins; its masks exceed a
@@ -262,7 +283,7 @@ class TestReferenceSearch:
 
     @pytest.mark.parametrize(
         "ref, n, k, pairs, misses",
-        [("h1:2:0", 2, 2, 830, 612), ("h1:2:0", 2, 3, 1155, 522), ("h1:4:1", 4, 3, 20457, 10256)],
+        [("h1:2:0", 2, 2, 830, 669), ("h1:2:0", 2, 3, 1155, 791), ("h1:4:1", 4, 3, 20457, 11208)],
     )
     def test_descent_work_is_pinned(self, ref, n, k, pairs, misses):
         # A child's completions use only vertices above its lower endpoint.
@@ -350,6 +371,35 @@ class TestTwinPrefixPath:
         # ``sets`` is what runs the twin-prefix path on them. The CI covers
         # every graph of at most 8 vertices.
         assert twin_path_mismatches(exhaustive_graphs(7)) == (6141, [])
+
+
+class TestWorkCounters:
+    """Budget.pairs_charged against the sets a verdict's stats count."""
+
+    # The (ref, n, k) that the family_check benchmark certifies.
+    FAMILY_CASES = [
+        ("h1:2:0", 2, 2), ("h1:2:0", 2, 1), ("h1:2:1", 2, 2), ("h2:2:0", 4, 0), ("h2:2:1", 4, 1),
+        ("h2:3:0", 5, 0), ("h2:3:0", 3, 1), ("h1:3:0", 3, 1), ("h2:1:0", 1, 1), ("h2:0:0", 0, 1),
+        ("h1:1:2", 1, 3),
+    ]
+
+    def test_every_set_counted_is_charged_once(self):
+        # Only _prefix_sets spends a budget, and the searches count each set
+        # they walk, so a verdict's charges are its two counters' sum. The
+        # verdict's sorted walk to S is not charged: each S's decision
+        # charges its own sets.
+        cases = [(resolve_family_ref(ref).graph, n, k) for ref, n, k in self.FAMILY_CASES]
+        cases += [
+            (g, n, k) for g in exhaustive_graphs(7) for n in range(4) for k in range(3)
+            if admissible(g.vertex_count, n, k)
+        ]
+        bad = []
+        for g, n, k in cases:
+            budget = Budget()
+            stats = is_nk_extendable(g, n, k, budget=budget).stats
+            if budget.pairs_charged != stats.subsets_examined + stats.pairs_examined:
+                bad.append((g, n, k))
+        assert (len(cases), bad) == (6152, [])
 
 
 class TestRelabelling:
@@ -532,7 +582,8 @@ class TestBudget:
         with pytest.raises(BudgetExceededError) as raised:
             is_nk_extendable(g, 2, 2, budget=Budget(pair_cap=spent.pairs_charged - 1), oracle=oracle)
         assert oracle.nk_cache[(oracle.full_mask, 2, 2)] is False
-        assert raised.traceback[-2].name == "_has_stuck_completion"
+        spending = {"charge_pairs", "check_time", "spend", "_prefix_sets"}
+        assert next(e.name for e in reversed(raised.traceback) if e.name not in spending) == "_has_stuck_completion"
 
     def test_deadline_read_every_256_charges(self):
         budget = Budget(deadline=time.monotonic() - 1)
@@ -548,8 +599,9 @@ class TestBudget:
             is_nk_extendable(complete_graph(6), 2, 1, budget=budget)
 
     def test_zero_timeout_aborts_a_decision(self):
-        # K6 is one twin class: a single set per condition, far below the
-        # 256 charges between clock checks, so only the entry check can fire.
+        # K6's decision walks 15 2-sets and 15 4-sets, far below the 256
+        # charges between clock reads, so only the read as a walk starts
+        # can fire.
         oracle = SubsetMatchingOracle(complete_graph(6))
         with pytest.raises(BudgetExceededError):
             _holds_on_mask(oracle, oracle.full_mask, 2, 1, Budget.from_limits(0.0, None))

@@ -188,18 +188,29 @@ class TestTheorem4:
             verify_theorem4(no_factor_graph_with_edges(), 0, 1)
 
 
-    def test_pair_cap_bounds_one_factor_loop(self):
-        # A warm oracle answers every decision from its cache and charges
-        # nothing, so only the 1-factor loop itself can spend the budget.
+    @pytest.mark.parametrize(
+        "limited",
+        [lambda: Budget(pair_cap=0), lambda: Budget(deadline=time.monotonic() - 1)],
+        ids=["pair-cap-0", "expired-deadline"],
+    )
+    def test_warm_row_is_free(self, limited):
+        # A warm oracle answers the conclusion and every edge deletion from
+        # its caches, so the row walks no set: it is free, and neither a
+        # zero cap nor an expired deadline stops it. On a cold oracle the
+        # same row walks sets, and the budget stops it.
         g = complete_graph(8)
         oracle = SubsetMatchingOracle(g)
         assert verify_theorem4(g, 0, 1, oracle=oracle).status is CONFIRMED
-        capped = verify_theorem4(g, 0, 1, oracle=oracle, budget=Budget(pair_cap=0))
-        assert capped.status is TheoremStatus.ABORTED
+        budget = limited()
+        assert verify_theorem4(g, 0, 1, oracle=oracle, budget=budget).status is CONFIRMED
+        assert budget.pairs_charged == 0
+        cold = verify_theorem4(g, 0, 1, oracle=SubsetMatchingOracle(g), budget=limited())
+        assert cold.status is TheoremStatus.ABORTED
 
     def test_profile_cut_by_the_cap_is_not_kept(self):
-        # The conclusion is decided first, so a cap of the edge count plus
-        # five stops the row inside the scan of _qualifying_edges.
+        # The conclusion is cached here, so every unit the row spends is a
+        # set that the scan of _qualifying_edges walks, and a cap of 53 units
+        # (the edge count plus five) stops the row inside that scan.
         g = random_graphs(1, 12, 12, 0.7, 3)[0]
         oracle = SubsetMatchingOracle(g)
         assert theorems._holds_on_mask(oracle, oracle.full_mask, 2, 1, None)
@@ -211,17 +222,6 @@ class TestTheorem4:
         assert theorems._one_factor_body(g, oracle, None, {"n": 2, "k": 1}) == reference_one_factor_body(
             g, SubsetMatchingOracle(g), {"n": 2, "k": 1}
         )
-
-    def test_deadline_read_per_edge_on_a_warm_oracle(self):
-        # Cached decisions never read the clock, and one charge per edge is
-        # far below the 256 between reads in charge_pairs, so only the loop's
-        # own check_time can see that the deadline has passed.
-        g = complete_graph(8)
-        oracle = SubsetMatchingOracle(g)
-        assert verify_theorem4(g, 0, 1, oracle=oracle).status is CONFIRMED
-        expired = Budget(deadline=time.monotonic() - 1)
-        assert verify_theorem4(g, 0, 1, oracle=oracle, budget=expired).status is TheoremStatus.ABORTED
-        assert expired.pairs_charged == 1
 
 
 def _one_factor_rows():
