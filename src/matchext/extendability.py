@@ -41,12 +41,15 @@ asks only whether such a set exists, so both walks find the same matching.
 
 The theorem validators ask the same question of every edge deletion
 G - V(e). _qualifying_edges answers it for all edges of G at one (n, k)
-from one scan of the set form over all vertex sets of G, with S u V(e)
-and T u V(e) as the sets: e fails (i) exactly when it lies in an
-(n+2)-set U with nu(G - U) < k (at k = 0: G - U has no 1-factor), and
-(ii) exactly when it lies in an (n+2k+2)-set W such that G - W has no
-1-factor and nu(G[W - V(e)]) >= k. The scan uses neither twins nor any
-theorem.
+from one scan over the sets of _prefix_sets, with S u V(e) and T u V(e)
+as the sets: e fails (i) exactly when it lies in an (n+2)-set U with
+nu(G - U) < k (at k = 0: G - U has no 1-factor), and (ii) exactly when it
+lies in an (n+2k+2)-set W such that G - W has no 1-factor and
+nu(G[W - V(e)]) >= k. Over twin-prefix sets a failing set fails each edge
+that twin swaps map into it: for U, each edge whose ends' classes U meets
+(at two members, if they share one); for W, each edge between the classes
+of an edge of W that fails. The edges left are a union of orbits, so
+testing only those inside W stays exact.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from .matching import (
     Matching,
     SubsetMatchingOracle,
     TutteCertificate,
+    _EAGER_VERTICES,
     _blossom_size,
     _gallai_edmonds_tutte,
 )
@@ -273,63 +277,53 @@ def _holds_on_mask(
     return result
 
 
+_OWN_ORBITS = tuple(1 << v for v in range(_EAGER_VERTICES))
+
+
 def _qualifying_edges(
     oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | None = None
 ) -> list[int]:
     """Adjacency masks of the edges e of G with G - V(e) (n, k)-extendable.
 
-    Cached on the oracle per (n, k); a call cut short by the budget caches
-    nothing. When the oracle lists every vertex set (graphs of at most 12
-    vertices) one scan (see the module docstring) decides every edge and
-    stops once every edge has failed. Larger graphs decide each G - V(e)
-    on its own: the scan reads the oracle's table, which a lazy oracle may
-    never build, and every vertex set of two sizes, which only ``sets``
-    lists.
+    The module docstring's scan; it stops once every edge has failed. Cached
+    per (n, k) on the oracle; a call cut short by the budget caches nothing.
     """
-    qualifying = oracle.edge_cache.get((n, k))
-    if qualifying is not None:
-        return qualifying
-    count, masks, full = oracle.n, oracle.masks, oracle.full_mask
+    alive = oracle.edge_cache.get((n, k))
+    if alive is not None:
+        return alive
+    count, size, full = oracle.n, oracle.size, oracle.full_mask
     if not admissible(count - 2, n, k):
         raise InvalidParametersError(_parameter_check(count - 2, n, k))
+    orbit = _OWN_ORBITS  # the mask of v's twin class, or of v alone when every set is walked
     if oracle.sets is None:
-        qualifying = [0] * count
-        for u in range(count):
-            for v in _bits(masks[u] >> (u + 1) << (u + 1)):
-                if _holds_on_mask(oracle, full ^ (1 << u) ^ (1 << v), n, k, budget):
-                    qualifying[u] |= 1 << v
-                    qualifying[v] |= 1 << u
-    else:
-        qualifying = _edge_scan(oracle, n, k, budget)
-    oracle.edge_cache[n, k] = qualifying
-    return qualifying
-
-
-def _edge_scan(oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | None) -> list[int]:
-    """The scan of _qualifying_edges; oracle.size is its table's index."""
-    size, full = oracle.size, oracle.full_mask
+        classes = [sum(1 << v for v in c) for c in twin_classes(oracle.masks, full)]
+        orbit = tuple(next(c for c in classes if c >> v & 1) for v in range(count))
     alive = list(oracle.masks)
-    rest = oracle.n - n - 2
+    rest = count - n - 2
     for u_set in _prefix_sets(oracle, full, n + 2, budget):
         nu = size(full ^ u_set)
         if nu < k or (k == 0 and 2 * nu != rest):
-            for v in _bits(u_set):
-                alive[v] &= ~u_set
+            met = sum({orbit[v] for v in _bits(u_set)})  # the classes U meets
+            for a in _bits(met):
+                alive[a] &= ~met | (orbit[a] if (u_set & orbit[a]).bit_count() == 1 else 0)
             if not any(alive):
-                return alive
-    if k == 0:
-        return alive
-    half = rest // 2 - k
-    for w_set in _prefix_sets(oracle, full, n + 2 * k + 2, budget):
-        if size(full ^ w_set) == half or size(w_set) <= k:
-            continue  # G - W has a 1-factor, or no edge of W leaves a k-matching
-        for a in _bits(w_set):
-            for b in _bits(alive[a] & w_set >> (a + 1) << (a + 1)):
-                if size(w_set ^ (1 << a) ^ (1 << b)) >= k:
-                    alive[a] ^= 1 << b
-                    alive[b] ^= 1 << a
-        if not any(alive):
-            break
+                break
+    if k and any(alive):
+        half = rest // 2 - k
+        for w_set in _prefix_sets(oracle, full, n + 2 * k + 2, budget):
+            if size(full ^ w_set) == half or size(w_set) <= k:
+                continue  # G - W has a 1-factor, or no edge of W leaves a k-matching
+            for a in _bits(w_set):
+                for b in _bits(alive[a] & w_set >> (a + 1) << (a + 1)):
+                    if size(w_set ^ (1 << a) ^ (1 << b)) >= k:  # W fails the edge's orbit
+                        alive[a] &= ~orbit[b]
+                        alive[b] &= ~orbit[a]
+                        if orbit[a] | orbit[b] != 1 << a | 1 << b:  # a or b has twins
+                            for x in _bits(orbit[a] | orbit[b]):
+                                alive[x] &= ~orbit[b] if orbit[a] >> x & 1 else ~orbit[a]
+            if not any(alive):
+                break
+    oracle.edge_cache[n, k] = alive
     return alive
 
 
@@ -388,6 +382,11 @@ def _has_stuck_completion(
     empty. Whether G[T] has a 1-factor is one oracle lookup; G[rest] - T
     costs one more at k_left = 0 and a cached decision otherwise. Each set
     walked is counted as one pair.
+
+    In _stuck_matching's descent the cut to H saves work but changes no
+    answer: a stuck completion of (a, b) through a free vertex below a would
+    give a stuck matching with the chosen edges and an edge starting below a,
+    so it would precede the least one, whose next edges start at a or above.
     """
     size = oracle.size
     half = rest.bit_count() // 2 - j

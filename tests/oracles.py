@@ -19,8 +19,9 @@ sizes against the subset oracle's table, whose recurrence over the lowest
 vertex shares no step with an augmenting-path search.
 reference_one_factor_body walks every 1-factor of G for T4/TC, and the
 theorem body must give exactly its report. qualifying_edge_mismatches
-decides every G - V(e) on its own, twin-pruned, and the one scan over all
-vertex sets that _qualifying_edges runs must agree with it edge by edge.
+decides every G - V(e) on its own, twin-pruned, and the one scan that
+_qualifying_edges runs must agree with it edge by edge, both over every
+vertex set and over twin-prefix sets, where it fails whole orbits.
 twin_path_mismatches runs each verdict twice on graphs of at most 12
 vertices, over every vertex set and over twin-prefix sets only, and the two
 must agree, witness included.
@@ -323,28 +324,40 @@ def theoremB_mismatches(graphs: Iterable[Graph], k_max: int) -> tuple[int, int, 
 
 
 def qualifying_edge_mismatches(
-    graphs: Iterable[Graph], n_max: int = 3, k_max: int = 2
-) -> tuple[int, list[tuple[str, int, int, tuple[int, int]]]]:
+    graphs: Iterable[Graph], n_max: int = 3, k_max: int = 2, twin_scan: bool = False
+) -> tuple[int, list[tuple[str, int, int, tuple[int, int], str]]]:
     """_qualifying_edges against one _holds_on_mask per edge, on separate oracles.
 
-    For every (n <= n_max, k <= k_max) admissible on G - V(e), every edge
-    is a cell. Returns the cells compared and the (graph6, n, k, edge) of
-    every cell where they disagree.
+    The reference decides each G - V(e) on its own, twin-pruned, on an
+    oracle whose ``sets`` is None. The scan runs on a default oracle, which
+    lists every vertex set on graphs of at most 12 vertices, and with
+    ``twin_scan`` also on an oracle whose ``sets`` is None, so that it walks
+    twin-prefix sets and fails whole orbits as on larger graphs. For every
+    (n <= n_max, k <= k_max) admissible on G - V(e), every edge is a cell.
+    Returns the cells compared and the (graph6, n, k, edge, scan) of every
+    cell where a scan disagrees with the reference.
     """
     cells, bad = 0, []
     for g in graphs:
-        scanned, reference = SubsetMatchingOracle(g), SubsetMatchingOracle(g)
-        reference.sets = None  # twin-prefix sets, as on graphs above 12 vertices
+        reference = SubsetMatchingOracle(g)
+        reference.sets = None
+        scans = {"listed": SubsetMatchingOracle(g)}
+        if twin_scan:
+            scans["twin"] = SubsetMatchingOracle(g)
+            scans["twin"].sets = None
         edges = g.edges()
         for n in range(n_max + 1):
             for k in range(k_max + 1):
                 if not edges or not admissible(g.vertex_count - 2, n, k):
                     continue
-                qualifying = _qualifying_edges(scanned, n, k)
+                profiles = {name: _qualifying_edges(oracle, n, k) for name, oracle in scans.items()}
                 for u, v in edges:
                     holds = _holds_on_mask(reference, reference.full_mask ^ (1 << u) ^ (1 << v), n, k)
-                    if bool(qualifying[u] >> v & 1) != holds:
-                        bad.append((serialize_graph6(g), n, k, (u, v)))
+                    bad.extend(
+                        (serialize_graph6(g), n, k, (u, v), name)
+                        for name, qualifying in profiles.items()
+                        if bool(qualifying[u] >> v & 1) != holds
+                    )
                 cells += len(edges)
     return cells, bad
 

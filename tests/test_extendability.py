@@ -26,7 +26,7 @@ from matchext import (
 )
 from matchext import SubsetMatchingOracle, exhaustive_graphs, extendability, random_graphs
 from matchext.extendability import _holds_on_mask, _prefix_sets, _qualifying_edges, _verdict_on_mask, admissible
-from matchext.families import build_h1, resolve_family_ref
+from matchext.families import build_h1, build_h2, resolve_family_ref
 from matchext.graph import twin_classes, twin_prefix_sets
 
 from conftest import cycle_graph, graphs, star_graph, twin_heavy_graphs
@@ -350,15 +350,33 @@ class TestQualifyingEdges:
     """The one scan of _qualifying_edges against a decision per G - V(e)."""
 
     def test_exhaustive_up_to_7_vertices(self):
-        assert qualifying_edge_mismatches(exhaustive_graphs(7)) == (36599, [])
+        # Graphs of at most 12 vertices walk every set, so an oracle without
+        # ``sets`` is what runs the orbit rule of the twin-prefix scan on them.
+        assert qualifying_edge_mismatches(exhaustive_graphs(7), twin_scan=True) == (36599, [])
+
+    def test_family_members(self):
+        # H1(n, k) and H2(n, k) at n, k <= 2: 4 to 20 vertices in twin
+        # classes of two to five (H1(1, k)'s one core vertex is its own).
+        graphs = [build(n, k).graph for build in (build_h1, build_h2) for n in range(3) for k in range(3)]
+        assert qualifying_edge_mismatches(graphs, twin_scan=True) == (5384, [])
 
     def test_dense_random_graphs(self):
         assert qualifying_edge_mismatches(random_graphs(200, 9, 12, 0.8, 5)) == (48302, [])
 
-    def test_graph_past_the_scan_limit(self):
-        # 14 vertices: each G - V(e) is decided on its own.
+    def test_graph_above_12_vertices(self):
+        # 14 vertices and no twins: the twin-prefix scan walks every set.
         g = random_graphs(1, 14, 14, 0.8, 0)[0]
         assert qualifying_edge_mismatches([g], 1, 1) == (2 * g.edge_count, [])
+
+    @pytest.mark.parametrize("ref, charged", [("h1:2:1", 344), ("h1:4:1", 399)])
+    def test_scan_work_above_12_vertices_is_pinned(self, ref, charged):
+        # One scan over twin-prefix sets at (2, 1), with no decision cached
+        # per G - V(e); deciding each G - V(e) on its own charged 11 280 and
+        # 31 671 sets.
+        oracle = SubsetMatchingOracle(resolve_family_ref(ref).graph)
+        budget = Budget()
+        _qualifying_edges(oracle, 2, 1, budget)
+        assert budget.pairs_charged == charged and oracle.nk_cache == {}
 
     def test_capped_scan_is_not_cached(self):
         g = random_graphs(1, 12, 12, 0.7, 3)[0]  # 27 of its 48 edges qualify at (2, 1)
