@@ -72,7 +72,6 @@ from .matching import (
     Matching,
     SubsetMatchingOracle,
     TutteCertificate,
-    _EAGER_VERTICES,
     _blossom_size,
     _gallai_edmonds_tutte,
 )
@@ -277,9 +276,6 @@ def _holds_on_mask(
     return result
 
 
-_OWN_ORBITS = tuple(1 << v for v in range(_EAGER_VERTICES))
-
-
 def _qualifying_edges(
     oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | None = None
 ) -> list[int]:
@@ -294,8 +290,9 @@ def _qualifying_edges(
     count, size, full = oracle.n, oracle.size, oracle.full_mask
     if not admissible(count - 2, n, k):
         raise InvalidParametersError(_parameter_check(count - 2, n, k))
-    orbit = _OWN_ORBITS  # the mask of v's twin class, or of v alone when every set is walked
-    if oracle.sets is None:
+    if oracle.sets is not None:
+        orbit = oracle.sets[1]  # every set is walked, so each vertex is its own orbit
+    else:  # orbit[v]: the mask of v's twin class
         classes = [sum(1 << v for v in c) for c in twin_classes(oracle.masks, full)]
         orbit = tuple(next(c for c in classes if c >> v & 1) for v in range(count))
     alive = list(oracle.masks)
@@ -316,11 +313,8 @@ def _qualifying_edges(
             for a in _bits(w_set):
                 for b in _bits(alive[a] & w_set >> (a + 1) << (a + 1)):
                     if size(w_set ^ (1 << a) ^ (1 << b)) >= k:  # W fails the edge's orbit
-                        alive[a] &= ~orbit[b]
-                        alive[b] &= ~orbit[a]
-                        if orbit[a] | orbit[b] != 1 << a | 1 << b:  # a or b has twins
-                            for x in _bits(orbit[a] | orbit[b]):
-                                alive[x] &= ~orbit[b] if orbit[a] >> x & 1 else ~orbit[a]
+                        for x in _bits(orbit[a] | orbit[b]):
+                            alive[x] &= ~orbit[b] if orbit[a] >> x & 1 else ~orbit[a]
             if not any(alive):
                 break
     oracle.edge_cache[n, k] = alive
