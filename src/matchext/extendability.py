@@ -13,18 +13,21 @@ definition: G is (n, k)-extendable iff
 
 since a k-matching M of G - S gives T = S u V(M), and a k-matching M of
 G[T] gives S = T - V(M). When k = 0, (ii) asks for a 1-factor of G - S for
-every n-set S. Every term is a lookup in the subset oracle.
+every n-set S. Every term is a fact about the subset oracle's table.
 
-The oracle decides which sets the conditions range over (_prefix_sets).
-On a graph of at most 12 vertices, whose oracle holds the whole table, they
-range over every vertex set, from lists shared by all graphs of that order.
-On a larger graph such lists would hold 2^|V| masks, so they range only over
-twin-prefix sets. Twins are vertices with the same closed neighbourhood
+The oracle decides how the conditions range over vertex sets. On a graph of
+at most 12 vertices, whose oracle holds the whole table, they range over
+every vertex set, and _decide evaluates each for all sets at once: the
+oracle's level bitsets (bit m of levels[j] says nu(G[m]) >= j) combine,
+with a few shifts and masks, into the bitset of the sets that fail
+(_decide_bitsets). On a larger graph a bitset would have 2^|V| bits, so the
+conditions are walked set by set, only over twin-prefix sets
+(_prefix_sets). Twins are vertices with the same closed neighbourhood
 (true twins) or the same open neighbourhood (false twins); swapping two
 twins is an automorphism, so a set may be replaced by the one that takes,
 from each twin class in ascending order, as many members as it had.
 Isomorphism invariance of the definition is the only pruning argument
-used, so both walks give the same verdicts.
+used, so both ways give the same verdicts.
 
 On failure the verdict reports the lexicographically least witness of the
 definition's double loop: the least failing n-set S (always in twin-prefix
@@ -74,6 +77,8 @@ from .matching import (
     TutteCertificate,
     _blossom_size,
     _gallai_edmonds_tutte,
+    _selectors,
+    _size_bitsets,
 )
 
 
@@ -105,7 +110,9 @@ class SearchStats:
     (0, k) on G - S for each S walked. subsets_examined counts the n-sets
     looked up (the empty set alone, for a (0, k) decision); pairs_examined
     counts the (n+2k)-sets looked up (for k >= 1) plus the sets looked up
-    while finding the stuck k-matching on the failing S.
+    while finding the stuck k-matching on the failing S. A decision made
+    with bitsets counts the sets that a walk in ascending order would have
+    looked up.
     """
 
     subsets_examined: int = 0
@@ -140,9 +147,10 @@ class Budget:
     """Work limits for one search instance.
 
     pair_cap bounds the work charged: one unit per vertex set a search
-    walks (the sets of _prefix_sets, which alone spends a budget); a cached
-    answer is free. deadline is an absolute time.monotonic() cutoff, read
-    when a walk starts and then every 256 units.
+    looks at, as _prefix_sets walks them or as _decide's bitsets count the
+    sets such a walk would look at; a cached answer is free. deadline is an
+    absolute time.monotonic() cutoff, read when a walk starts and then at
+    every 256th unit.
     """
 
     deadline: float | None = None
@@ -160,11 +168,17 @@ class Budget:
         deadline = None if timeout_seconds is None else time.monotonic() + timeout_seconds
         return Budget(deadline=deadline, pair_cap=pair_cap)
 
-    def charge_pairs(self) -> None:
-        self.pairs_charged += 1
-        if self.pair_cap is not None and self.pairs_charged > self.pair_cap:
+    def charge(self, units: int = 1) -> None:
+        """Charge ``units`` at once, ending as charging them one at a time would.
+
+        Over the cap, pairs_charged stops at the unit that crossed it.
+        """
+        before = self.pairs_charged
+        self.pairs_charged += units
+        if self.pair_cap is not None and self.pairs_charged > max(before, self.pair_cap):
+            self.pairs_charged = max(before, self.pair_cap) + 1
             raise BudgetExceededError(f"pair cap {self.pair_cap} exceeded")
-        if self.deadline is not None and self.pairs_charged % 256 == 0:
+        if self.deadline is not None and self.pairs_charged >> 8 != before >> 8:
             self.check_time()
 
     def check_time(self) -> None:
@@ -175,7 +189,7 @@ class Budget:
         """Yield ``sets``, charging one unit for each; the clock is read first."""
         self.check_time()
         for s in sets:
-            self.charge_pairs()
+            self.charge()
             yield s
 
 
@@ -234,7 +248,14 @@ def _decide(
     budget: Budget | None,
     stats: SearchStats | None,
 ) -> bool:
-    """Conditions (i) and (ii) over the sets of _prefix_sets; see the module docstring."""
+    """Conditions (i) and (ii); see the module docstring.
+
+    With ``oracle.sets`` each condition is a bitset expression over every
+    vertex set of mask (_decide_bitsets). Without it, a walk over the sets of
+    _prefix_sets.
+    """
+    if oracle.sets is not None:
+        return _decide_bitsets(oracle, mask, n, k, budget, stats)
     size = oracle.size
     half = (mask.bit_count() - n) // 2 - k
     for smask in _prefix_sets(oracle, mask, n, budget):
@@ -251,6 +272,75 @@ def _decide(
         if size(tmask) >= k and size(mask ^ tmask) != half:
             return False
     return True
+
+
+def _flipped(oracle: SubsetMatchingOracle, k: int | None) -> int:
+    """Bitset with bit full ^ m set iff nu(G[m]) >= k (k None: G[m] has a 1-factor).
+
+    That is levels[k], or for None the union of each levels[j] cut to the
+    2j-sets, with its 2^|V| bits in reverse order; cached in ``oracle.flips``.
+    """
+    flipped = oracle.flips.get(k)
+    if flipped is None:
+        levels = oracle.levels
+        if k is None:
+            sizes = _size_bitsets(oracle.n)
+            bitset = sum(level & sizes[2 * j] for j, level in enumerate(levels))  # disjoint sizes
+        else:
+            bitset = levels[k] if k < len(levels) else 0
+        flipped = oracle.flips[k] = int(format(bitset, f"0{1 << oracle.n}b")[::-1], 2)
+    return flipped
+
+
+def _decide_bitsets(
+    oracle: SubsetMatchingOracle,
+    mask: int,
+    n: int,
+    k: int,
+    budget: Budget | None,
+    stats: SearchStats | None,
+) -> bool:
+    """Conditions (i) and (ii) over every vertex set of mask, as bitsets.
+
+    With D = full ^ mask, a set S of mask leaves mask ^ S = full ^ (S + D),
+    so bit S of _flipped(...) >> D answers for G[mask] - S. Both conditions
+    charge what an ascending walk over the sets would: the sets up to the
+    least failing one, or all of them.
+    """
+    sizes, selectors = _size_bitsets(oracle.n), _selectors(oracle.n)
+    outside = oracle.full_mask ^ mask
+    meets_outside = 0
+    for u in _bits(outside):
+        meets_outside |= selectors[u]
+    # (i): an n-set S fails when nu(G[mask] - S) < k (at k = 0: no 1-factor).
+    candidates = sizes[n] & ~meets_outside
+    fails = candidates & ~(_flipped(oracle, k or None) >> outside)
+    walked = _walked(candidates, fails, budget)
+    if stats is not None:
+        stats.subsets_examined += walked
+    if fails or k == 0:
+        return not fails
+    # (ii): an (n+2k)-set T fails when nu(G[T]) >= k and G[mask] - T has no 1-factor.
+    # (i) has passed, so nu(G) >= k and levels[k] exists.
+    candidates = sizes[n + 2 * k] & ~meets_outside
+    fails = candidates & oracle.levels[k] & ~(_flipped(oracle, None) >> outside)
+    walked = _walked(candidates, fails, budget)
+    if stats is not None:
+        stats.pairs_examined += walked
+    return not fails
+
+
+def _walked(candidates: int, fails: int, budget: Budget | None) -> int:
+    """How many sets of ``candidates`` an ascending walk looks at, charged to ``budget``.
+
+    The walk stops at the least set in ``fails``; when that is empty,
+    (fails & -fails) * 2 - 1 is -1 and every candidate counts.
+    """
+    walked = (candidates & ((fails & -fails) * 2 - 1)).bit_count()
+    if budget is not None:
+        budget.check_time()
+        budget.charge(walked)
+    return walked
 
 
 def _holds_on_mask(

@@ -12,8 +12,11 @@ extendability search layers a per-graph subset oracle on top (see
 SubsetMatchingOracle), which answers maximum-matching sizes for arbitrary
 induced subgraphs. It starts with one memoized blossom run per queried
 subset and switches to a table over all 2^n subsets after 2^n / 32 runs
-(see the constants below), and graphs of at most 12 vertices, whose table
-takes a few milliseconds, get it at once.
+(see the constants below), and graphs of at most 12 vertices get it at
+once. The table is built with bitsets over the subset lattice, one int bit
+per vertex mask, a vertex at a time (_build_table), and the oracle keeps
+those level bitsets, from which the extendability decisions on graphs of at
+most 12 vertices are computed for all vertex sets at once.
 """
 
 from __future__ import annotations
@@ -254,15 +257,15 @@ def _one_factors_in_mask(
 
 
 # Measured on a 2-core x86 box (Python 3.11) over the misses of the verdicts
-# on the H1/H2 family instances of 14 to 21 vertices: one table entry costs
-# 0.21-0.42 us and one blossom miss 1.6-4.0 us, a ratio of 7 to 11 (most
-# near 10). So the table has paid for itself after about 2^n / 7 to 2^n / 11
-# misses. The budget of 2^n / 32 misses was set when a miss cost 18 to 35
-# entries; it now lies below the range, so the table comes early: when it
-# is built, the misses have cost a quarter to a third of it. Up to 12
-# vertices the table costs at most a few ms; a census asks thousands of
-# queries of each such graph and a single decision loses at most those few
-# ms, so it is built at once.
+# on the H1/H2 family instances of 14 to 21 vertices (h1 at (n, k + 2), h2 at
+# (n + 2, k)): one table entry of the bitset build costs 0.024-0.063 us and
+# one blossom miss 1.6-5.1 us, a ratio of 45 to 198 (median 88). So the
+# table has paid for itself after about 2^n / 45 to 2^n / 198 misses. The
+# budget of 2^n / 32 misses was set when a miss cost 18 to 35 entries; it
+# now lies above the range, so the table comes late: when it is built, the
+# misses have cost 1.4 to 6 times what it does. Up to 12 vertices the table
+# costs at most about 0.2 ms (K12); a census asks thousands of queries of
+# each such graph, so it is built at once.
 _EAGER_VERTICES = 12
 _MISS_SHIFT = 5
 
@@ -276,32 +279,66 @@ def _sets_by_size(vertex_count: int) -> tuple[array, ...]:
     return buckets
 
 
+# A bitset over the vertex masks of a graph on N vertices is an int whose bit
+# m stands for mask m, so one int operation acts on all 2^N masks at once.
+
+
+def _grow_selectors(selectors: list[int], h: int) -> list[int]:
+    """Per vertex u <= h, the bitset of the masks of the vertices up to h that hold u.
+
+    ``selectors`` is the same over the masks of the vertices below h.
+    """
+    width = 1 << h
+    return [sel | sel << width for sel in selectors] + [((1 << width) - 1) << width]
+
+
+@lru_cache(maxsize=None)
+def _selectors(vertex_count: int) -> tuple[int, ...]:
+    """Per vertex u, the bitset of the masks on ``vertex_count`` <= _EAGER_VERTICES vertices that hold u."""
+    selectors: list[int] = []
+    for h in range(vertex_count):
+        selectors = _grow_selectors(selectors, h)
+    return tuple(selectors)
+
+
+@lru_cache(maxsize=None)
+def _size_bitsets(vertex_count: int) -> tuple[int, ...]:
+    """Per size s, the bitset of the masks on ``vertex_count`` <= _EAGER_VERTICES vertices with s vertices."""
+    sizes = [1]
+    for h in range(vertex_count):  # adding h: size s gains the (s - 1)-sets moved up by 2^h
+        sizes = [a | b << (1 << h) for a, b in zip(sizes + [0], [0] + sizes)]
+    return tuple(sizes)
+
+
+_ONE_PER_BYTE = bytes.maketrans(b"01", b"\0\1")
+
+
 class SubsetMatchingOracle:
     """Maximum-matching sizes for every induced subgraph G[mask] of one graph.
 
     Two ways to answer, chosen by a ski-rental rule. Lazily, each queried
-    subset costs one memoized blossom run (a miss). Densely, a bottom-up
-    table over all 2^n subsets answers every query by one index; the
-    recurrence branches on the lowest vertex of the subset, which either
-    stays exposed or is matched to a neighbor. Graphs of at most 12 vertices
-    build the table at once. Larger ones start lazy and build the table once
-    the misses reach ``miss_budget`` = 2^n / 32, when their blossom runs have
-    cost a quarter to a third of what the table does (see the constants
-    above). From then on ``size`` is the table's own ``__getitem__``, so
-    callers that read ``oracle.size`` afterwards do a bare index. The memo
-    stays as it was, so it never holds more than ``miss_budget`` entries
-    and its length is the number of misses.
+    subset costs one memoized blossom run (a miss). Densely, a table over
+    all 2^n subsets answers every query by one index; it is built from the
+    level bitsets of _build_table. Graphs of at most 12 vertices build the
+    table at once and keep the levels in ``levels``. Larger ones start lazy and
+    build it once the misses reach ``miss_budget`` = 2^n / 32 (see the
+    constants above). From then on ``size`` is the table's own
+    ``__getitem__``, so callers that read ``oracle.size`` afterwards do a
+    bare index. The memo stays as it was, so it never holds more than
+    ``miss_budget`` entries and its length is the number of misses.
 
-    Also carries two caches for the extendability decisions (see
-    extendability._holds_on_mask and extendability._qualifying_edges):
+    Also carries the caches of the extendability decisions (see
+    extendability._decide and extendability._qualifying_edges):
     ``nk_cache``, the verdict per (mask, n, k), shared by the theorem
-    validators; and ``edge_cache``, per (n, k), the edges e whose G - V(e)
-    is (n, k)-extendable. ``sets`` says which vertex sets those searches
-    walk (extendability._prefix_sets). On a graph of at most 12 vertices it
-    holds every vertex mask, one ascending list per size, shared by all
-    oracles on that many vertices. On a larger graph it is None, also once
-    the table is built: such lists would hold 2^n masks, so the searches
-    walk twin-prefix sets instead.
+    validators; ``edge_cache``, per (n, k), the edges e whose G - V(e) is
+    (n, k)-extendable; and ``flips``, the bit-reversed level bitsets that
+    _decide reads. ``sets`` says how those searches range over vertex sets.
+    On a graph of at most 12 vertices it holds every vertex mask, one
+    ascending list per size, shared by all oracles on that many vertices,
+    and _decide evaluates its conditions on all sets at once as bitset
+    algebra. On a larger graph it is None, also once the table is built:
+    such lists would hold 2^n masks, so the searches walk twin-prefix sets
+    instead (extendability._prefix_sets).
     """
 
     def __init__(self, graph: Graph):
@@ -310,6 +347,8 @@ class SubsetMatchingOracle:
         self.full_mask = (1 << self.n) - 1
         self.nk_cache: dict[tuple[int, int, int], bool] = {}
         self.edge_cache: dict[tuple[int, int], list[int]] = {}
+        self.flips: dict[int | None, int] = {}
+        self.levels: list[int] = []
         self._lazy: dict[int, int] = {}
         self._table: bytearray | None = None
         self.sets = _sets_by_size(self.n) if self.n <= _EAGER_VERTICES else None
@@ -337,26 +376,43 @@ class SubsetMatchingOracle:
             self.size = self._table.__getitem__
 
     def _build_table(self) -> bytearray:
-        # nu(mask) is nu(rest), or nu(rest - u) + 1 for a neighbour u of the
-        # lowest vertex, and never more than nu(rest) + 1 or |mask| / 2. So the
-        # scan is skipped when nu(rest) is already |mask| / 2 and stops at the
-        # first u with nu(rest - u) = nu(rest).
-        masks = self.masks
-        table = bytearray(1 << self.n)
-        for mask in range(1, 1 << self.n):
-            low = mask & -mask
-            rest = mask ^ low
-            best = table[rest]
-            if best < mask.bit_count() >> 1:
-                nb = masks[low.bit_length() - 1] & rest
-                while nb:
-                    ub = nb & -nb
-                    if table[rest ^ ub] == best:
-                        best += 1
-                        break
-                    nb ^= ub
-            table[mask] = best
-        return table
+        """The table of nu(G[mask]) for every mask, from the level bitsets.
+
+        levels[j] is the bitset of the masks m with nu(G[m]) >= j. They are
+        built one vertex h at a time: a mask m + 2^h of the vertices up to h
+        has nu >= j iff nu(m) >= j or nu(m - u) >= j - 1 for a neighbour
+        u < h in m, so the new half of levels[j] is levels[j] or, over
+        those u, levels[j - 1] shifted up by 2^u and cut to the masks
+        holding u. nu(m) is the number of levels holding m: each level is
+        spread to one byte per bit and the levels are added as integers,
+        which never carry since a byte sums to at most n / 2. With ``sets``
+        the selectors come from a cache and the levels are kept in ``levels``.
+        """
+        eager = self.sets is not None
+        sel = _selectors(self.n) if eager else []  # a larger graph grows its own, cached nowhere
+        levels = [1]  # levels[0] over the empty graph's one mask
+        for h, row in enumerate(self.masks):
+            lower = [(1 << u, sel[u]) for u in _bits(row & ((1 << h) - 1))]
+            if 2 * len(levels) <= h + 1:
+                levels.append(0)
+            for j in range(len(levels) - 1, 0, -1):  # downwards: levels[j - 1] is still old
+                below, high = levels[j - 1], levels[j]
+                for step, holds_u in lower:
+                    high |= below << step & holds_u
+                levels[j] |= high << (1 << h)
+            levels[0] |= levels[0] << (1 << h)
+            if not eager:
+                sel = _grow_selectors(sel, h)
+        del sel  # before the spread below, which is the peak
+        while len(levels) > 1 and not levels[-1]:
+            levels.pop()
+        if eager:  # only the bitset decisions read them
+            self.levels = levels
+        width = 1 << self.n
+        total = 0
+        for level in levels[1:]:  # one level's spread at a time, to bound the peak memory
+            total += int.from_bytes(format(level, f"0{width}b").encode().translate(_ONE_PER_BYTE), "big")
+        return bytearray(total.to_bytes(width, "little"))
 
     def size(self, mask: int) -> int:
         """Maximum matching size of G[mask]; rebound to a table index once built."""

@@ -176,6 +176,15 @@ def _conclude(oracle: SubsetMatchingOracle, budget: Budget | None, detail: dict,
 # --- Bodies -----------------------------------------------------------------
 
 
+def _first_edge(rows: Iterable[int]) -> tuple[int, int] | None:
+    """First (u, v) with u < v and bit v of rows[u] set, in lexicographic order."""
+    for u, row in enumerate(rows):
+        above = row >> (u + 1)
+        if above:
+            return u, u + (above & -above).bit_length()
+    return None
+
+
 def _edge_deletion(
     shift: tuple[int, int],
     lead: Callable[[Graph, dict], dict] = lambda g, p: {"has_edges": g.edge_count > 0},
@@ -195,11 +204,10 @@ def _edge_deletion(
         if not all(detail.values()):
             detail[key] = None
             return TheoremStatus.VACUOUS, detail, None
-        edges = g.edges()
-        u, v = failing = edges[0]  # the first edge whose deletion breaks the hypothesis
+        u, v = failing = _first_edge(oracle.masks)  # the first edge whose deletion breaks the hypothesis
         if _holds_on_mask(oracle, oracle.full_mask ^ (1 << u) ^ (1 << v), n, k, budget):
             qualifying = _qualifying_edges(oracle, n, k, budget)
-            failing = next(((u, v) for u, v in edges if not qualifying[u] >> v & 1), None)
+            failing = _first_edge([row & ~q for row, q in zip(oracle.masks, qualifying)])
         detail[key] = failing is None
         if failing is not None:
             detail["failing_edge"] = failing

@@ -15,16 +15,23 @@ right side and witness descent must agree with it.
 reference_blossom_mates is the package's earlier blossom kernel, on
 neighbour lists of a relabelled subgraph, and the mask kernel must return
 the same mate array. blossom_size_mismatches checks the blossom kernel's
-sizes against the subset oracle's table, whose recurrence over the lowest
-vertex shares no step with an augmenting-path search.
+sizes against the subset oracle's table, whose level bitsets grow one
+vertex at a time and share no step with an augmenting-path search.
+reference_table is the oracle's earlier table build, a recurrence over the
+lowest vertex of each mask, one mask at a time, and the bitset build must
+give the same bytes.
+reference_decide is the walk that _decide ran on graphs of at most 12
+vertices before it used bitsets: conditions (i) and (ii), set by set over
+every vertex set, charging the budget per set. decision_mismatches checks
+the bitset decision against it, verdict, counters and charges included.
 reference_one_factor_body walks every 1-factor of G for T4/TC, and the
 theorem body must give exactly its report. qualifying_edge_mismatches
 decides every G - V(e) on its own, twin-pruned, and the one scan that
 _qualifying_edges runs must agree with it edge by edge, both over every
 vertex set and over twin-prefix sets, where it fails whole orbits.
 twin_path_mismatches runs each verdict twice on graphs of at most 12
-vertices, over every vertex set and over twin-prefix sets only, and the two
-must agree, witness included.
+vertices, with the bitset decisions and over twin-prefix sets only, and the
+two must agree, witness included; so must the decisions on each G - V(e).
 reference_canonical_form is the canonical form without twin pruning: it
 branches on every vertex of the target cell, and the pruned search must
 return the same integer.
@@ -33,13 +40,17 @@ return the same integer.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from matchext import Graph, VertexSet, delete_vertices, has_one_factor, theorems
+from matchext.errors import BudgetExceededError
 from matchext.extendability import (
+    Budget,
     FailureKind,
     SearchStats,
+    _decide,
     _holds_on_mask,
     _qualifying_edges,
     _stuck_matching,
@@ -363,42 +374,164 @@ def qualifying_edge_mismatches(
 
 
 def twin_path_mismatches(
-    graphs: Iterable[Graph], n_max: int = 3, k_max: int = 2
+    graphs: Iterable[Graph], n_max: int = 3, k_max: int = 2, deletions: bool = False
 ) -> tuple[int, list[tuple[str, int, int]]]:
-    """_verdict_on_mask over twin-prefix sets against the same over every vertex set.
+    """Verdicts over twin-prefix sets against the same with bitset decisions.
 
-    Each graph gets a default oracle, which lists every vertex set (at most
-    12 vertices), and one whose ``sets`` is None, which walks the twin-prefix
-    sets that graphs above 12 vertices walk. For every admissible
-    (n <= n_max, k <= k_max) the two verdicts must agree on ``holds`` and on
-    the failure, witness included. Returns the cases compared and the
-    (graph6, n, k) of every disagreement.
+    Each graph gets a default oracle, which decides over every vertex set at
+    once (at most 12 vertices), and one whose ``sets`` is None, which walks
+    the twin-prefix sets that graphs above 12 vertices walk. For every
+    admissible (n <= n_max, k <= k_max) the two verdicts must agree on
+    ``holds`` and on the failure, witness included. With ``deletions``,
+    the two decisions on every G - V(e) must agree too, at every such
+    (n, k) admissible on it: their masks leave vertices out, which the
+    verdicts on G reach only through the S of a failing one. Returns the
+    cases compared and the (graph6, n, k) of every disagreement.
     """
     cases, bad = 0, []
     for g in graphs:
         listed, pruned = SubsetMatchingOracle(g), SubsetMatchingOracle(g)
         pruned.sets = None
+        full = listed.full_mask
         for n in range(n_max + 1):
             for k in range(k_max + 1):
-                if not admissible(g.vertex_count, n, k):
-                    continue
-                every = _verdict_on_mask(listed, listed.full_mask, n, k, None)
-                twin = _verdict_on_mask(pruned, pruned.full_mask, n, k, None)
-                if (every.holds, every.failure) != (twin.holds, twin.failure):
-                    bad.append((serialize_graph6(g), n, k))
-                cases += 1
+                if admissible(g.vertex_count, n, k):
+                    every = _verdict_on_mask(listed, full, n, k, None)
+                    twin = _verdict_on_mask(pruned, full, n, k, None)
+                    if (every.holds, every.failure) != (twin.holds, twin.failure):
+                        bad.append((serialize_graph6(g), n, k))
+                    cases += 1
+                if deletions and admissible(g.vertex_count - 2, n, k):
+                    for u, v in g.edges():
+                        mask = full ^ (1 << u) ^ (1 << v)
+                        if _holds_on_mask(listed, mask, n, k) != _holds_on_mask(pruned, mask, n, k):
+                            bad.append((serialize_graph6(g), n, k))
+                        cases += 1
+    return cases, bad
+
+
+def reference_table(g: Graph) -> bytearray:
+    """nu(G[mask]) for every mask, one mask at a time in ascending order.
+
+    nu(mask) is nu(rest), rest = mask minus its lowest vertex, or
+    nu(rest - u) + 1 for a neighbour u of that vertex, and never more than
+    nu(rest) + 1 or |mask| / 2. So the scan is skipped when nu(rest) is
+    already |mask| / 2 and stops at the first u with nu(rest - u) = nu(rest).
+    """
+    masks = g.adjacency_masks
+    table = bytearray(1 << g.vertex_count)
+    for mask in range(1, 1 << g.vertex_count):
+        low = mask & -mask
+        rest = mask ^ low
+        best = table[rest]
+        if best < mask.bit_count() >> 1:
+            nb = masks[low.bit_length() - 1] & rest
+            while nb:
+                ub = nb & -nb
+                if table[rest ^ ub] == best:
+                    best += 1
+                    break
+                nb ^= ub
+        table[mask] = best
+    return table
+
+
+@lru_cache(maxsize=None)
+def _masks_by_size(vertex_count: int) -> tuple[tuple[int, ...], ...]:
+    """Every vertex mask on ``vertex_count`` vertices, per size, ascending."""
+    return tuple(
+        tuple(sorted(sum(1 << v for v in c) for c in combinations(range(vertex_count), size)))
+        for size in range(vertex_count + 1)
+    )
+
+
+def reference_decide(
+    oracle: SubsetMatchingOracle, mask: int, n: int, k: int, budget: Budget | None, stats: SearchStats | None
+) -> bool:
+    """Conditions (i) and (ii) of the set form, walked set by set.
+
+    The n-sets S of mask, then the (n+2k)-sets T, each in ascending order;
+    the walk stops at the first set that fails. Each set walked is charged
+    to ``budget`` as it is reached (Budget.spend) and counted in ``stats``.
+    """
+    size = oracle.size
+    half = (mask.bit_count() - n) // 2 - k
+
+    def walk(count: int) -> Iterable[int]:
+        sets = [m for m in _masks_by_size(oracle.n)[count] if not m & ~mask]
+        return sets if budget is None else budget.spend(sets)
+
+    for smask in walk(n):
+        if stats is not None:
+            stats.subsets_examined += 1
+        nu = size(mask ^ smask)
+        if nu < k or (k == 0 and nu != half):
+            return False
+    if k == 0:
+        return True
+    for tmask in walk(n + 2 * k):
+        if stats is not None:
+            stats.pairs_examined += 1
+        if size(tmask) >= k and size(mask ^ tmask) != half:
+            return False
+    return True
+
+
+def decision_mismatches(
+    graphs: Iterable[Graph], n_max: int = 3, k_max: int = 2
+) -> tuple[int, list[tuple[str, int, int, int]]]:
+    """_decide's bitsets against reference_decide on G and on every G - V(e).
+
+    For each mask in {full} u {full ^ V(e)} and each (n <= n_max,
+    k <= k_max) admissible on it, both run under a fresh Budget and
+    SearchStats and must give the same verdict, counters and pairs_charged.
+    Then _decide runs under every pair_cap from 0 to that charge and must
+    end as the walk does: abort below it, with pairs_charged one past the
+    cap (the set at which Budget.spend stops a walk), and give the same
+    verdict at it. Returns the cases compared and the (graph6, mask, n, k)
+    of every disagreement.
+    """
+
+    def run(decide, oracle, mask, n, k, cap):
+        budget, stats = Budget(pair_cap=cap), SearchStats()
+        try:
+            holds = decide(oracle, mask, n, k, budget, stats)
+        except BudgetExceededError:
+            holds = None
+        return holds, stats, budget.pairs_charged
+
+    cases, bad = 0, []
+    for g in graphs:
+        oracle = SubsetMatchingOracle(g)
+        full = oracle.full_mask
+        for mask in [full] + [full ^ (1 << u) ^ (1 << v) for u, v in g.edges()]:
+            for n in range(n_max + 1):
+                for k in range(k_max + 1):
+                    if not admissible(mask.bit_count(), n, k):
+                        continue
+                    cases += 1
+                    expected = run(reference_decide, oracle, mask, n, k, None)
+                    ok = run(_decide, oracle, mask, n, k, None) == expected
+                    charged = expected[2]
+                    for cap in range(charged + 1) if ok else ():
+                        # A walk stopped by the cap has charged the set past it.
+                        want = (expected[0], charged) if cap == charged else (None, cap + 1)
+                        holds, _, spent = run(_decide, oracle, mask, n, k, cap)
+                        ok = ok and (holds, spent) == want
+                    if not ok:
+                        bad.append((serialize_graph6(g), mask, n, k))
     return cases, bad
 
 
 def blossom_size_mismatches(graphs: Iterable[Graph]) -> tuple[int, list[tuple[str, int]]]:
-    """_blossom_size against SubsetMatchingOracle._build_table on every mask.
+    """_blossom_size against SubsetMatchingOracle's table on every mask.
 
     Returns the masks compared and the (graph6, mask) of every disagreement.
     """
     compared, bad = 0, []
     for g in graphs:
         masks = g.adjacency_masks
-        table = SubsetMatchingOracle(g)._build_table()
+        table = SubsetMatchingOracle(g)._build_table()  # the bitset build
         for mask in range(1 << g.vertex_count):
             if _blossom_size(masks, mask) != table[mask]:
                 bad.append((serialize_graph6(g), mask))

@@ -25,12 +25,25 @@ from matchext import (
     verify_failure_witness,
 )
 from matchext import SubsetMatchingOracle, exhaustive_graphs, extendability, random_graphs
-from matchext.extendability import _holds_on_mask, _prefix_sets, _qualifying_edges, _verdict_on_mask, admissible
+from matchext.extendability import (
+    _flipped,
+    _holds_on_mask,
+    _prefix_sets,
+    _qualifying_edges,
+    _verdict_on_mask,
+    admissible,
+)
 from matchext.families import build_h1, build_h2, resolve_family_ref
 from matchext.graph import twin_classes, twin_prefix_sets
 
 from conftest import cycle_graph, graphs, star_graph, twin_heavy_graphs
-from oracles import naive_is_nk_extendable, qualifying_edge_mismatches, reference_search_failure, twin_path_mismatches
+from oracles import (
+    decision_mismatches,
+    naive_is_nk_extendable,
+    qualifying_edge_mismatches,
+    reference_search_failure,
+    twin_path_mismatches,
+)
 
 
 class TestParameterCheck:
@@ -405,10 +418,33 @@ class TestTwinPrefixPath:
     """Verdicts over twin-prefix sets against verdicts over every vertex set."""
 
     def test_exhaustive_up_to_7_vertices(self):
-        # Graphs of at most 12 vertices walk every set, so an oracle without
-        # ``sets`` is what runs the twin-prefix path on them. The CI covers
-        # every graph of at most 8 vertices.
-        assert twin_path_mismatches(exhaustive_graphs(7)) == (6141, [])
+        # Graphs of at most 12 vertices decide with bitsets, so an oracle
+        # without ``sets`` is what runs the twin-prefix path on them: 6 141
+        # verdicts on G and 36 599 decisions on G - V(e). The CI covers every
+        # graph of at most 8 vertices.
+        assert twin_path_mismatches(exhaustive_graphs(7), deletions=True) == (42740, [])
+
+
+class TestBitsetDecisions:
+    """_decide's bitsets against the set-by-set walk, charges included."""
+
+    def test_flipped_levels(self):
+        # C6's masks with a 1-factor: the empty set, the 6 edges, the 9 sets
+        # of two disjoint edges and the whole cycle; each lands on the bit of
+        # its complement.
+        oracle = SubsetMatchingOracle(cycle_graph(6))
+        full = oracle.full_mask
+        perfect = [m for m in range(64) if 2 * oracle.size(m) == m.bit_count()]
+        assert _flipped(oracle, None) == sum(1 << (full ^ m) for m in perfect) and len(perfect) == 17
+        assert _flipped(oracle, 3) == 1 and _flipped(oracle, 4) == 0
+        assert set(oracle.flips) == {None, 3, 4}
+
+    def test_exhaustive_up_to_7_vertices(self):
+        assert decision_mismatches(exhaustive_graphs(7)) == (42740, [])
+
+    def test_random_10_to_12_vertices(self):
+        graphs = [random_graphs(1, 10, 12, 0.5 + 0.1 * (i % 5), i)[0] for i in range(20)]
+        assert decision_mismatches(graphs) == (4638, [])
 
 
 class TestWorkCounters:
@@ -620,16 +656,34 @@ class TestBudget:
         with pytest.raises(BudgetExceededError) as raised:
             is_nk_extendable(g, 2, 2, budget=Budget(pair_cap=spent.pairs_charged - 1), oracle=oracle)
         assert oracle.nk_cache[(oracle.full_mask, 2, 2)] is False
-        spending = {"charge_pairs", "check_time", "spend", "_prefix_sets"}
+        spending = {"charge", "check_time", "spend", "_prefix_sets"}
         assert next(e.name for e in reversed(raised.traceback) if e.name not in spending) == "_has_stuck_completion"
 
     def test_deadline_read_every_256_charges(self):
         budget = Budget(deadline=time.monotonic() - 1)
         for _ in range(255):
-            budget.charge_pairs()
+            budget.charge()
         with pytest.raises(BudgetExceededError, match="timeout"):
-            budget.charge_pairs()
+            budget.charge()
         assert budget.pairs_charged == 256
+
+    def test_bulk_charge_ends_as_single_charges_would(self):
+        # Across a multiple of 256 the clock is read; over the cap the count
+        # stops at the unit that crossed it, even after an earlier abort.
+        expired = Budget(deadline=time.monotonic() - 1)
+        expired.charge(255)
+        with pytest.raises(BudgetExceededError, match="timeout"):
+            expired.charge(300)
+        capped = Budget(pair_cap=10)
+        capped.charge(0)
+        capped.charge(10)
+        with pytest.raises(BudgetExceededError, match="pair cap"):
+            capped.charge(7)
+        assert capped.pairs_charged == 11
+        capped.charge(0)
+        with pytest.raises(BudgetExceededError, match="pair cap"):
+            capped.charge(5)
+        assert capped.pairs_charged == 12
 
     def test_zero_timeout_aborts(self):
         budget = Budget.from_limits(0.0, None)

@@ -33,6 +33,7 @@ from oracles import (
     matchings_by_combinations,
     matchings_in_mask,
     reference_blossom_mates,
+    reference_table,
 )
 
 
@@ -113,8 +114,30 @@ class TestMaximumMatching:
         assert deficiency == brute_max_deficiency(g)
 
 
+class TestTableBuild:
+    """The oracle's bitset table build against the per-mask recurrence."""
+
+    def test_same_bytes_up_to_7_vertices(self):
+        bad = [g for g in exhaustive_graphs(7) if SubsetMatchingOracle(g)._table != reference_table(g)]
+        assert bad == []
+
+    @pytest.mark.parametrize("vertices", [13, 14, 15, 16])
+    def test_same_bytes_at_promotion_sizes(self, vertices):
+        # Above 12 vertices the table is built only on promotion; the same
+        # builder runs.
+        for g in random_graphs(2, vertices, vertices, 0.3 + vertices / 40, vertices):
+            oracle = SubsetMatchingOracle(g)
+            assert oracle.sets is None and not oracle.table_built
+            oracle._promote()
+            assert oracle._table == reference_table(g) and oracle.levels == []
+
+    def test_empty_graph(self):
+        assert SubsetMatchingOracle(Graph(0))._table == bytearray(1)
+
+
+
 class TestBlossomSize:
-    """_blossom_size against the oracle's table recurrence, and its three phases."""
+    """_blossom_size against the oracle's table, and its three phases."""
 
     def test_agrees_with_the_table_up_to_7_vertices(self):
         assert blossom_size_mismatches(exhaustive_graphs(7)) == (144922, [])
