@@ -15,13 +15,13 @@ since a k-matching M of G - S gives T = S u V(M), and a k-matching M of
 G[T] gives S = T - V(M). When k = 0, (ii) asks for a 1-factor of G - S for
 every n-set S. Every term is a fact about the subset oracle's table.
 
-The oracle decides how the conditions range over vertex sets. On a graph of
-at most 12 vertices, whose oracle holds the whole table, they range over
-every vertex set, and _decide evaluates each for all sets at once: the
-oracle's level bitsets (bit m of levels[j] says nu(G[m]) >= j) combine,
-with a few shifts and masks, into the bitset of the sets that fail
-(_decide_bitsets). On a larger graph a bitset would have 2^|V| bits, so the
-conditions are walked set by set, only over twin-prefix sets
+The oracle's level bitsets (bit m of levels[j] says nu(G[m]) >= j), kept on
+graphs of at most 12 vertices, decide how the conditions range over vertex
+sets. With them the conditions range over every vertex set: _decide
+combines the levels, with a few shifts and masks, into the bitset of the
+sets that fail (_decide_bitsets), and a walk reads the set bits of a size
+bitset in ascending order. On a larger graph a bitset would have 2^|V|
+bits, so the conditions are walked set by set, only over twin-prefix sets
 (_prefix_sets). Twins are vertices with the same closed neighbourhood
 (true twins) or the same open neighbourhood (false twins); swapping two
 twins is an automorphism, so a set may be replaced by the one that takes,
@@ -44,15 +44,15 @@ asks only whether such a set exists, so both walks find the same matching.
 
 The theorem validators ask the same question of every edge deletion
 G - V(e). _qualifying_edges answers it for all edges of G at one (n, k)
-from one scan over the sets of _prefix_sets, with S u V(e) and T u V(e)
-as the sets: e fails (i) exactly when it lies in an (n+2)-set U with
-nu(G - U) < k (at k = 0: G - U has no 1-factor), and (ii) exactly when it
-lies in an (n+2k+2)-set W such that G - W has no 1-factor and
-nu(G[W - V(e)]) >= k. Over twin-prefix sets a failing set fails each edge
-that twin swaps map into it: for U, each edge whose ends' classes U meets
-(at two members, if they share one); for W, each edge between the classes
-of an edge of W that fails. The edges left are a union of orbits, so
-testing only those inside W stays exact.
+from one scan, with S u V(e) and T u V(e) as the sets: e fails (i) exactly
+when it lies in an (n+2)-set U with nu(G - U) < k (at k = 0: G - U has no
+1-factor), and (ii) exactly when it lies in an (n+2k+2)-set W such that
+G - W has no 1-factor and nu(G[W - V(e)]) >= k. With the levels, an edge's
+failing sets per condition are one bitset (_qualifying_edges_bitsets). Over
+twin-prefix sets a failing set fails each edge that twin swaps map into it:
+for U, each edge whose ends' classes U meets (at two members, if they share
+one); for W, each edge between the classes of an edge of W that fails. The
+edges left are a union of orbits, so testing only those inside W stays exact.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class SearchStats:
     counts the (n+2k)-sets looked up (for k >= 1) plus the sets looked up
     while finding the stuck k-matching on the failing S. A decision made
     with bitsets counts the sets that a walk in ascending order would have
-    looked up.
+    looked up, as the witness walks over a size bitset's set bits do.
     """
 
     subsets_examined: int = 0
@@ -147,10 +147,10 @@ class Budget:
     """Work limits for one search instance.
 
     pair_cap bounds the work charged: one unit per vertex set a search
-    looks at, as _prefix_sets walks them or as _decide's bitsets count the
-    sets such a walk would look at; a cached answer is free. deadline is an
-    absolute time.monotonic() cutoff, read when a walk starts and then at
-    every 256th unit.
+    looks at, as _prefix_sets walks them or as the bitsets of _decide and
+    of the edge scan count the sets such a walk would look at (_walked); a
+    cached answer is free. deadline is an absolute time.monotonic() cutoff,
+    read when a walk starts and then at every 256th unit.
     """
 
     deadline: float | None = None
@@ -219,19 +219,16 @@ def _prefix_sets(
 ) -> Iterable[int]:
     """Masks of the ``size``-sets of ``within`` (default: mask) that a search walks.
 
-    With ``oracle.sets`` (graphs of at most 12 vertices) these are all such
-    sets, in ascending order. Without it they are the twin-prefix sets of
-    G[mask]'s twin classes cut to ``within``, and size 0 has the empty set
-    alone, so it needs no twin classes. Either way the sets stream, and a
-    ``budget`` is charged for each set as it is yielded (Budget.spend), so
-    it can stop a search after any set.
+    With ``oracle.levels`` (graphs of at most 12 vertices) these are all such
+    sets, in ascending order, read from a size bitset. Without them they are
+    the twin-prefix sets of G[mask]'s twin classes cut to ``within``, and
+    size 0 has the empty set alone, so it needs no twin classes. Either way
+    the sets stream, and a ``budget`` is charged for each set as it is
+    yielded (Budget.spend), so it can stop a search after any set.
     """
     within = mask if within is None else within
-    if oracle.sets is not None:
-        outside = oracle.full_mask ^ within
-        sets = oracle.sets[size]
-        if outside:
-            sets = (s for s in sets if not s & outside)
+    if oracle.levels:
+        sets = _bits(_size_bitsets(oracle.n)[size] & ~_meets(oracle.n, oracle.full_mask ^ within))
     elif size == 0:
         sets = (0,)
     else:
@@ -250,11 +247,11 @@ def _decide(
 ) -> bool:
     """Conditions (i) and (ii); see the module docstring.
 
-    With ``oracle.sets`` each condition is a bitset expression over every
-    vertex set of mask (_decide_bitsets). Without it, a walk over the sets of
-    _prefix_sets.
+    With ``oracle.levels`` each condition is a bitset expression over every
+    vertex set of mask (_decide_bitsets). Without them, a walk over the sets
+    of _prefix_sets.
     """
-    if oracle.sets is not None:
+    if oracle.levels:
         return _decide_bitsets(oracle, mask, n, k, budget, stats)
     size = oracle.size
     half = (mask.bit_count() - n) // 2 - k
@@ -307,11 +304,8 @@ def _decide_bitsets(
     charge what an ascending walk over the sets would: the sets up to the
     least failing one, or all of them.
     """
-    sizes, selectors = _size_bitsets(oracle.n), _selectors(oracle.n)
-    outside = oracle.full_mask ^ mask
-    meets_outside = 0
-    for u in _bits(outside):
-        meets_outside |= selectors[u]
+    sizes, outside = _size_bitsets(oracle.n), oracle.full_mask ^ mask
+    meets_outside = _meets(oracle.n, outside)
     # (i): an n-set S fails when nu(G[mask] - S) < k (at k = 0: no 1-factor).
     candidates = sizes[n] & ~meets_outside
     fails = candidates & ~(_flipped(oracle, k or None) >> outside)
@@ -328,6 +322,15 @@ def _decide_bitsets(
     if stats is not None:
         stats.pairs_examined += walked
     return not fails
+
+
+def _meets(vertex_count: int, vertices: int) -> int:
+    """Bitset of the masks on ``vertex_count`` <= 12 vertices that meet ``vertices``."""
+    selectors = _selectors(vertex_count)
+    meets = 0
+    for u in _bits(vertices):
+        meets |= selectors[u]
+    return meets
 
 
 def _walked(candidates: int, fails: int, budget: Budget | None) -> int:
@@ -380,11 +383,11 @@ def _qualifying_edges(
     count, size, full = oracle.n, oracle.size, oracle.full_mask
     if not admissible(count - 2, n, k):
         raise InvalidParametersError(_parameter_check(count - 2, n, k))
-    if oracle.sets is not None:
-        orbit = oracle.sets[1]  # every set is walked, so each vertex is its own orbit
-    else:  # orbit[v]: the mask of v's twin class
-        classes = [sum(1 << v for v in c) for c in twin_classes(oracle.masks, full)]
-        orbit = tuple(next(c for c in classes if c >> v & 1) for v in range(count))
+    if oracle.levels:
+        alive = oracle.edge_cache[n, k] = _qualifying_edges_bitsets(oracle, n, k, budget)
+        return alive
+    classes = [sum(1 << v for v in c) for c in twin_classes(oracle.masks, full)]
+    orbit = tuple(next(c for c in classes if c >> v & 1) for v in range(count))  # v's twin class
     alive = list(oracle.masks)
     rest = count - n - 2
     for u_set in _prefix_sets(oracle, full, n + 2, budget):
@@ -409,6 +412,36 @@ def _qualifying_edges(
                 break
     oracle.edge_cache[n, k] = alive
     return alive
+
+
+def _qualifying_edges_bitsets(
+    oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | None
+) -> list[int]:
+    """The edge scan with the level bitsets: each edge's failing sets are one bitset.
+
+    Each walk is charged up to the latest of the edges' first failing sets, or in full while one survives.
+    """
+    sizes, selectors = _size_bitsets(oracle.n), _selectors(oracle.n)
+    edges = [(a, b) for a, row in enumerate(oracle.masks) for b in _bits(row >> (a + 1) << (a + 1))]
+    # (i): U fails when nu(G - U) < k (at k = 0: no 1-factor), and fails the edges it holds.
+    candidates = sizes[n + 2]
+    fails = candidates & ~_flipped(oracle, k or None)
+    failing = [fails & selectors[a] & selectors[b] for a, b in edges]
+    alive = [edge for edge, sets in zip(edges, failing) if not sets]
+    stop = max(f & -f for f in failing) if edges else fails  # no edge: it stops at its first failing U
+    _walked(candidates, 0 if alive else stop, budget)
+    if k and alive:
+        # (ii): G - W has no 1-factor and nu(G[W - {a, b}]) >= k; (i) left nu(G) >= k.
+        candidates, level = sizes[n + 2 * k + 2], oracle.levels[k]
+        fails = candidates & ~_flipped(oracle, None)
+        failing = [fails & selectors[a] & selectors[b] & level << ((1 << a) | (1 << b)) for a, b in alive]
+        alive = [edge for edge, sets in zip(alive, failing) if not sets]
+        _walked(candidates, 0 if alive else max(f & -f for f in failing), budget)
+    qualifying = [0] * oracle.n
+    for a, b in alive:
+        qualifying[a] |= 1 << b
+        qualifying[b] |= 1 << a
+    return qualifying
 
 
 def _stuck_matching(

@@ -14,14 +14,13 @@ induced subgraphs. It starts with one memoized blossom run per queried
 subset and switches to a table over all 2^n subsets after 2^n / 32 runs
 (see the constants below), and graphs of at most 12 vertices get it at
 once. The table is built with bitsets over the subset lattice, one int bit
-per vertex mask, a vertex at a time (_build_table), and the oracle keeps
-those level bitsets, from which the extendability decisions on graphs of at
-most 12 vertices are computed for all vertex sets at once.
+per vertex mask, a vertex at a time (_build_table). On graphs of at most 12
+vertices the oracle keeps those level bitsets, and every extendability
+search there reads its vertex sets from bitsets.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -270,15 +269,6 @@ _EAGER_VERTICES = 12
 _MISS_SHIFT = 5
 
 
-@lru_cache(maxsize=None)
-def _sets_by_size(vertex_count: int) -> tuple[array, ...]:
-    """Every vertex mask on ``vertex_count`` <= _EAGER_VERTICES vertices, ascending per size."""
-    buckets = tuple(array("Q") for _ in range(vertex_count + 1))
-    for mask in range(1 << vertex_count):
-        buckets[mask.bit_count()].append(mask)
-    return buckets
-
-
 # A bitset over the vertex masks of a graph on N vertices is an int whose bit
 # m stands for mask m, so one int operation acts on all 2^N masks at once.
 
@@ -332,12 +322,10 @@ class SubsetMatchingOracle:
     ``nk_cache``, the verdict per (mask, n, k), shared by the theorem
     validators; ``edge_cache``, per (n, k), the edges e whose G - V(e) is
     (n, k)-extendable; and ``flips``, the bit-reversed level bitsets that
-    _decide reads. ``sets`` says how those searches range over vertex sets.
-    On a graph of at most 12 vertices it holds every vertex mask, one
-    ascending list per size, shared by all oracles on that many vertices,
-    and _decide evaluates its conditions on all sets at once as bitset
-    algebra. On a larger graph it is None, also once the table is built:
-    such lists would hold 2^n masks, so the searches walk twin-prefix sets
+    _decide reads. ``levels`` is non-empty exactly on graphs of at most 12
+    vertices (the empty graph has [1]), and there the searches range over
+    every vertex set as bitset algebra. On a larger graph it stays empty,
+    also once the table is built, and the searches walk twin-prefix sets
     instead (extendability._prefix_sets).
     """
 
@@ -351,8 +339,7 @@ class SubsetMatchingOracle:
         self.levels: list[int] = []
         self._lazy: dict[int, int] = {}
         self._table: bytearray | None = None
-        self.sets = _sets_by_size(self.n) if self.n <= _EAGER_VERTICES else None
-        if self.sets is not None:
+        if self.n <= _EAGER_VERTICES:
             self._promote()
 
     @property
@@ -385,10 +372,10 @@ class SubsetMatchingOracle:
         those u, levels[j - 1] shifted up by 2^u and cut to the masks
         holding u. nu(m) is the number of levels holding m: each level is
         spread to one byte per bit and the levels are added as integers,
-        which never carry since a byte sums to at most n / 2. With ``sets``
-        the selectors come from a cache and the levels are kept in ``levels``.
+        which never carry since a byte sums to at most n / 2. Up to 12
+        vertices the selectors come from a cache and ``levels`` keeps the levels.
         """
-        eager = self.sets is not None
+        eager = self.n <= _EAGER_VERTICES
         sel = _selectors(self.n) if eager else []  # a larger graph grows its own, cached nowhere
         levels = [1]  # levels[0] over the empty graph's one mask
         for h, row in enumerate(self.masks):

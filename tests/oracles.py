@@ -27,11 +27,17 @@ the bitset decision against it, verdict, counters and charges included.
 reference_one_factor_body walks every 1-factor of G for T4/TC, and the
 theorem body must give exactly its report. qualifying_edge_mismatches
 decides every G - V(e) on its own, twin-pruned, and the one scan that
-_qualifying_edges runs must agree with it edge by edge, both over every
-vertex set and over twin-prefix sets, where it fails whole orbits.
-twin_path_mismatches runs each verdict twice on graphs of at most 12
-vertices, with the bitset decisions and over twin-prefix sets only, and the
-two must agree, witness included; so must the decisions on each G - V(e).
+_qualifying_edges runs must agree with it edge by edge, both with the level
+bitsets and over twin-prefix sets, where it fails whole orbits.
+reference_qualifying_edges is the scan that _qualifying_edges ran on graphs
+of at most 12 vertices before it used bitsets: every vertex set walked in
+ascending order, charging the budget per set, and the bitset scan must
+give the same edges and charges. twin_path_mismatches runs each verdict
+twice on graphs of at most 12 vertices, with the bitset decisions and over
+twin-prefix sets only, and the two must agree, witness included; so must
+the decisions on each G - V(e). An oracle is sent down the twin-prefix
+path by emptying its ``levels``, and both checks fail if it still has
+levels at the end.
 reference_canonical_form is the canonical form without twin pruning: it
 branches on every vertex of the target cell, and the pruned search must
 return the same integer.
@@ -334,34 +340,99 @@ def theoremB_mismatches(graphs: Iterable[Graph], k_max: int) -> tuple[int, int, 
     return rows, failing, bad
 
 
-def qualifying_edge_mismatches(
-    graphs: Iterable[Graph], n_max: int = 3, k_max: int = 2, twin_scan: bool = False
-) -> tuple[int, list[tuple[str, int, int, tuple[int, int], str]]]:
-    """_qualifying_edges against one _holds_on_mask per edge, on separate oracles.
+def reference_qualifying_edges(
+    oracle: SubsetMatchingOracle, n: int, k: int, budget: Budget | None
+) -> list[int]:
+    """The edges e with G - V(e) (n, k)-extendable, walked set by set.
 
-    The reference decides each G - V(e) on its own, twin-pruned, on an
-    oracle whose ``sets`` is None. The scan runs on a default oracle, which
-    lists every vertex set on graphs of at most 12 vertices, and with
-    ``twin_scan`` also on an oracle whose ``sets`` is None, so that it walks
-    twin-prefix sets and fails whole orbits as on larger graphs. For every
-    (n <= n_max, k <= k_max) admissible on G - V(e), every edge is a cell.
-    Returns the cells compared and the (graph6, n, k, edge, scan) of every
-    cell where a scan disagrees with the reference.
+    The (n+2)-sets U, then (k >= 1, while an edge is alive) the
+    (n+2k+2)-sets W, each in ascending order and charged to ``budget`` as it
+    is reached (Budget.spend). A failing U fails every edge inside it; a W
+    with no 1-factor in G - W fails each edge inside it that leaves a
+    k-matching of W. Each walk stops once no edge is alive, so an edgeless
+    graph stops at its first failing U. Each vertex is its own orbit.
     """
-    cells, bad = 0, []
+    size, full = oracle.size, oracle.full_mask
+    alive = list(oracle.masks)
+    rest = oracle.n - n - 2
+
+    def walk(count: int) -> Iterable[int]:
+        sets = _masks_by_size(oracle.n)[count]
+        return sets if budget is None else budget.spend(sets)
+
+    for u_set in walk(n + 2):
+        nu = size(full ^ u_set)
+        if nu < k or (k == 0 and 2 * nu != rest):
+            for a in _bits(u_set):
+                alive[a] &= ~u_set
+            if not any(alive):
+                break
+    if k and any(alive):
+        half = rest // 2 - k
+        for w_set in walk(n + 2 * k + 2):
+            if size(full ^ w_set) == half or size(w_set) <= k:
+                continue
+            for a in _bits(w_set):
+                for b in _bits(alive[a] & w_set >> (a + 1) << (a + 1)):
+                    if size(w_set ^ (1 << a) ^ (1 << b)) >= k:
+                        alive[a] &= ~(1 << b)
+                        alive[b] &= ~(1 << a)
+            if not any(alive):
+                break
+    return alive
+
+
+def _twin_oracle(g: Graph) -> SubsetMatchingOracle:
+    """An oracle on g whose searches walk twin-prefix sets: its ``levels`` emptied."""
+    oracle = SubsetMatchingOracle(g)
+    oracle.levels = []
+    return oracle
+
+
+def qualifying_edge_mismatches(
+    graphs: Iterable[Graph],
+    n_max: int = 3,
+    k_max: int = 2,
+    twin_scan: bool = False,
+    sampled_caps: bool = False,
+) -> tuple[int, int, list[tuple]]:
+    """_qualifying_edges against one _holds_on_mask per edge and against the set-by-set walk.
+
+    The per-edge reference decides each G - V(e) on its own, twin-pruned,
+    on a twin oracle (_twin_oracle). The scan runs on a default oracle,
+    which reads the level bitsets on graphs of at most 12 vertices, and with
+    ``twin_scan`` also on a twin oracle, so that it walks twin-prefix sets
+    and fails whole orbits as on larger graphs. For every (n <= n_max,
+    k <= k_max) admissible on G - V(e), every edge is a cell.
+
+    On graphs of at most 12 vertices, edgeless ones included, each such
+    (n, k) is also a scan compared with reference_qualifying_edges, as
+    decision_mismatches compares decisions: under a fresh Budget both must
+    give the same edges and pairs_charged; then the scan runs under every
+    pair_cap from 0 to that charge (with ``sampled_caps``, at 0, half of it,
+    one below it and at it), aborting with pairs_charged one past the cap
+    and caching nothing below it, and giving the same edges at it.
+
+    Returns the cells compared, the scans compared, and the (graph6, n, k,
+    edge, scan) of every cell and the (graph6, n, k, "charges") of every
+    scan that disagrees. Fails if a twin oracle has levels at the end.
+    """
+    cells, scans, bad = 0, 0, []
     for g in graphs:
-        reference = SubsetMatchingOracle(g)
-        reference.sets = None
-        scans = {"listed": SubsetMatchingOracle(g)}
+        reference = _twin_oracle(g)
+        oracles = {"default": SubsetMatchingOracle(g)}
         if twin_scan:
-            scans["twin"] = SubsetMatchingOracle(g)
-            scans["twin"].sets = None
+            oracles["twin"] = _twin_oracle(g)
         edges = g.edges()
         for n in range(n_max + 1):
             for k in range(k_max + 1):
-                if not edges or not admissible(g.vertex_count - 2, n, k):
+                if not admissible(g.vertex_count - 2, n, k):
                     continue
-                profiles = {name: _qualifying_edges(oracle, n, k) for name, oracle in scans.items()}
+                if g.vertex_count <= 12:
+                    scans += 1
+                    if not _same_scan_charges(oracles["default"], n, k, sampled_caps):
+                        bad.append((serialize_graph6(g), n, k, "charges"))
+                profiles = {name: _qualifying_edges(oracle, n, k) for name, oracle in oracles.items()}
                 for u, v in edges:
                     holds = _holds_on_mask(reference, reference.full_mask ^ (1 << u) ^ (1 << v), n, k)
                     bad.extend(
@@ -370,7 +441,28 @@ def qualifying_edge_mismatches(
                         if bool(qualifying[u] >> v & 1) != holds
                     )
                 cells += len(edges)
-    return cells, bad
+        assert not reference.levels and not (twin_scan and oracles["twin"].levels), "a twin oracle has levels"
+    return cells, scans, bad
+
+
+def _same_scan_charges(oracle: SubsetMatchingOracle, n: int, k: int, sampled_caps: bool) -> bool:
+    """The cap sweep of qualifying_edge_mismatches on one (n, k); leaves the scan cached."""
+    budget = Budget()
+    expected = reference_qualifying_edges(oracle, n, k, budget)
+    charged = budget.pairs_charged
+    caps = range(charged + 1) if not sampled_caps else sorted({0, charged // 2, max(charged - 1, 0), charged})
+    for cap in [None, *caps]:
+        oracle.edge_cache.pop((n, k), None)
+        budget = Budget(pair_cap=cap)
+        try:
+            alive = _qualifying_edges(oracle, n, k, budget)
+        except BudgetExceededError:
+            alive = None
+        # A walk stopped by the cap has charged the set past it, and caches nothing.
+        want = (expected, charged) if cap in (None, charged) else (None, cap + 1)
+        if (alive, budget.pairs_charged) != want or ((n, k) in oracle.edge_cache) != (alive is not None):
+            return False
+    return True
 
 
 def twin_path_mismatches(
@@ -379,24 +471,24 @@ def twin_path_mismatches(
     """Verdicts over twin-prefix sets against the same with bitset decisions.
 
     Each graph gets a default oracle, which decides over every vertex set at
-    once (at most 12 vertices), and one whose ``sets`` is None, which walks
+    once (at most 12 vertices), and a twin oracle (_twin_oracle), which walks
     the twin-prefix sets that graphs above 12 vertices walk. For every
     admissible (n <= n_max, k <= k_max) the two verdicts must agree on
     ``holds`` and on the failure, witness included. With ``deletions``,
     the two decisions on every G - V(e) must agree too, at every such
     (n, k) admissible on it: their masks leave vertices out, which the
     verdicts on G reach only through the S of a failing one. Returns the
-    cases compared and the (graph6, n, k) of every disagreement.
+    cases compared and the (graph6, n, k) of every disagreement. Fails if the
+    twin oracle has levels at the end.
     """
     cases, bad = 0, []
     for g in graphs:
-        listed, pruned = SubsetMatchingOracle(g), SubsetMatchingOracle(g)
-        pruned.sets = None
-        full = listed.full_mask
+        bitsets, pruned = SubsetMatchingOracle(g), _twin_oracle(g)
+        full = bitsets.full_mask
         for n in range(n_max + 1):
             for k in range(k_max + 1):
                 if admissible(g.vertex_count, n, k):
-                    every = _verdict_on_mask(listed, full, n, k, None)
+                    every = _verdict_on_mask(bitsets, full, n, k, None)
                     twin = _verdict_on_mask(pruned, full, n, k, None)
                     if (every.holds, every.failure) != (twin.holds, twin.failure):
                         bad.append((serialize_graph6(g), n, k))
@@ -404,9 +496,10 @@ def twin_path_mismatches(
                 if deletions and admissible(g.vertex_count - 2, n, k):
                     for u, v in g.edges():
                         mask = full ^ (1 << u) ^ (1 << v)
-                        if _holds_on_mask(listed, mask, n, k) != _holds_on_mask(pruned, mask, n, k):
+                        if _holds_on_mask(bitsets, mask, n, k) != _holds_on_mask(pruned, mask, n, k):
                             bad.append((serialize_graph6(g), n, k))
                         cases += 1
+        assert not pruned.levels, "the twin oracle has levels"
     return cases, bad
 
 

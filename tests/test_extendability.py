@@ -178,17 +178,18 @@ class TestDecisionCaches:
         assert (stats.subsets_examined, stats.pairs_examined) == (1, 0)
 
     def test_prefix_sets_are_all_sets_or_twin_prefix_sets(self):
-        # C6 has 6 vertices, so its oracle lists every set: all 15 two-sets
-        # in ascending order, and those of a cut-down ``within`` alike.
-        # Without the lists, the twin-prefix sets of G[mask]'s twin classes
-        # cut to ``within`` (C4's two classes of false twins, here).
+        # C6 has 6 vertices, so its oracle keeps its levels and the walk
+        # reads every set from the size bitset: all 15 two-sets in ascending
+        # order, and those of a cut-down ``within`` alike. With its levels
+        # emptied, the twin-prefix sets of G[mask]'s twin classes cut to
+        # ``within`` (C4's two classes of false twins, here).
         oracle = SubsetMatchingOracle(cycle_graph(6))
         full = oracle.full_mask
         two_sets = [m for m in range(1 << 6) if m.bit_count() == 2]
         assert list(_prefix_sets(oracle, full, 2, None)) == two_sets and len(two_sets) == 15
         assert list(_prefix_sets(oracle, full, 2, None, 0b111100)) == [m for m in two_sets if not m & 0b11]
         oracle = SubsetMatchingOracle(cycle_graph(4))
-        oracle.sets = None
+        oracle.levels = []
         full, masks = oracle.full_mask, oracle.masks
         assert twin_classes(masks, full) == [[0, 2], [1, 3]]
         assert list(_prefix_sets(oracle, full, 2, None)) == list(twin_prefix_sets([[0, 2], [1, 3]], 2))
@@ -363,23 +364,39 @@ class TestQualifyingEdges:
     """The one scan of _qualifying_edges against a decision per G - V(e)."""
 
     def test_exhaustive_up_to_7_vertices(self):
-        # Graphs of at most 12 vertices walk every set, so an oracle without
-        # ``sets`` is what runs the orbit rule of the twin-prefix scan on them.
-        assert qualifying_edge_mismatches(exhaustive_graphs(7), twin_scan=True) == (36599, [])
+        # Graphs of at most 12 vertices scan with bitsets, so an oracle with
+        # its levels emptied is what runs the orbit rule of the twin-prefix
+        # scan on them. Every scan's charges are swept at every cap.
+        assert qualifying_edge_mismatches(exhaustive_graphs(7), twin_scan=True) == (36599, 3645, [])
 
     def test_family_members(self):
         # H1(n, k) and H2(n, k) at n, k <= 2: 4 to 20 vertices in twin
         # classes of two to five (H1(1, k)'s one core vertex is its own).
         graphs = [build(n, k).graph for build in (build_h1, build_h2) for n in range(3) for k in range(3)]
-        assert qualifying_edge_mismatches(graphs, twin_scan=True) == (5384, [])
+        assert qualifying_edge_mismatches(graphs, twin_scan=True) == (5384, 40, [])
 
     def test_dense_random_graphs(self):
-        assert qualifying_edge_mismatches(random_graphs(200, 9, 12, 0.8, 5)) == (48302, [])
+        # Charges compared at caps 0, c / 2, c - 1 and c, c the scan's charge.
+        graphs = random_graphs(200, 9, 12, 0.8, 5)
+        assert qualifying_edge_mismatches(graphs, sampled_caps=True) == (48302, 1157, [])
+
+    def test_random_10_to_12_vertices_at_every_cap(self):
+        graphs = [random_graphs(1, 10, 12, 0.5 + 0.1 * (i % 5), i)[0] for i in range(20)]
+        assert qualifying_edge_mismatches(graphs) == (4518, 120, [])
+
+    def test_edgeless_and_one_edge_graphs(self):
+        # With no edge the walk stops at its first failing U; with one, at
+        # the first failing U that holds it. Every pair of 2 to 12 vertices
+        # is the one edge once.
+        graphs = [Graph(v) for v in range(2, 13)]
+        graphs += [Graph(v, [(a, b)]) for v in range(2, 13) for a in range(v) for b in range(a + 1, v)]
+        assert qualifying_edge_mismatches(graphs) == (1440, 1476, [])
 
     def test_graph_above_12_vertices(self):
-        # 14 vertices and no twins: the twin-prefix scan walks every set.
+        # 14 vertices and no twins: the twin-prefix scan walks every set. No
+        # scan is compared with the set-by-set walk, which lists every set.
         g = random_graphs(1, 14, 14, 0.8, 0)[0]
-        assert qualifying_edge_mismatches([g], 1, 1) == (2 * g.edge_count, [])
+        assert qualifying_edge_mismatches([g], 1, 1) == (2 * g.edge_count, 0, [])
 
     @pytest.mark.parametrize("ref, charged", [("h1:2:1", 344), ("h1:4:1", 399)])
     def test_scan_work_above_12_vertices_is_pinned(self, ref, charged):
@@ -419,9 +436,9 @@ class TestTwinPrefixPath:
 
     def test_exhaustive_up_to_7_vertices(self):
         # Graphs of at most 12 vertices decide with bitsets, so an oracle
-        # without ``sets`` is what runs the twin-prefix path on them: 6 141
-        # verdicts on G and 36 599 decisions on G - V(e). The CI covers every
-        # graph of at most 8 vertices.
+        # with its levels emptied is what runs the twin-prefix path on them:
+        # 6 141 verdicts on G and 36 599 decisions on G - V(e). The CI covers
+        # every graph of at most 8 vertices.
         assert twin_path_mismatches(exhaustive_graphs(7), deletions=True) == (42740, [])
 
 

@@ -127,7 +127,7 @@ class TestTableBuild:
         # builder runs.
         for g in random_graphs(2, vertices, vertices, 0.3 + vertices / 40, vertices):
             oracle = SubsetMatchingOracle(g)
-            assert oracle.sets is None and not oracle.table_built
+            assert not oracle.levels and not oracle.table_built
             oracle._promote()
             assert oracle._table == reference_table(g) and oracle.levels == []
 
@@ -377,19 +377,26 @@ class TestSubsetOracle:
         assert oracle.table_built and oracle.misses == 0
         assert oracle.size(oracle.full_mask) == 6
 
-    def test_only_graphs_of_at_most_12_vertices_list_their_sets(self):
-        # The searches walk every vertex set when the oracle has ``sets``.
-        # Above 12 vertices the lists would hold 2^n masks, and the 16-vertex
-        # h1:2:0 has 8 008 6-sets where 106 are twin-prefix ones, so they
-        # stay off also once the table is built.
-        sets = SubsetMatchingOracle(complete_graph(12)).sets
-        assert [len(masks) for masks in sets] == [math.comb(12, size) for size in range(13)]
-        assert SubsetMatchingOracle(cycle_graph(13)).sets is None
+    def test_only_graphs_of_at_most_12_vertices_keep_their_levels(self):
+        # The searches read every vertex set from bitsets when the oracle
+        # has ``levels``: levels[j] holds the masks with a j-matching, on
+        # K12 those of at least 2j vertices. The empty graph and an edgeless
+        # one have one level, levels[0]. Above 12 vertices a bitset would
+        # have 2^n bits, and the 16-vertex h1:2:0 has 8 008 6-sets where 106
+        # are twin-prefix ones, so the levels stay off also once the table
+        # is built.
+        levels = SubsetMatchingOracle(complete_graph(12)).levels
+        assert [level.bit_count() for level in levels] == [
+            sum(math.comb(12, size) for size in range(2 * j, 13)) for j in range(7)
+        ]
+        assert SubsetMatchingOracle(Graph(0)).levels == [1]
+        assert SubsetMatchingOracle(Graph(12)).levels == [(1 << 4096) - 1]
+        assert SubsetMatchingOracle(cycle_graph(13)).levels == []
         oracle = SubsetMatchingOracle(resolve_family_ref("h1:2:0").graph)
-        assert oracle.sets is None
+        assert oracle.levels == []
         for mask in range(oracle.miss_budget):
             oracle.size(mask)
-        assert oracle.table_built and oracle.sets is None
+        assert oracle.table_built and oracle.levels == []
 
     def test_lazy_fallback_above_dense_limit(self):
         # 20 vertices forces the per-mask blossom path.
