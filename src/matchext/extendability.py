@@ -37,10 +37,12 @@ is decided as above), and the first k-matching of G - S, in lexicographic
 canonical order, that does not extend. That matching is found in set form
 too, without listing the k-matchings of G - S: a descent through their
 lexicographic order takes, edge by edge, the first next edge after which
-some completion does not extend, and each such question is a loop over
-sets T of at most 2k - 2 vertices: one oracle lookup asks whether G[T] has
-a 1-factor, and one more, only if it has, asks about the rest. The descent
-asks only whether such a set exists, so both walks find the same matching.
+some completion does not extend. Each such question asks whether some set
+T of at most 2k - 2 vertices has a 1-factor while the rest minus T has
+none: with the levels one bitset, as for (ii); over twin-prefix sets a
+loop with one oracle lookup per T, and one more only if G[T] has a
+1-factor. It asks only whether such a set exists, so both ways find the
+same matching.
 
 The theorem validators ask the same question of every edge deletion
 G - V(e). _qualifying_edges answers it for all edges of G at one (n, k)
@@ -110,9 +112,9 @@ class SearchStats:
     (0, k) on G - S for each S walked. subsets_examined counts the n-sets
     looked up (the empty set alone, for a (0, k) decision); pairs_examined
     counts the (n+2k)-sets looked up (for k >= 1) plus the sets looked up
-    while finding the stuck k-matching on the failing S. A decision made
-    with bitsets counts the sets that a walk in ascending order would have
-    looked up, as the witness walks over a size bitset's set bits do.
+    while finding the stuck k-matching on the failing S. With the level
+    bitsets, a decision and each question of that search count the sets
+    that a walk in ascending order would have looked up.
     """
 
     subsets_examined: int = 0
@@ -147,10 +149,11 @@ class Budget:
     """Work limits for one search instance.
 
     pair_cap bounds the work charged: one unit per vertex set a search
-    looks at, as _prefix_sets walks them or as the bitsets of _decide and
-    of the edge scan count the sets such a walk would look at (_walked); a
-    cached answer is free. deadline is an absolute time.monotonic() cutoff,
-    read when a walk starts and then at every 256th unit.
+    looks at, as _prefix_sets walks them or as the bitsets of _decide, of
+    the edge scan and of _has_stuck_completion count the sets such a walk
+    would look at (_walked); a cached answer is free. deadline is an
+    absolute time.monotonic() cutoff, read when a walk starts and then at
+    every 256th unit.
     """
 
     deadline: float | None = None
@@ -317,11 +320,16 @@ def _decide_bitsets(
     # (ii): an (n+2k)-set T fails when nu(G[T]) >= k and G[mask] - T has no 1-factor.
     # (i) has passed, so nu(G) >= k and levels[k] exists.
     candidates = sizes[n + 2 * k] & ~meets_outside
-    fails = candidates & oracle.levels[k] & ~(_flipped(oracle, None) >> outside)
+    fails = _unfactored(oracle, candidates & oracle.levels[k], outside)
     walked = _walked(candidates, fails, budget)
     if stats is not None:
         stats.pairs_examined += walked
     return not fails
+
+
+def _unfactored(oracle: SubsetMatchingOracle, sets: int, outside: int) -> int:
+    """The sets T of ``sets`` (none meeting ``outside``) with no 1-factor in G - outside - T."""
+    return sets & ~(_flipped(oracle, None) >> outside)
 
 
 def _meets(vertex_count: int, vertices: int) -> int:
@@ -421,20 +429,23 @@ def _qualifying_edges_bitsets(
 
     Each walk is charged up to the latest of the edges' first failing sets, or in full while one survives.
     """
-    sizes, selectors = _size_bitsets(oracle.n), _selectors(oracle.n)
-    edges = [(a, b) for a, row in enumerate(oracle.masks) for b in _bits(row >> (a + 1) << (a + 1))]
+    if oracle.pairs is None:  # per edge (a, b), a < b: the masks holding a and b, kept for every scan
+        sel = _selectors(oracle.n)
+        edges = [(a, b) for a, row in enumerate(oracle.masks) for b in _bits(row >> (a + 1) << (a + 1))]
+        oracle.pairs = {(a, b): sel[a] & sel[b] for a, b in edges}
+    sizes, pairs = _size_bitsets(oracle.n), oracle.pairs
     # (i): U fails when nu(G - U) < k (at k = 0: no 1-factor), and fails the edges it holds.
     candidates = sizes[n + 2]
     fails = candidates & ~_flipped(oracle, k or None)
-    failing = [fails & selectors[a] & selectors[b] for a, b in edges]
-    alive = [edge for edge, sets in zip(edges, failing) if not sets]
-    stop = max(f & -f for f in failing) if edges else fails  # no edge: it stops at its first failing U
+    failing = [fails & pair for pair in pairs.values()]
+    alive = [edge for edge, sets in zip(pairs, failing) if not sets]
+    stop = max(f & -f for f in failing) if pairs else fails  # no edge: it stops at its first failing U
     _walked(candidates, 0 if alive else stop, budget)
     if k and alive:
         # (ii): G - W has no 1-factor and nu(G[W - {a, b}]) >= k; (i) left nu(G) >= k.
         candidates, level = sizes[n + 2 * k + 2], oracle.levels[k]
         fails = candidates & ~_flipped(oracle, None)
-        failing = [fails & selectors[a] & selectors[b] & level << ((1 << a) | (1 << b)) for a, b in alive]
+        failing = [fails & pairs[a, b] & level << ((1 << a) | (1 << b)) for a, b in alive]
         alive = [edge for edge, sets in zip(alive, failing) if not sets]
         _walked(candidates, 0 if alive else max(f & -f for f in failing), budget)
     qualifying = [0] * oracle.n
@@ -492,22 +503,42 @@ def _has_stuck_completion(
     leaves G[rest] - V(M) not (0, k_left)-extendable ((0, 0): no 1-factor).
 
     Such an M exists iff some 2j-set T of H has a 1-factor while G[rest] - T
-    fails that test. T ranges over the 2j-sets of H that _prefix_sets
-    gives: all of them, or the twin-prefix sets of G[rest]'s twin classes
-    cut to H, since swapping two twins of G[rest] that both lie in H maps
-    rest and H onto themselves. a = -1 cuts nothing, and at j = 0 T is
-    empty. Whether G[T] has a 1-factor is one oracle lookup; G[rest] - T
-    costs one more at k_left = 0 and a cached decision otherwise. Each set
+    fails that test; a = -1 cuts nothing, and at j = 0 T is empty. The sets
+    T are walked in ascending order to the first that answers, and each set
     walked is counted as one pair.
+
+    With ``oracle.levels`` T ranges over every 2j-set of H: levels[j] gives
+    the ones with a 1-factor. At k_left = 0 the failing ones are one bitset,
+    as in (ii) of _decide_bitsets; otherwise each of them, in turn, costs a
+    cached (0, k_left) decision of G[rest] - T, and the sets skipped before
+    it are charged in bulk. Without the levels, T ranges over the twin-prefix
+    sets of G[rest]'s twin classes cut to H (_prefix_sets), since swapping two
+    twins of G[rest] that both lie in H maps rest and H onto themselves, and
+    each costs an oracle lookup or two.
 
     In _stuck_matching's descent the cut to H saves work but changes no
     answer: a stuck completion of (a, b) through a free vertex below a would
     give a stuck matching with the chosen edges and an edge starting below a,
     so it would precede the least one, whose next edges start at a or above.
     """
+    within = rest >> (a + 1) << (a + 1)
+    if oracle.levels:  # callers ask only when G[rest] has a j-matching, so levels[j] exists
+        candidates = _size_bitsets(oracle.n)[2 * j] & ~_meets(oracle.n, oracle.full_mask ^ within)
+        perfectable = candidates & oracle.levels[j]
+        if not k_left:
+            fails = _unfactored(oracle, perfectable, oracle.full_mask ^ rest)
+            stats.pairs_examined += _walked(candidates, fails, budget)
+            return bool(fails)
+        for tmask in _bits(perfectable):
+            stats.pairs_examined += _walked(candidates, 1 << tmask, budget)  # the sets up to T
+            candidates &= -(2 << tmask)  # the sets above T
+            if not _holds_on_mask(oracle, rest ^ tmask, 0, k_left, budget):
+                return True
+        stats.pairs_examined += _walked(candidates, 0, budget)
+        return False
     size = oracle.size
     half = rest.bit_count() // 2 - j
-    for tmask in _prefix_sets(oracle, rest, 2 * j, budget, rest >> (a + 1) << (a + 1)):
+    for tmask in _prefix_sets(oracle, rest, 2 * j, budget, within):
         stats.pairs_examined += 1
         if not oracle.is_perfectable(tmask):
             continue

@@ -24,6 +24,11 @@ reference_decide is the walk that _decide ran on graphs of at most 12
 vertices before it used bitsets: conditions (i) and (ii), set by set over
 every vertex set, charging the budget per set. decision_mismatches checks
 the bitset decision against it, verdict, counters and charges included.
+reference_has_stuck_completion is, in the same way, the walk that
+_has_stuck_completion ran there, and stuck_completion_mismatches checks the
+bitset form against it on every question that TB's rows and the witness
+descents ask, each from the nk_cache it was asked with, since a cached
+decision is free.
 reference_one_factor_body walks every 1-factor of G for T4/TC, and the
 theorem body must give exactly its report. qualifying_edge_mismatches
 decides every G - V(e) on its own, twin-pruned, and the one scan that
@@ -50,13 +55,14 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from matchext import Graph, VertexSet, delete_vertices, has_one_factor, theorems
+from matchext import Graph, VertexSet, delete_vertices, extendability, has_one_factor, theorems
 from matchext.errors import BudgetExceededError
 from matchext.extendability import (
     Budget,
     FailureKind,
     SearchStats,
     _decide,
+    _has_stuck_completion,
     _holds_on_mask,
     _qualifying_edges,
     _stuck_matching,
@@ -338,6 +344,109 @@ def theoremB_mismatches(graphs: Iterable[Graph], k_max: int) -> tuple[int, int, 
                 if not ok:
                     bad.append((serialize_graph6(g), k, i))
     return rows, failing, bad
+
+
+def reference_has_stuck_completion(
+    oracle: SubsetMatchingOracle,
+    rest: int,
+    a: int,
+    j: int,
+    budget: Budget | None,
+    stats: SearchStats,
+    k_left: int = 0,
+) -> bool:
+    """_has_stuck_completion's question, walked set by set over every 2j-set T.
+
+    The 2j-sets of H = rest minus the vertices <= a, in ascending order, each
+    charged to ``budget`` as it is reached (Budget.spend) and counted in
+    ``stats.pairs_examined``. The walk stops at the first T with a 1-factor
+    whose G[rest] - T has none (k_left = 0) or is not (0, k_left)-extendable,
+    the latter decided with _holds_on_mask on the oracle.
+    """
+    within = rest >> (a + 1) << (a + 1)
+    half = rest.bit_count() // 2 - j
+    sets = [m for m in _masks_by_size(oracle.n)[2 * j] if not m & ~within]
+    for tmask in sets if budget is None else budget.spend(sets):
+        stats.pairs_examined += 1
+        if not oracle.is_perfectable(tmask):
+            continue
+        if not k_left and oracle.size(rest ^ tmask) != half:
+            return True
+        if k_left and not _holds_on_mask(oracle, rest ^ tmask, 0, k_left, budget):
+            return True
+    return False
+
+
+def stuck_completion_mismatches(
+    graphs: Iterable[Graph], n_max: int = 3, k_max: int = 2, sampled_caps: bool = False
+) -> tuple[int, list[tuple]]:
+    """_has_stuck_completion against reference_has_stuck_completion on every question asked.
+
+    The questions are those of each graph's admissible TB rows (k <= k_max,
+    1 <= i <= k), of the descent to the stuck i-matching on each row whose
+    right side finds one (as theoremB_mismatches runs it), and of the
+    descents of its failing verdicts at n <= n_max, k <= k_max, asked in
+    that order of one oracle. An nk_cache hit is free, so each question is
+    compared from the nk_cache it was asked with: both must give the same
+    answer, pairs_examined, pairs_charged and nk_cache keys; then under
+    every pair_cap from 0 to that charge (with ``sampled_caps``, at 0, half
+    of it, one below it and at it) _has_stuck_completion must abort with
+    pairs_charged one past the cap, and give the same answer at it. Returns
+    the questions compared and the (graph6, rest, a, j, k_left) of every
+    one that disagrees.
+    """
+    questions, bad, graph = 0, [], None
+
+    def compared(oracle, rest, a, j, budget, stats, k_left=0):
+        nonlocal questions
+        questions += 1
+        if not _same_stuck_completion(oracle, (rest, a, j), k_left, sampled_caps):
+            bad.append((serialize_graph6(graph), rest, a, j, k_left))
+        return _has_stuck_completion(oracle, rest, a, j, budget, stats, k_left)
+
+    extendability._has_stuck_completion = theorems._has_stuck_completion = compared
+    try:
+        for graph in graphs:
+            oracle = SubsetMatchingOracle(graph)
+            full = oracle.full_mask
+            for k in range(1, k_max + 1):
+                for i in range(1, k + 1) if admissible(graph.vertex_count, 0, k) else ():
+                    report = theorems.verify_theoremB(graph, k, i, oracle=oracle)
+                    if report.hypothesis_detail["rhs_all_deletions"] is False:
+                        _stuck_matching(oracle, full, i, None, SearchStats(), k - i)
+            for n in range(n_max + 1):
+                for k in range(k_max + 1):
+                    if admissible(graph.vertex_count, n, k):
+                        _verdict_on_mask(oracle, full, n, k, None)
+    finally:
+        extendability._has_stuck_completion = theorems._has_stuck_completion = _has_stuck_completion
+    return questions, bad
+
+
+def _same_stuck_completion(oracle: SubsetMatchingOracle, question: tuple, k_left: int, sampled_caps: bool) -> bool:
+    """The comparisons of stuck_completion_mismatches on one question; leaves nk_cache as it found it."""
+    before = dict(oracle.nk_cache)
+
+    def run(ask, cap):
+        oracle.nk_cache = dict(before)
+        budget, stats = Budget(pair_cap=cap), SearchStats()
+        try:
+            answer = ask(oracle, *question, budget, stats, k_left)
+        except BudgetExceededError:
+            answer = None
+        return answer, stats.pairs_examined, budget.pairs_charged, set(oracle.nk_cache)
+
+    expected = run(reference_has_stuck_completion, None)
+    ok = run(_has_stuck_completion, None) == expected
+    charged = expected[2]
+    caps = range(charged + 1) if not sampled_caps else sorted({0, charged // 2, max(charged - 1, 0), charged})
+    for cap in caps if ok else ():
+        # A walk stopped by the cap has charged the set past it.
+        want = (expected[0], charged) if cap == charged else (None, cap + 1)
+        answer, _, spent, _ = run(_has_stuck_completion, cap)
+        ok = ok and (answer, spent) == want
+    oracle.nk_cache = before
+    return ok
 
 
 def reference_qualifying_edges(

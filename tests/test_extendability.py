@@ -42,6 +42,7 @@ from oracles import (
     naive_is_nk_extendable,
     qualifying_edge_mismatches,
     reference_search_failure,
+    stuck_completion_mismatches,
     twin_path_mismatches,
 )
 
@@ -462,6 +463,25 @@ class TestBitsetDecisions:
     def test_random_10_to_12_vertices(self):
         graphs = [random_graphs(1, 10, 12, 0.5 + 0.1 * (i % 5), i)[0] for i in range(20)]
         assert decision_mismatches(graphs) == (4638, [])
+
+
+class TestStuckCompletion:
+    """_has_stuck_completion's bitsets against the set-by-set walk, charges included."""
+
+    def test_exhaustive_up_to_7_vertices(self):
+        # TB's rows at k <= 2 and their descents, then the verdicts' descents
+        # at n <= 3, k <= 2; every question's charges swept at every cap.
+        assert stuck_completion_mismatches(exhaustive_graphs(7)) == (10747, [])
+
+    def test_random_10_to_12_vertices_at_every_cap(self):
+        graphs = [random_graphs(1, 10, 12, 0.5 + 0.1 * (i % 5), i)[0] for i in range(20)]
+        assert stuck_completion_mismatches(graphs) == (369, [])
+
+    def test_random_10_to_12_vertices_at_k_3(self):
+        # k = 3 asks with k_left = 1 and 2 below the top of the descent; caps
+        # 0, c / 2, c - 1 and c, c the question's charge.
+        graphs = [random_graphs(1, 10, 12, 0.5 + 0.1 * (i % 5), i)[0] for i in range(20)]
+        assert stuck_completion_mismatches(graphs, 3, 3, sampled_caps=True) == (880, [])
 
 
 class TestWorkCounters:

@@ -5,10 +5,13 @@ whose output is trusted; any refactor must reproduce them exactly. The two
 larger census documents (1.1 MB and more) are pinned by SHA-256 instead of
 being checked in. The certify goldens pin every byte but the values of
 the two "stats" counters: those are work counters, which count what the
-decision engine looked up, not what it concluded.
+decision engine looked up, not what it concluded. Their files hold the
+counters the CLI prints, and the last test pins them on two graphs of at
+most 12 vertices.
 """
 
 import hashlib
+import json
 import re
 from pathlib import Path
 
@@ -86,3 +89,11 @@ def test_certify_matches_golden_apart_from_stats(ref, n, k, exit_code, tmp_path)
     name = f"certify_{ref.replace(':', '_')}_n{n}_k{k}.json"
     got = _output(argv, tmp_path, exit_code)
     assert _without_counters(got) == _without_counters((GOLDEN / name).read_bytes())
+
+
+@pytest.mark.parametrize("ref, n, k, counters", [("h2:0:0", 0, 1, (1, 11)), ("h2:1:0", 1, 1, (16, 299))])
+def test_certify_counters_on_graphs_of_at_most_12_vertices(ref, n, k, counters, tmp_path):
+    # 4 and 9 vertices: the decisions and the stuck-matching descent count,
+    # with bitsets, the sets an ascending walk would look up.
+    got = json.loads(_output(["certify", "--graph", ref, "--n", str(n), "--k", str(k)], tmp_path, 1))
+    assert (got["stats"]["subsets_examined"], got["stats"]["pairs_examined"]) == counters

@@ -121,10 +121,11 @@ class TestTableBuild:
         bad = [g for g in exhaustive_graphs(7) if SubsetMatchingOracle(g)._table != reference_table(g)]
         assert bad == []
 
-    @pytest.mark.parametrize("vertices", [13, 14, 15, 16])
+    @pytest.mark.parametrize("vertices", [13, 14, 15, 16, 19, 20])
     def test_same_bytes_at_promotion_sizes(self, vertices):
         # Above 12 vertices the table is built only on promotion; the same
-        # builder runs.
+        # builder runs, making each selector as it uses it. From 19 vertices
+        # the spread to bytes takes more than one slice of 2^18 masks.
         for g in random_graphs(2, vertices, vertices, 0.3 + vertices / 40, vertices):
             oracle = SubsetMatchingOracle(g)
             assert not oracle.levels and not oracle.table_built
