@@ -507,14 +507,14 @@ def _has_stuck_completion(
     T are walked in ascending order to the first that answers, and each set
     walked is counted as one pair.
 
-    With ``oracle.levels`` T ranges over every 2j-set of H: levels[j] gives
-    the ones with a 1-factor. At k_left = 0 the failing ones are one bitset,
-    as in (ii) of _decide_bitsets; otherwise each of them, in turn, costs a
-    cached (0, k_left) decision of G[rest] - T, and the sets skipped before
-    it are charged in bulk. Without the levels, T ranges over the twin-prefix
-    sets of G[rest]'s twin classes cut to H (_prefix_sets), since swapping two
-    twins of G[rest] that both lie in H maps rest and H onto themselves, and
-    each costs an oracle lookup or two.
+    At k_left = 0 on an oracle with ``levels`` the failing sets are one
+    bitset, as in (ii) of _decide_bitsets: the 2j-sets of H that levels[j]
+    holds and whose G[rest] - T has no 1-factor. Otherwise T ranges over the
+    sets of _prefix_sets: every 2j-set of H, in ascending order, with the
+    levels; without them the twin-prefix sets of G[rest]'s twin classes cut
+    to H, since swapping two twins of G[rest] that both lie in H maps rest
+    and H onto themselves. Whether G[T] has a 1-factor is one oracle lookup;
+    G[rest] - T costs one more at k_left = 0 and a cached decision otherwise.
 
     In _stuck_matching's descent the cut to H saves work but changes no
     answer: a stuck completion of (a, b) through a free vertex below a would
@@ -522,20 +522,12 @@ def _has_stuck_completion(
     so it would precede the least one, whose next edges start at a or above.
     """
     within = rest >> (a + 1) << (a + 1)
-    if oracle.levels:  # callers ask only when G[rest] has a j-matching, so levels[j] exists
+    if oracle.levels and not k_left:
+        # levels[j] exists: G has a k-matching, k > j in the descent, and TB asks j = i <= nu(G).
         candidates = _size_bitsets(oracle.n)[2 * j] & ~_meets(oracle.n, oracle.full_mask ^ within)
-        perfectable = candidates & oracle.levels[j]
-        if not k_left:
-            fails = _unfactored(oracle, perfectable, oracle.full_mask ^ rest)
-            stats.pairs_examined += _walked(candidates, fails, budget)
-            return bool(fails)
-        for tmask in _bits(perfectable):
-            stats.pairs_examined += _walked(candidates, 1 << tmask, budget)  # the sets up to T
-            candidates &= -(2 << tmask)  # the sets above T
-            if not _holds_on_mask(oracle, rest ^ tmask, 0, k_left, budget):
-                return True
-        stats.pairs_examined += _walked(candidates, 0, budget)
-        return False
+        fails = _unfactored(oracle, candidates & oracle.levels[j], oracle.full_mask ^ rest)
+        stats.pairs_examined += _walked(candidates, fails, budget)
+        return bool(fails)
     size = oracle.size
     half = rest.bit_count() // 2 - j
     for tmask in _prefix_sets(oracle, rest, 2 * j, budget, within):

@@ -377,12 +377,12 @@ class SubsetMatchingOracle:
         spread to one byte per bit and the levels are added as integers,
         which never carry since a byte sums to at most n / 2. Up to 12
         vertices the selectors come from a cache and ``levels`` keeps the
-        levels. Above, each h makes the selectors it uses, and the table is
-        filled 2^18 masks at a time, shifted off the levels, so a promotion
-        peaks at 1.9 times the table at 22 vertices (tracemalloc, G(22, 0.5)).
+        levels; above, each h makes the selectors it uses. The table is
+        filled 2^18 masks at a time from byte slices of the levels, each
+        freed once spread, so the levels shrink as the table grows.
         """
         eager = self.n <= _EAGER_VERTICES
-        sel = _selectors(self.n) if eager else ()
+        sel = _selectors(self.n) if eager else ()  # a larger graph makes its own, cached nowhere
         levels = [1]  # levels[0] over the empty graph's one mask
         for h, row in enumerate(self.masks):
             if 2 * len(levels) <= h + 1:
@@ -398,14 +398,19 @@ class SubsetMatchingOracle:
             levels.pop()
         if eager:  # only the bitset decisions read them
             self.levels = levels
-        levels, table = levels[1:], bytearray()
-        step = min(1 << self.n, 1 << 18)
-        for _ in range((1 << self.n) // step):
+        width = 1 << self.n
+        step = min(width, 1 << 18)  # the masks of one slice
+        chunk = -(-step // 8)  # a slice's bytes in a level
+        levels = levels[1:]
+        for j, level in enumerate(levels):  # each level as its slices, lowest last
+            data = level.to_bytes(width // step * chunk, "little")
+            levels[j] = [data[at : at + chunk] for at in reversed(range(0, len(data), chunk))]
+        table = bytearray()
+        for _ in range(width // step):
             total = 0
-            for j, level in enumerate(levels):
-                spread = format(level & ((1 << step) - 1), f"0{step}b").encode().translate(_ONE_PER_BYTE)
+            for slices in levels:
+                spread = format(int.from_bytes(slices.pop(), "little"), f"0{step}b").encode().translate(_ONE_PER_BYTE)
                 total += int.from_bytes(spread, "big")
-                levels[j] = level >> step
             table += total.to_bytes(step, "little")
         return table
 

@@ -25,10 +25,10 @@ vertices before it used bitsets: conditions (i) and (ii), set by set over
 every vertex set, charging the budget per set. decision_mismatches checks
 the bitset decision against it, verdict, counters and charges included.
 reference_has_stuck_completion is, in the same way, the walk that
-_has_stuck_completion ran there, and stuck_completion_mismatches checks the
-bitset form against it on every question that TB's rows and the witness
-descents ask, each from the nk_cache it was asked with, since a cached
-decision is free.
+_has_stuck_completion ran there, and stuck_completion_mismatches checks
+_has_stuck_completion (one bitset at k_left = 0) against it on every
+question that TB's rows and the witness descents ask, each from the
+nk_cache it was asked with, since a cached decision is free.
 reference_one_factor_body walks every 1-factor of G for T4/TC, and the
 theorem body must give exactly its report. qualifying_edge_mismatches
 decides every G - V(e) on its own, twin-pruned, and the one scan that

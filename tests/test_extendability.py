@@ -466,7 +466,7 @@ class TestBitsetDecisions:
 
 
 class TestStuckCompletion:
-    """_has_stuck_completion's bitsets against the set-by-set walk, charges included."""
+    """_has_stuck_completion against the set-by-set walk, charges included."""
 
     def test_exhaustive_up_to_7_vertices(self):
         # TB's rows at k <= 2 and their descents, then the verdicts' descents
